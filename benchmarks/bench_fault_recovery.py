@@ -17,8 +17,8 @@ it crosses process spawn and scheduler latency). Shape assertions are
 strict at every scale: no scan may fail during the outage, the alert
 set across steady/outage/recovered phases must equal the
 single-process reference exactly, the worker must come back with
-``respawns == 1``, and every shared-memory slot must be free at the
-end (a crash mid-batch may not leak its ring lease).
+``respawns == 1``, and no shared-table slot may stay pinned at the
+end (a crash mid-batch may not leak its pin lease).
 """
 
 import itertools
@@ -154,8 +154,8 @@ def test_fault_recovery(corpus, dataset, tmp_path_factory):
         p99_respawn = float(np.percentile(np.sort(outage), 99))
 
         status = manager.status()
-        assert status["ring"]["free_slots"] == manager.slots, (
-            "a crash mid-batch leaked a shared-memory ring lease"
+        assert status["shared_cache"]["pinned_slots"] == 0, (
+            "a crash mid-batch leaked a shared-table pin lease"
         )
         fleet_alerts = {alert.address for alert in sink.alerts}
         assert fleet_alerts == expected_alerts, (

@@ -2,8 +2,8 @@
 
 Not a paper artifact — this is the ROADMAP's "scale past one process"
 check. The same scan workload is pushed through a real fleet (forked
-worker processes, HTTP transport, shared-memory feature ring) at one
-and at four workers, by concurrent client threads:
+worker processes, HTTP transport, the host-wide shared feature table)
+at one and at four workers, by concurrent client threads:
 
 * **1 worker** — every batch funnels through one process: the serving
   floor,
@@ -13,12 +13,12 @@ Prints one machine-readable JSON summary line (``FLEET {...}``) with
 events/sec per fleet size, the 4-vs-1 scaling ratio, parallel
 efficiency (scaling / 4), the client-observed p99 batch latency, and
 ``shared_cache_hit`` — the shared feature table's hit rate when the
-same workload repeats against a cached fleet (must stay ≈ 1.0, with
+same workload repeats against a warm fleet (must stay ≈ 1.0, with
 zero leaked pin leases).
 
 Shape assertions: the fleet's alert set must equal the single-process
-reference **bit for bit at both sizes** (sharding and shm handoff may
-not change a single verdict), and throughput must scale. The paper-
+reference **bit for bit at both sizes** (sharding and the shared-table
+handoff may not change a single verdict), and throughput must scale. The paper-
 grade floor — ≥ 0.7× linear at 4 workers — needs 4 free cores; on
 smaller machines (``PHOOK_BENCH_SMOKE=1`` or ``os.cpu_count() < 4``)
 it relaxes to "adding workers must not collapse throughput" while the
@@ -157,7 +157,7 @@ def test_fleet_scaling(corpus, dataset, tmp_path_factory):
         summary[f"p99_seconds_{workers}"] = round(p99, 4)
 
     # Host-wide shared feature cache: drive the same workload twice
-    # through a cached fleet. The second pass must resolve (nearly)
+    # through one fleet. The second pass must resolve (nearly)
     # every unique bytecode from the shared table — the hit rate is the
     # tracked metric — and every pin lease must come back.
     sink = MemorySink()
@@ -166,7 +166,6 @@ def test_fleet_scaling(corpus, dataset, tmp_path_factory):
         store_url=str(store_root),
         model_ref="production",
         overflow="block",
-        shared_cache=True,
         mmap=True,
         sinks=(sink,),
     ) as manager:

@@ -1052,10 +1052,15 @@ def _cmd_fleet(args) -> int:
               f"scanned {counters['scanned']}  "
               f"flagged {counters['flagged']}  "
               f"shed {counters['shed']}  rerouted {counters['rerouted']}")
-        print(f"feature handoff: {counters['shm_batches']} shm, "
-              f"{counters['inline_batches']} inline")
         shared = status.get("shared_cache")
-        if shared:
+        if not shared:
+            print(f"feature handoff: inline only, "
+                  f"{counters['inline_batches']} batches")
+        else:
+            print(f"feature handoff: "
+                  f"{counters['shared_cache_hits']} table hits, "
+                  f"{counters['shared_cache_stores']} stores, "
+                  f"{counters['shared_cache_fallback']} inline fallbacks")
             print(f"shared feature cache: {shared['hits']} hits  "
                   f"{shared['misses']} misses  "
                   f"{shared['entries']}/{shared['slots']} slots "

@@ -240,22 +240,11 @@ class FleetConfig:
     queue_depth: int = 4
     #: Overflow policy: ``shed`` (HTTP 429) or ``block`` the submitter.
     overflow: str = "shed"
-    #: Ship decoded feature blocks through shared memory (decode once
-    #: per host); off means workers re-decode every unique bytecode.
+    #: Decode each unique bytecode once per host into the shared
+    #: feature table that every worker reads zero-copy, so repeat
+    #: deployments are never re-shipped or re-decoded; off ships
+    #: bytecode inline and workers decode it themselves.
     ship_features: bool = True
-    #: Shared-memory ring slots; 0 sizes it automatically
-    #: (``workers × queue_depth × 2``).
-    slots: int = 0
-    slot_bytes: int = 1 << 20
-    #: Host-wide shared feature cache: keep each unique bytecode and its
-    #: decoded ids resident across batches (and workers) so repeat
-    #: deployments are never re-shipped or re-decoded. Needs
-    #: ``ship_features``.
-    shared_cache: bool = False
-    #: Shared-cache entry slots; 0 picks the default (256).
-    shared_cache_slots: int = 0
-    #: Bytes per shared-cache slot; 0 inherits ``slot_bytes``.
-    shared_cache_slot_bytes: int = 0
     #: Map worker model artifacts with ``mmap_mode="r"`` (zero-copy cold
     #: starts; node arrays page in on demand and are shared between
     #: workers by the OS cache).
@@ -700,20 +689,6 @@ def _parse_fleet(
         ),
         ship_features=section.boolean(
             "ship_features", FleetConfig.ship_features
-        ),
-        slots=section.integer("slots", FleetConfig.slots, minimum=0),
-        slot_bytes=section.integer(
-            "slot_bytes", FleetConfig.slot_bytes, minimum=4096
-        ),
-        shared_cache=section.boolean(
-            "shared_cache", FleetConfig.shared_cache
-        ),
-        shared_cache_slots=section.integer(
-            "shared_cache_slots", FleetConfig.shared_cache_slots, minimum=0
-        ),
-        shared_cache_slot_bytes=section.integer(
-            "shared_cache_slot_bytes",
-            FleetConfig.shared_cache_slot_bytes, minimum=0,
         ),
         mmap=section.boolean("mmap", FleetConfig.mmap),
         host=host,

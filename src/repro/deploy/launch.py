@@ -218,11 +218,6 @@ def build_fleet(config: DeployConfig, *, sinks=None):
         queue_depth=fleet.queue_depth,
         overflow=fleet.overflow,
         ship_features=fleet.ship_features,
-        slots=fleet.slots,
-        slot_bytes=fleet.slot_bytes,
-        shared_cache=fleet.shared_cache,
-        shared_cache_slots=fleet.shared_cache_slots,
-        shared_cache_slot_bytes=fleet.shared_cache_slot_bytes,
         mmap=fleet.mmap,
         host=fleet.host,
         port=fleet.port,

@@ -376,51 +376,6 @@ def _fleet_shed_alert_loss(c: DeployConfig):
     return None
 
 
-def _fleet_undersized_ring(c: DeployConfig):
-    f = c.fleet
-    if f is None or not f.ship_features or f.slots == 0:
-        return None
-    needed = f.workers * f.queue_depth
-    if f.slots < needed:
-        return (
-            f"fleet.slots={f.slots} is below the worst-case in-flight "
-            f"demand fleet.workers={f.workers} x fleet.queue_depth="
-            f"{f.queue_depth} = {needed}: under full admission the ring "
-            f"runs dry and batches silently fall back to inline feature "
-            f"shipping, re-paying the serialization the ring exists to "
-            f"avoid"
-        )
-    return None
-
-
-#: EIP-170 contract-code size cap — the worst-case bytecode one scan
-#: row can carry, and (decoded ids are at most one byte per code byte)
-#: half the worst-case ring footprint of a shared-cache miss.
-EIP170_MAX_CODE_BYTES = 24_576
-
-
-def _shared_cache_thin_ring(c: DeployConfig):
-    f = c.fleet
-    if f is None or not f.shared_cache or not f.ship_features:
-        return None
-    # A shared-cache miss ships [code][ids] through one ring slot; a
-    # cold cache makes the first batch all-miss, so the slot must hold
-    # a full batch of worst-case rows or the cache warms through the
-    # inline fallback it was meant to remove.
-    needed = c.stream.batch_size * 2 * EIP170_MAX_CODE_BYTES
-    if f.slot_bytes < needed:
-        return (
-            f"fleet.slot_bytes={f.slot_bytes} is below one cold batch "
-            f"of worst-case feature rows: stream.batch_size="
-            f"{c.stream.batch_size} x 2 x {EIP170_MAX_CODE_BYTES} "
-            f"(EIP-170 code cap, code + decoded ids) = {needed}. The "
-            f"shared cache turns first-sight batches into all-miss "
-            f"bursts that overflow the ring slot and fall back to "
-            f"inline shipping exactly while the cache is cold"
-        )
-    return None
-
-
 def _respawn_cold_store(c: DeployConfig):
     ft = c.fault_tolerance
     if (
@@ -566,7 +521,9 @@ def _loop_subprocess_memory_store(c: DeployConfig):
 
 
 #: The catalog. IDs are stable — tooling, dashboards and the docs rule
-#: table key on them; new rules append, old rules never renumber.
+#: table key on them; new rules append, old rules never renumber. The
+#: gaps after D019 and D024 are the retired feature-ring rules; their
+#: IDs are never reused.
 RULES: tuple[Rule, ...] = (
     Rule(
         "D001", ERROR, "silent-alert-loss",
@@ -743,16 +700,6 @@ RULES: tuple[Rule, ...] = (
         ("fleet.overflow", "stream.policy", "sinks"),
     ),
     Rule(
-        "D020", WARN, "fleet-undersized-ring",
-        "An explicitly-sized feature ring smaller than workers x "
-        "queue_depth runs dry under full admission and silently falls "
-        "back to inline feature shipping.",
-        "raise fleet.slots to >= fleet.workers x fleet.queue_depth, or "
-        "leave fleet.slots=0 for automatic sizing",
-        _fleet_undersized_ring,
-        ("fleet.slots", "fleet.workers", "fleet.queue_depth"),
-    ),
-    Rule(
         "D021", ERROR, "respawn-cold-store",
         "Supervised respawn with a remote store and no local cache "
         "re-pulls the artifact over the network on every respawn; a "
@@ -793,18 +740,6 @@ RULES: tuple[Rule, ...] = (
         "deliveries for replay",
         _circuit_open_alert_loss,
         ("fault_tolerance.dead_letter_path", "sinks"),
-    ),
-    Rule(
-        "D025", WARN, "shared-cache-thin-ring",
-        "A shared feature cache over a ring slot smaller than one "
-        "cold batch of worst-case rows warms through the inline "
-        "fallback: every first-sight batch is all-miss and overflows "
-        "the slot it was supposed to ride.",
-        "raise fleet.slot_bytes to >= stream.batch_size x 2 x 24576 "
-        "(EIP-170 code cap, code + decoded ids), or lower "
-        "stream.batch_size",
-        _shared_cache_thin_ring,
-        ("fleet.shared_cache", "fleet.slot_bytes", "stream.batch_size"),
     ),
     Rule(
         "D026", ERROR, "loop-without-sink",

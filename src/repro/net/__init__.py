@@ -9,14 +9,11 @@ users" north star needs real processes and a real wire:
 * :mod:`repro.net.client` — stdlib ``http.client`` helpers (timeouts,
   typed transport errors) shared by every HTTP consumer in the repo
   (fleet dispatch, ``HttpStoreBackend``, the promoted ``WebhookSink``),
-* :mod:`repro.net.shm` — :class:`ShmRing`, a fixed-slot
-  ``multiprocessing.shared_memory`` ring carrying numpy feature blocks
-  coordinator → worker zero-copy,
-* :mod:`repro.net.shared_cache` — :class:`ShmFeatureCache`, the
-  cross-*batch* promotion of the ring's per-batch dedup: a digest-keyed
-  shared-memory table where each unique bytecode (and its decoded
-  mnemonic-id block) lands once per host, referenced by every later
-  request from every worker,
+* :mod:`repro.net.shared_cache` — :class:`ShmFeatureCache`, the one
+  way features reach a worker besides inline hex: a digest-keyed
+  ``multiprocessing.shared_memory`` table where each unique bytecode
+  (and its decoded mnemonic-id block) lands once per host, referenced
+  zero-copy by every later request from every worker,
 * :mod:`repro.net.worker` — the worker process: one
   :class:`~repro.serve.service.ScanService` cold-started from the
   ModelStore behind a private HTTP port,
@@ -70,7 +67,6 @@ from repro.net.fleet import (
 )
 from repro.net.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from repro.net.shared_cache import SharedEntry, ShmFeatureCache
-from repro.net.shm import ShmRing, SlotTooSmallError
 from repro.net.store_http import serve_store
 from repro.net.worker import WorkerSpec, worker_main
 
@@ -84,9 +80,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "CircuitOpenError",
-    # shm
-    "ShmRing",
-    "SlotTooSmallError",
     # shared feature cache
     "ShmFeatureCache",
     "SharedEntry",

@@ -18,15 +18,14 @@ The coordinator is the only public face of a fleet. It owns:
   alive worker; since a worker that died mid-request never delivered a
   response, re-sending cannot double-alert and not re-sending would
   lose events. The alert-set equality tests pin this down.
-* **Zero-copy feature handoff.** Unique bytecodes are decoded once per
-  host through the coordinator's :class:`~repro.serve.cache.FeatureCache`
-  and the ``uint8`` ids blocks travel to workers through a
-  :class:`~repro.net.shm.ShmRing` slot; the HTTP body carries only slot
-  geometry. With a :class:`~repro.net.shared_cache.ShmFeatureCache`
-  attached, popular bytecodes skip even the per-batch slot write: the
-  request references the host-wide entry (pinned for the exchange) and
-  only table misses ride the ring. A full ring or an oversized payload
-  degrades to inline hex shipping — counted, never fatal.
+* **Zero-copy feature handoff.** With a
+  :class:`~repro.net.shared_cache.ShmFeatureCache` attached, unique
+  bytecodes are decoded once per host through the coordinator's
+  :class:`~repro.serve.cache.FeatureCache` and stored with their
+  ``uint8`` ids block in the host-wide table; the request references
+  the entry (pinned for the exchange) instead of carrying it. A code
+  that misses a full table or does not fit a slot rides inline as hex —
+  counted, never fatal. Without the table every code rides inline.
 * **The monitor plane.** Flagged results become real
   :class:`~repro.stream.scanner.StreamAlert` objects fanned out to the
   configured sinks, and :meth:`FleetCoordinator.status` reports
@@ -143,20 +142,15 @@ class FleetCoordinator:
             space (``crc32(address) % len(workers)``), which stays fixed
             even as workers die — only the *fallback* target moves.
         cache: Host-wide :class:`~repro.serve.cache.FeatureCache` used
-            to decode each unique bytecode once; required when
-            ``ship_features``.
-        ring: :class:`~repro.net.shm.ShmRing` for zero-copy handoff
-            (``None`` → inline shipping).
+            to decode each unique bytecode once; required with ``shared``.
         shared: :class:`~repro.net.shared_cache.ShmFeatureCache` holding
             each unique bytecode + decoded ids once per host across
             batches; requests reference entries by slot instead of
-            re-shipping, and only codes missing from the table fall
-            through to the ring / inline path (``None`` → per-batch
-            shipping only).
+            re-shipping, and only codes missing from the table ride
+            inline (``None`` → inline shipping only).
         queue_depth: Max in-flight batches per worker.
         overflow: ``"shed"`` (raise :class:`OverloadedError`) or
             ``"block"`` (wait for capacity).
-        ship_features: Also ship decoded ids blocks (not just bytecode).
         timeout: Per-request worker HTTP timeout (seconds).
         sinks: :class:`~repro.stream.sinks.AlertSink` list for flagged
             results.
@@ -167,11 +161,9 @@ class FleetCoordinator:
         workers,
         *,
         cache=None,
-        ring=None,
         shared=None,
         queue_depth: int = 4,
         overflow: str = "shed",
-        ship_features: bool = True,
         timeout: float = 10.0,
         sinks=(),
     ):
@@ -181,18 +173,14 @@ class FleetCoordinator:
             raise ValueError("queue_depth must be positive")
         if overflow not in ("shed", "block"):
             raise ValueError(f"unknown overflow policy {overflow!r}")
-        if ship_features and ring is not None and cache is None:
-            raise ValueError("ship_features over shm needs a FeatureCache")
         if shared is not None and cache is None:
             raise ValueError("a shared feature cache needs a FeatureCache "
                              "to decode misses")
         self.workers = list(workers)
         self.cache = cache
-        self.ring = ring
         self.shared = shared
         self.queue_depth = queue_depth
         self.overflow = overflow
-        self.ship_features = ship_features
         self.timeout = timeout
         self.sinks = list(sinks)
         self._lock = threading.Lock()
@@ -206,10 +194,7 @@ class FleetCoordinator:
             "alerts": 0,
             "shed": 0,
             "rerouted": 0,
-            "shm_batches": 0,
             "inline_batches": 0,
-            "ring_full": 0,
-            "slot_too_small": 0,
             "shared_cache_hits": 0,
             "shared_cache_stores": 0,
             "shared_cache_fallback": 0,
@@ -282,23 +267,23 @@ class FleetCoordinator:
     # Feature plane
     # ------------------------------------------------------------------ #
 
-    def _build_request(self, addresses, code_of, unique_codes):
-        """Wire payload + leases: shared-cache refs, then shm, then inline.
+    def _build_request(self, addresses, code_of, unique_codes,
+                       pinned: list[int]) -> dict:
+        """Wire payload: shared-table refs, then inline hex.
 
-        Returns ``(payload_dict, slot_or_None, pinned_slots)``; the
-        caller must release the ring slot and unpin every shared-cache
-        slot after the HTTP exchange (success or not — the response is
+        Every shared-table slot the payload references is appended to
+        ``pinned`` as soon as it is leased; the caller must unpin them
+        all after the HTTP exchange (success or not — the response is
         the fence that makes slot reuse safe).
         """
         payload = {"addresses": list(addresses), "code_of": list(code_of)}
-        pinned: list[int] = []
-        rest = list(range(len(unique_codes)))
-        if self.shared is not None and self.ship_features:
+        inline = list(range(len(unique_codes)))
+        if self.shared is not None:
             from repro.serve.cache import bytecode_digest
 
             shared_refs: dict[str, list[int]] = {}
-            rest = []
-            hits = stores = fallbacks = 0
+            inline = []
+            hits = stores = 0
             for index, code in enumerate(unique_codes):
                 digest = bytecode_digest(code)
                 entry = self.shared.pin(digest)
@@ -311,59 +296,24 @@ class FleetCoordinator:
                 else:
                     hits += 1
                 if entry is None:
-                    fallbacks += 1
-                    rest.append(index)
+                    inline.append(index)
                     continue
                 pinned.append(entry.slot)
                 shared_refs[str(index)] = list(entry)
             if shared_refs:
                 payload["shared_refs"] = shared_refs
-                payload["rest"] = rest
+                payload["rest"] = inline
             with self._lock:
                 self.counters["shared_cache_hits"] += hits
                 self.counters["shared_cache_stores"] += stores
-                self.counters["shared_cache_fallback"] += fallbacks
-        rest_codes = [unique_codes[index] for index in rest]
-        if not rest_codes:
-            return payload, None, pinned
-        slot = None
-        if self.ring is not None and self.ship_features:
-            slot = self.ring.acquire()
-            if slot is None:
-                with self._lock:
-                    self.counters["ring_full"] += 1
-        if slot is not None:
-            ids_blocks = [
-                np.ascontiguousarray(self.cache.mnemonic_ids(code))
-                for code in rest_codes
-            ]
-            blocks = list(rest_codes) + ids_blocks
-            try:
-                self.ring.write_blocks(slot, blocks)
-            except Exception as error:
-                self.ring.release(slot)
-                slot = None
-                from repro.net.shm import SlotTooSmallError
-
-                if not isinstance(error, SlotTooSmallError):
-                    raise
-                with self._lock:
-                    self.counters["slot_too_small"] += 1
-            else:
-                payload["slot"] = slot
-                payload["code_lens"] = [len(c) for c in rest_codes]
-                payload["ids_lens"] = [
-                    b.nbytes for b in ids_blocks
-                ]
-                with self._lock:
-                    self.counters["shm_batches"] += 1
-        if slot is None:
-            payload["inline_codes"] = [
-                bytes(code).hex() for code in rest_codes
-            ]
+                self.counters["shared_cache_fallback"] += len(inline)
+        payload["inline_codes"] = [
+            bytes(unique_codes[index]).hex() for index in inline
+        ]
+        if inline:
             with self._lock:
                 self.counters["inline_batches"] += 1
-        return payload, slot, pinned
+        return payload
 
     # ------------------------------------------------------------------ #
     # Scan path
@@ -383,11 +333,10 @@ class FleetCoordinator:
             from repro.net.client import TransportError
 
             raise TransportError(f"worker {worker.index} died in admission")
-        slot = None
         pinned: list[int] = []
         try:
-            payload, slot, pinned = self._build_request(
-                addresses, code_of, unique_codes
+            payload = self._build_request(
+                addresses, code_of, unique_codes, pinned
             )
             response = http_json(
                 "POST", f"{worker.url}/scan", payload, timeout=self.timeout
@@ -405,8 +354,6 @@ class FleetCoordinator:
                 result["worker"] = worker.index
             return results
         finally:
-            if slot is not None:
-                self.ring.release(slot)
             for shared_slot in pinned:
                 self.shared.unpin(shared_slot)
             self._release(worker)
@@ -616,12 +563,6 @@ class FleetCoordinator:
             "batch_latency_seconds": self.latency_percentiles(),
             "sinks": {s.name: s.stats.as_dict() for s in self.sinks},
         }
-        if self.ring is not None:
-            payload["ring"] = {
-                "slots": self.ring.slots,
-                "slot_bytes": self.ring.slot_bytes,
-                "free_slots": self.ring.free_slots,
-            }
         if self.shared is not None:
             payload["shared_cache"] = self.shared.stats()
         if self.cache is not None:

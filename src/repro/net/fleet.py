@@ -1,9 +1,9 @@
 """Fleet lifecycle: spawn workers, run the coordinator, tear down.
 
 :class:`FleetManager` is the single owner of every cross-process
-resource a fleet holds — worker processes, the shared-memory ring, the
-coordinator HTTP server — with one lifecycle rule: **workers fork before
-any server thread starts**. Forking a multi-threaded parent can
+resource a fleet holds — worker processes, the shared feature table,
+the coordinator HTTP server — with one lifecycle rule: **workers fork
+before any server thread starts**. Forking a multi-threaded parent can
 duplicate a thread-held lock into the child and deadlock it; spawning
 the whole fleet first keeps the parent single-threaded at fork time.
 
@@ -51,11 +51,16 @@ class FleetRpcError(RuntimeError):
 
 
 class FleetManager:
-    """Own a fleet end to end: processes, ring, coordinator, server.
+    """Own a fleet end to end: processes, table, coordinator, server.
 
     Exactly one of ``model_path`` (an exported artifact file) or
     ``store_url`` + ``model_ref`` (a ModelStore pull — the production
     path) selects where workers load their model from.
+
+    ``ship_features`` is the one feature-plane knob: on, the coordinator
+    decodes each unique bytecode once per host into the shared
+    :class:`~repro.net.shared_cache.ShmFeatureCache` and requests carry
+    references to it; off, every bytecode rides inline as hex.
     """
 
     def __init__(
@@ -72,11 +77,6 @@ class FleetManager:
         queue_depth: int = 4,
         overflow: str = "shed",
         ship_features: bool = True,
-        slots: int = 0,
-        slot_bytes: int = 1 << 20,
-        shared_cache: bool = False,
-        shared_cache_slots: int = 0,
-        shared_cache_slot_bytes: int = 0,
         mmap: bool = False,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -105,18 +105,6 @@ class FleetManager:
         self.queue_depth = queue_depth
         self.overflow = overflow
         self.ship_features = ship_features
-        # Depth of the feature ring: enough slots that every worker can
-        # have a full queue of shm batches in flight plus headroom, so a
-        # healthy fleet never falls back to inline shipping.
-        self.slots = slots or workers * queue_depth * 2
-        self.slot_bytes = slot_bytes
-        # Host-wide shared feature cache: one entry per unique bytecode
-        # resident across batches. Entries hold [code][ids]; a single
-        # contract fits one ring slot, so the ring's slot size is the
-        # right default here too.
-        self.shared_cache = shared_cache
-        self.shared_cache_slots = shared_cache_slots or 256
-        self.shared_cache_slot_bytes = shared_cache_slot_bytes or slot_bytes
         self.mmap = mmap
         self.host = host
         self.port = port
@@ -133,7 +121,6 @@ class FleetManager:
         self.respawn_backoff_seconds = respawn_backoff_seconds
         self.respawn_backoff_max = respawn_backoff_max
         self.coordinator = None
-        self.ring = None
         self.shared = None
         self._processes: list = []
         self._server = None
@@ -159,20 +146,8 @@ class FleetManager:
             threshold=self.threshold,
             shards=self.worker_shards,
             cache_entries=self.cache_entries,
-            ring_name=self.ring.name if self.ring is not None else "",
-            ring_slots=self.slots if self.ring is not None else 0,
-            ring_slot_bytes=(
-                self.slot_bytes if self.ring is not None else 0
-            ),
             shared_name=(
                 self.shared.name if self.shared is not None else ""
-            ),
-            shared_slots=(
-                self.shared_cache_slots if self.shared is not None else 0
-            ),
-            shared_slot_bytes=(
-                self.shared_cache_slot_bytes
-                if self.shared is not None else 0
             ),
             mmap=self.mmap,
             host=self.host,
@@ -217,20 +192,14 @@ class FleetManager:
     def start(self) -> "FleetManager":
         """Spawn workers, wait for readiness, start the coordinator."""
         from repro.net.coordinator import FleetCoordinator, WorkerHandle
-        from repro.net.shm import ShmRing
 
         cache = None
         if self.ship_features:
+            from repro.net.shared_cache import ShmFeatureCache
             from repro.serve.cache import FeatureCache
 
             cache = FeatureCache(max_entries=self.cache_entries)
-            self.ring = ShmRing.create(self.slots, self.slot_bytes)
-            if self.shared_cache:
-                from repro.net.shared_cache import ShmFeatureCache
-
-                self.shared = ShmFeatureCache.create(
-                    self.shared_cache_slots, self.shared_cache_slot_bytes
-                )
+            self.shared = ShmFeatureCache.create()
 
         context = multiprocessing.get_context()
         pending = []
@@ -250,8 +219,6 @@ class FleetManager:
                 handles.append(handle)
         except Exception:
             self._kill_all()
-            if self.ring is not None:
-                self.ring.unlink()
             if self.shared is not None:
                 self.shared.unlink()
             raise
@@ -259,11 +226,9 @@ class FleetManager:
         self.coordinator = FleetCoordinator(
             handles,
             cache=cache,
-            ring=self.ring,
             shared=self.shared,
             queue_depth=self.queue_depth,
             overflow=self.overflow,
-            ship_features=self.ship_features,
             timeout=self.http_timeout,
             sinks=self.sinks,
         )
@@ -468,8 +433,6 @@ class FleetManager:
             self._server.server_close()
             if self._server_thread is not None:
                 self._server_thread.join(timeout=5)
-        if self.ring is not None:
-            self.ring.unlink()
         if self.shared is not None:
             self.shared.unlink()
         for sink in self.sinks:

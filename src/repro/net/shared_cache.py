@@ -1,18 +1,19 @@
 """Host-wide shared feature cache: decode once, serve every worker.
 
-The :class:`~repro.net.shm.ShmRing` removed the per-worker *copy* of
-feature blocks, but each batch still rewrote its unique bytecodes and
-decoded ids into a fresh ring slot — the same popular contract shipped
-over and over, once per batch. :class:`ShmFeatureCache` promotes the
-coordinator's per-batch dedup to a cross-batch, cross-worker table: a
-digest-keyed store in one ``multiprocessing.shared_memory`` segment
-where each unique bytecode (and its decoded ``uint8`` mnemonic-ids
-block) lands **once per host**. Requests then carry only
-``(slot, code_len, ids_len)`` references; any worker — including one
-that has never seen the contract — reads the bytes straight off the
-mapped pages.
+PhishingHook scores a contract from its bytecode alone, so the only
+per-contract payload a fleet worker needs is the bytecode plus,
+optionally, its decoded ``uint8`` mnemonic ids. :class:`ShmFeatureCache`
+keeps both in a digest-keyed table in one ``multiprocessing.shared_memory``
+segment where each unique bytecode lands **once per host**. Requests then
+carry only ``(slot, code_len, ids_len)`` references; any worker —
+including one that has never seen the contract — reads the bytes
+straight off the mapped pages.
 
-Concurrency model (deliberately the ring's, extended with leases):
+The geometry is fixed: :data:`SLOTS` entries of :data:`SLOT_BYTES`
+each, which holds one EIP-170-capped contract plus its ids (at most one
+id byte per code byte).
+
+Concurrency model:
 
 * **Single writer.** Only the creating (coordinator) process stores or
   evicts entries; attached workers are strictly readers. All index
@@ -23,14 +24,15 @@ Concurrency model (deliberately the ring's, extended with leases):
   exchange (success or not). Eviction skips pinned slots, so a reader
   can never observe a slot being rewritten under it. A pin left behind
   is a leak — :meth:`audit` reports outstanding pins so tests can
-  assert the fleet returned every lease (mirroring the ring's
-  ``free_slots`` audit).
+  assert the fleet returned every lease.
 * **LRU eviction, graceful fallback.** A full table (or an entry larger
   than one slot) is never fatal: :meth:`store` returns ``None`` and the
-  coordinator falls back to the ring / inline path, counted.
-* **Creator-only unlink.** Same ``resource_tracker`` unregistration and
-  pid-guarded :meth:`unlink` as the ring, so a worker exit cannot tear
-  down the live segment.
+  coordinator ships that bytecode inline instead, counted.
+* **Creator-only unlink.** Attaching under ``spawn`` unregisters the
+  segment from the worker's private ``resource_tracker`` and
+  :meth:`unlink` is pid-guarded, so a worker exit cannot tear down the
+  live segment. The creator registers an ``atexit`` unlink, covering
+  abnormal-exit cleanup.
 """
 
 from __future__ import annotations
@@ -44,7 +46,24 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-__all__ = ["ShmFeatureCache", "SharedEntry"]
+__all__ = [
+    "EIP170_MAX_CODE_BYTES",
+    "SLOTS",
+    "SLOT_BYTES",
+    "ShmFeatureCache",
+    "SharedEntry",
+]
+
+#: EIP-170 contract-code size cap: the largest bytecode one scan row
+#: can carry.
+EIP170_MAX_CODE_BYTES = 24_576
+
+#: Entry slots in the host-wide table.
+SLOTS = 256
+
+#: Bytes per slot: a worst-case ``[code][ids]`` entry (decoded ids are
+#: at most one byte per code byte).
+SLOT_BYTES = 2 * EIP170_MAX_CODE_BYTES
 
 
 class SharedEntry(tuple):
@@ -72,8 +91,8 @@ class ShmFeatureCache:
     """Digest-keyed ``[code][ids]`` slots in shared memory; see module docs.
 
     Construct through :meth:`create` (coordinator) or :meth:`attach`
-    (workers); geometry travels in the
-    :class:`~repro.net.worker.WorkerSpec` like the ring's.
+    (workers); only the segment name travels in the
+    :class:`~repro.net.worker.WorkerSpec`.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, slots: int,
@@ -105,11 +124,12 @@ class ShmFeatureCache:
         }
 
     # ------------------------------------------------------------------ #
-    # Lifecycle (the ring's discipline, verbatim)
+    # Lifecycle
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def create(cls, slots: int, slot_bytes: int) -> "ShmFeatureCache":
+    def create(cls, slots: int = SLOTS,
+               slot_bytes: int = SLOT_BYTES) -> "ShmFeatureCache":
         """Allocate a fresh table; the caller owns (and unlinks) it."""
         shm = shared_memory.SharedMemory(
             create=True, size=slots * slot_bytes
@@ -119,14 +139,17 @@ class ShmFeatureCache:
         return cache
 
     @classmethod
-    def attach(cls, name: str, slots: int,
-               slot_bytes: int) -> "ShmFeatureCache":
+    def attach(cls, name: str, slots: int = SLOTS,
+               slot_bytes: int = SLOT_BYTES) -> "ShmFeatureCache":
         """Map an existing table read-only (worker side)."""
         shm = shared_memory.SharedMemory(name=name)
-        # See ShmRing.attach: under spawn the attaching process has a
-        # private resource tracker that would unlink the coordinator's
-        # live segment on worker exit; unregister there. Under fork the
-        # registration is shared and idempotent — leave it alone.
+        # Python 3.11 registers attached segments with the resource
+        # tracker exactly like created ones. Under fork every process
+        # shares the creator's tracker and the registration is
+        # idempotent — leave it alone, so the tracker still cleans up
+        # after a SIGKILLed coordinator. Under spawn the attaching
+        # process has a private tracker that would unlink the
+        # coordinator's live segment on worker exit; unregister there.
         if multiprocessing.get_start_method(allow_none=True) != "fork":
             try:
                 resource_tracker.unregister(shm._name, "shared_memory")
@@ -193,7 +216,7 @@ class ShmFeatureCache:
 
         Returns ``None`` (counted, never fatal) when the payload exceeds
         one slot or every slot is pinned by in-flight requests — the
-        caller ships through the ring / inline instead. Storing a digest
+        caller ships the bytecode inline instead. Storing a digest
         that raced in through another thread pins the existing entry.
         """
         self._require_owner()
@@ -287,6 +310,8 @@ class ShmFeatureCache:
         """
         if not 0 <= slot < self.slots:
             raise ValueError(f"slot {slot} out of range")
+        if code_len < 0 or ids_len < 0:
+            raise ValueError("entry lengths must be non-negative")
         total = code_len + ids_len
         if total > self.slot_bytes:
             raise ValueError(

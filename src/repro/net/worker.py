@@ -11,28 +11,31 @@ sharding, admission control, rerouting — lives in the coordinator; a
 worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
 
-Feature handoff: when the request names a :class:`~repro.net.shm.ShmRing`
-slot, the worker builds numpy views over the shared pages and seeds its
-:class:`~repro.serve.cache.FeatureCache` ``"ids"`` namespace from them
-(copying only on first sight — cache entries must outlive the slot
-lease), so the model's extractors hit warm decoded features without the
-worker ever disassembling anything the coordinator already decoded.
-Requests may also reference entries of the host-wide
+Feature handoff: requests reference entries of the host-wide
 :class:`~repro.net.shared_cache.ShmFeatureCache` (``shared_refs``):
 those bytecodes and ids blocks never travel at all — any worker,
 including one scanning a contract for the first time, reads them
-straight out of the shared table. Requests without either carry hex
-bytecodes inline (the counted fallback path).
+straight out of the shared table and seeds its
+:class:`~repro.serve.cache.FeatureCache` ``"ids"`` namespace from them
+(copying only on first sight — cache entries must outlive the pin
+lease), so the model's extractors hit warm decoded features without the
+worker ever disassembling anything the coordinator already decoded.
+Every other bytecode arrives inline as hex (``inline_codes``).
 
 Endpoints:
 
 * ``GET /healthz`` — liveness (used by ``fleet start`` readiness polls),
 * ``GET /status`` — per-worker counters + service/cache stats,
-* ``POST /scan`` — scan one batch (see :func:`decode_scan_request`),
+* ``POST /scan`` — scan one batch (see
+  :meth:`_WorkerState.decode_scan_request`),
 * ``POST /invalidate`` — drop one local-cache namespace (the learning
   loop evicts a demoted model's prediction rows fleet-wide on
   promotion),
 * ``POST /shutdown`` — graceful stop (drains the HTTP server).
+
+A body that is not valid JSON, lacks a key, carries a value of the
+wrong type, or references a slot outside the shared table is answered
+with HTTP 400; only a failure inside scoring is a 500.
 """
 
 from __future__ import annotations
@@ -47,12 +50,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults
 
-__all__ = ["WorkerSpec", "worker_main"]
+__all__ = ["BadRequest", "WorkerSpec", "worker_main"]
 
 #: Environment test hook: per-batch scoring delay in seconds. Lets the
 #: overload tests create a sustained backlog on a fast machine without
 #: patching anything inside a child process.
 SCAN_DELAY_ENV = "PHOOK_FLEET_SCAN_DELAY"
+
+
+class BadRequest(ValueError):
+    """A malformed ``/scan`` or ``/invalidate`` body (HTTP 400)."""
+
+
+def _list_of(request: dict, key: str, kind: type) -> list:
+    """``request[key]``, checked to be a JSON list of ``kind``."""
+    value = request[key]
+    if not isinstance(value, list) or not all(
+            isinstance(item, kind) for item in value):
+        raise TypeError(f"{key!r} must be a list of {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,12 +83,7 @@ class WorkerSpec:
     threshold: float = 0.5
     shards: int = 1
     cache_entries: int = 8192
-    ring_name: str = ""
-    ring_slots: int = 0
-    ring_slot_bytes: int = 0
     shared_name: str = ""
-    shared_slots: int = 0
-    shared_slot_bytes: int = 0
     mmap: bool = False
     host: str = "127.0.0.1"
 
@@ -106,28 +117,17 @@ class _WorkerState:
                 threshold=spec.threshold, mmap_mode=mmap_mode,
             )
         self.shards = self.service.sharded(spec.shards)
-        self.ring = None
-        if spec.ring_name:
-            from repro.net.shm import ShmRing
-
-            self.ring = ShmRing.attach(
-                spec.ring_name, spec.ring_slots, spec.ring_slot_bytes
-            )
         self.shared = None
         if spec.shared_name:
             from repro.net.shared_cache import ShmFeatureCache
 
-            self.shared = ShmFeatureCache.attach(
-                spec.shared_name, spec.shared_slots,
-                spec.shared_slot_bytes,
-            )
+            self.shared = ShmFeatureCache.attach(spec.shared_name)
         self._lock = threading.Lock()
         self.batches = 0
         self.scanned = 0
         self.flagged = 0
         self.seeded_ids = 0
         self.inline_batches = 0
-        self.shm_batches = 0
         self.shared_reads = 0
         self.scan_delay = float(os.environ.get(SCAN_DELAY_ENV, "0") or 0)
 
@@ -135,9 +135,9 @@ class _WorkerState:
 
     def _seed_ids(self, code: bytes, block) -> int:
         """Copy-on-first-sight seed of the local ids cache from a shared
-        view: cache entries must outlive the slot lease / pin (the
-        coordinator reuses the memory right after our response), and a
-        cache hit skips even the copy."""
+        view: cache entries must outlive the pin (the coordinator may
+        reuse the slot right after our response), and a cache hit skips
+        even the copy."""
         from repro.serve.cache import IDS_NAMESPACE, bytecode_digest
 
         before = len(self.cache)
@@ -147,68 +147,68 @@ class _WorkerState:
         )
         return int(len(self.cache) != before)
 
-    def _codes_from_request(self, request: dict) -> tuple[list[bytes], int]:
-        """Unique bytecodes from the wire.
+    def decode_scan_request(
+            self, request) -> tuple[list[str], list[int], list[bytes], int]:
+        """Validate one ``/scan`` body and resolve its unique bytecodes.
 
-        Three sources, in precedence order per unique code: a host-wide
-        shared-cache reference (``shared_refs``), the batch's ring slot,
-        or inline hex. Returns ``(codes, seeded)`` where ``seeded``
-        counts feature blocks copied into the local cache from shared
-        memory.
+        Each unique code is either a host-wide shared-table reference
+        (``shared_refs``, keyed by unique-code index; ``rest`` lists the
+        indices that ride inline instead) or inline hex
+        (``inline_codes``). Returns ``(addresses, code_of, codes,
+        seeded)`` where ``seeded`` counts ids blocks copied into the
+        local cache from the table. Raises :class:`BadRequest` for
+        anything malformed — including a reference that fails
+        :meth:`~repro.net.shared_cache.ShmFeatureCache.read`'s range
+        check.
         """
-        seeded = 0
-        shared_refs = request.get("shared_refs") or {}
-        rest: list[bytes] = []
-        if request.get("slot") is not None:
-            slot = int(request["slot"])
-            code_lens = [int(n) for n in request["code_lens"]]
-            ids_lens = [int(n) for n in request["ids_lens"]]
-            total = sum(code_lens) + sum(ids_lens)
-            payload = self.ring.view(slot, total)
-            offset = 0
-            for length in code_lens:
-                rest.append(bytes(payload[offset:offset + length]))
-                offset += length
-            for code, length in zip(rest, ids_lens):
-                if length == 0:
+        try:
+            if not isinstance(request, dict):
+                raise TypeError("request body must be a JSON object")
+            addresses = _list_of(request, "addresses", str)
+            code_of = _list_of(request, "code_of", int)
+            inline = [bytes.fromhex(code)
+                      for code in _list_of(request, "inline_codes", str)]
+            shared_refs = request.get("shared_refs") or {}
+            if not isinstance(shared_refs, dict):
+                raise TypeError("'shared_refs' must be an object")
+            if shared_refs and self.shared is None:
+                raise ValueError("shared_refs sent to a worker without "
+                                 "the shared table")
+            rest = (_list_of(request, "rest", int) if shared_refs
+                    else list(range(len(inline))))
+            if len(rest) != len(inline):
+                raise ValueError("'rest' and 'inline_codes' differ in "
+                                 "length")
+            by_index = dict(zip(rest, inline))
+            n_unique = len(shared_refs) + len(by_index)
+            if len(code_of) != len(addresses) or not all(
+                    0 <= i < n_unique for i in code_of):
+                raise ValueError("'code_of' does not index the batch's "
+                                 "unique codes")
+            codes: list[bytes] = []
+            seeded = reads = 0
+            for index in range(n_unique):
+                ref = shared_refs.get(str(index))
+                if ref is None:
+                    codes.append(by_index[index])
                     continue
-                block = payload[offset:offset + length]
-                offset += length
-                seeded += self._seed_ids(code, block)
-            with self._lock:
-                self.shm_batches += 1
-        elif "inline_codes" in request:
-            rest = [bytes.fromhex(c) for c in request["inline_codes"]]
-            with self._lock:
-                self.inline_batches += 1
-        if not shared_refs:
-            with self._lock:
-                self.seeded_ids += seeded
-            return rest, seeded
-        # Interleave shared-cache entries with the rest of the batch,
-        # restoring the coordinator's unique-code index space.
-        rest_index = {
-            position: code
-            for position, code in zip(request.get("rest", ()), rest)
-        }
-        n_unique = len(shared_refs) + len(rest_index)
-        codes: list[bytes] = []
-        reads = 0
-        for index in range(n_unique):
-            ref = shared_refs.get(str(index))
-            if ref is None:
-                codes.append(rest_index[index])
-                continue
-            slot, code_len, ids_len = (int(v) for v in ref)
-            code, ids_view = self.shared.read(slot, code_len, ids_len)
-            if ids_len:
-                seeded += self._seed_ids(code, ids_view)
-            codes.append(code)
-            reads += 1
+                if not (isinstance(ref, list) and len(ref) == 3 and all(
+                        isinstance(value, int) for value in ref)):
+                    raise TypeError(f"shared_refs[{index!r}] must be "
+                                    f"[slot, code_len, ids_len]")
+                slot, code_len, ids_len = ref
+                code, ids_view = self.shared.read(slot, code_len, ids_len)
+                if ids_len:
+                    seeded += self._seed_ids(code, ids_view)
+                codes.append(code)
+                reads += 1
+        except (KeyError, TypeError, ValueError) as error:
+            raise BadRequest(f"{type(error).__name__}: {error}") from error
         with self._lock:
             self.seeded_ids += seeded
             self.shared_reads += reads
-        return codes, seeded
+            self.inline_batches += int(bool(inline))
+        return addresses, code_of, codes, seeded
 
     @property
     def degraded(self) -> bool:
@@ -228,9 +228,9 @@ class _WorkerState:
         if fault is not None and fault.action == "kill":
             os._exit(1)
 
-        addresses = list(request["addresses"])
-        code_of = [int(i) for i in request["code_of"]]
-        codes, seeded = self._codes_from_request(request)
+        addresses, code_of, codes, seeded = self.decode_scan_request(
+            request
+        )
         if self.scan_delay > 0:
             time.sleep(self.scan_delay)
 
@@ -273,7 +273,6 @@ class _WorkerState:
                 "scanned": self.scanned,
                 "flagged": self.flagged,
                 "seeded_ids": self.seeded_ids,
-                "shm_batches": self.shm_batches,
                 "inline_batches": self.inline_batches,
                 "shared_reads": self.shared_reads,
             }
@@ -322,29 +321,36 @@ def _make_handler(state: _WorkerState, server_box: dict):
                     target=server_box["server"].shutdown, daemon=True
                 ).start()
                 return
-            if self.path == "/invalidate":
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    request = json.loads(self.rfile.read(length))
-                    namespace = str(request["namespace"])
-                    evicted = state.cache.invalidate_namespace(namespace)
-                    self._reply(200, {"worker": state.spec.index,
-                                      "namespace": namespace,
-                                      "evicted": evicted})
-                except Exception as error:  # noqa: BLE001
-                    self._reply(500, {"error": f"{type(error).__name__}: "
-                                               f"{error}"})
-                return
-            if self.path != "/scan":
+            if self.path not in ("/invalidate", "/scan"):
                 self._reply(404, {"error": f"no route {self.path}"})
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                request = json.loads(self.rfile.read(length))
-                self._reply(200, state.scan(request))
+                request = self._read_json()
+                if self.path == "/invalidate":
+                    self._reply(200, self._invalidate(request))
+                else:
+                    self._reply(200, state.scan(request))
+            except BadRequest as error:
+                self._reply(400, {"error": str(error)})
             except Exception as error:  # noqa: BLE001
                 self._reply(500, {"error": f"{type(error).__name__}: "
                                            f"{error}"})
+
+        def _read_json(self):
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+                return json.loads(self.rfile.read(length))
+            except ValueError as error:
+                raise BadRequest(f"malformed JSON: {error}") from error
+
+        @staticmethod
+        def _invalidate(request) -> dict:
+            namespace = (request.get("namespace")
+                         if isinstance(request, dict) else None)
+            if not isinstance(namespace, str):
+                raise BadRequest("'namespace' must be a string")
+            return {"worker": state.spec.index, "namespace": namespace,
+                    "evicted": state.cache.invalidate_namespace(namespace)}
 
     return Handler
 
@@ -388,7 +394,5 @@ def worker_main(spec: WorkerSpec, ready) -> None:
         server.serve_forever(poll_interval=0.05)
     finally:
         server.server_close()
-        if state.ring is not None:
-            state.ring.close()
         if state.shared is not None:
             state.shared.close()

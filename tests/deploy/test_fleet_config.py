@@ -21,8 +21,6 @@ class TestFleetSection:
         assert fleet.queue_depth == 4
         assert fleet.overflow == "shed"
         assert fleet.ship_features is True
-        assert fleet.slots == 0
-        assert fleet.slot_bytes == 1 << 20
         assert fleet.host == "127.0.0.1"
         assert fleet.port == 0
 
@@ -30,8 +28,8 @@ class TestFleetSection:
         config = parse_config(base_config(
             stream={"shards": 3},
             fleet={"workers": 4, "queue_depth": 8, "overflow": "block",
-                   "ship_features": False, "slots": 64,
-                   "slot_bytes": 65536, "host": "0.0.0.0", "port": 8900},
+                   "ship_features": False, "host": "0.0.0.0",
+                   "port": 8900},
         ))
         assert config.fleet.workers == 4
         assert config.fleet.overflow == "block"
@@ -42,11 +40,13 @@ class TestFleetSection:
         ({"workers": 0}, "fleet.workers"),
         ({"queue_depth": 0}, "fleet.queue_depth"),
         ({"overflow": "explode"}, "fleet.overflow"),
-        ({"slots": -1}, "fleet.slots"),
-        ({"slot_bytes": 16}, "fleet.slot_bytes"),
+        # Retired feature-plane knobs are unknown keys now.
+        ({"slots": 64}, "fleet.slots"),
+        ({"slot_bytes": 65536}, "fleet.slot_bytes"),
         ({"host": ""}, "fleet.host"),
         ({"port": 70000}, "fleet.port"),
         ({"wrokers": 2}, "fleet.wrokers"),
+        ({"shared_cache": True}, "fleet.shared_cache"),
     ])
     def test_domain_violations_rejected(self, overrides, needle):
         with pytest.raises(ConfigError) as excinfo:

@@ -137,11 +137,6 @@ FIXTURES = {
         dict(fleet={"workers": 3, "overflow": "block"},
              sinks=[{"kind": "jsonl", "path": "alerts.jsonl"}]),
     ),
-    # explicit ring smaller than worst-case in-flight demand
-    "D020": (
-        dict(fleet={"workers": 3, "queue_depth": 4, "slots": 8}),
-        dict(fleet={"workers": 3, "queue_depth": 4, "slots": 12}),
-    ),
     # supervised respawn cold-pulls a remote store on every restart
     "D021": (
         dict(fleet={"workers": 3},
@@ -165,14 +160,6 @@ FIXTURES = {
              fault_tolerance={"heartbeat_seconds": 5.0}),
         dict(fleet={"workers": 3, "request_timeout": 5.0},
              fault_tolerance={"heartbeat_seconds": 0.5}),
-    ),
-    # shared cache over a ring slot below one cold (all-miss) batch
-    "D025": (
-        dict(fleet={"workers": 3, "shared_cache": True,
-                    "slot_bytes": 65536},
-             stream={"batch_size": 16}),
-        dict(fleet={"workers": 3, "shared_cache": True},
-             stream={"batch_size": 16}),
     ),
     # circuit-open webhook deliveries vanish without a dead-letter path
     "D024": (

@@ -109,7 +109,8 @@ class TestWorkerCrashRecovery:
             self, store_root, probe_batch, reference_results):
         """The headline scenario: kill the same worker three times
         mid-flight; every scan completes, the alert set never changes,
-        the supervisor respawns it each time, and no shm slot leaks."""
+        the supervisor respawns it each time, and no shared-table pin
+        lease leaks."""
         addresses, codes = probe_batch
         expected = _expected_alerts(reference_results)
         with _supervised(store_root) as manager:
@@ -145,9 +146,9 @@ class TestWorkerCrashRecovery:
                 r.probability for r in reference_results
             ]
             assert {a.address for a in sink.alerts} == expected
-            # Slot-leak audit: every crash and reroute released its
-            # ring lease (the regression the crash loop guards).
-            assert manager.status()["ring"]["free_slots"] == manager.slots
+            # Lease-leak audit: every crash and reroute released its
+            # shared-table pins (the regression the crash loop guards).
+            assert manager.status()["shared_cache"]["pinned_slots"] == 0
 
     def test_all_workers_killed_fleet_returns_to_healthy(
             self, store_root, probe_batch, reference_results):

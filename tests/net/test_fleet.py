@@ -1,13 +1,14 @@
 """End-to-end fleet tests over real processes and real sockets.
 
-The module fixture boots a genuine 2-worker fleet (fork + HTTP + shm)
-from the session store; transport-failure tests boot their own small
-fleets so they can kill workers and saturate queues without poisoning
-the shared one. The ``PHOOK_FLEET_SCAN_DELAY`` env knob (inherited by
-forked workers) slows worker scans so crashes and overload land
-mid-flight deterministically.
+The module fixture boots a genuine 2-worker fleet (fork + HTTP + the
+shared feature table) from the session store; transport-failure tests
+boot their own small fleets so they can kill workers and saturate
+queues without poisoning the shared one. The
+``PHOOK_FLEET_SCAN_DELAY`` env knob (inherited by forked workers) slows
+worker scans so crashes and overload land mid-flight deterministically.
 """
 
+import json
 import threading
 import time
 from multiprocessing import shared_memory
@@ -21,6 +22,7 @@ from repro.net import (
     OverloadedError,
     ShuttingDownError,
 )
+from repro.net.client import http_json, http_request
 from repro.net.worker import SCAN_DELAY_ENV
 from repro.stream import MemorySink
 
@@ -42,11 +44,22 @@ def fleet(store_root):
         yield manager
 
 
+@pytest.fixture(scope="module")
+def inline_fleet(store_root):
+    with _manager(store_root, ship_features=False) as manager:
+        yield manager
+
+
 class TestScanPath:
+    @pytest.mark.parametrize("ship_features", [True, False],
+                             ids=["shared-table", "inline"])
     def test_results_match_single_process_reference(
-            self, fleet, probe_batch, reference_results):
+            self, request, ship_features, probe_batch, reference_results):
+        manager = request.getfixturevalue(
+            "fleet" if ship_features else "inline_fleet"
+        )
         addresses, codes = probe_batch
-        results = fleet.scan(addresses, codes)
+        results = manager.scan(addresses, codes)
         assert [r["address"] for r in results] == addresses
         assert [r["probability"] for r in results] == [
             r.probability for r in reference_results
@@ -55,13 +68,25 @@ class TestScanPath:
             r.is_phishing for r in reference_results
         ]
 
-    def test_features_travel_over_shm(self, fleet, probe_batch):
+    def test_features_travel_through_the_shared_table(
+            self, fleet, probe_batch):
         addresses, codes = probe_batch
-        before = fleet.status()["counters"]["shm_batches"]
+        before = fleet.status()["shared_cache"]
         fleet.scan(addresses, codes)
-        after = fleet.status()["counters"]["shm_batches"]
-        assert after > before
-        assert fleet.status()["ring"]["free_slots"] == fleet.slots
+        after = fleet.status()["shared_cache"]
+        # Every unique code is either stored on first sight or a hit.
+        assert (after["hits"] + after["stores"]
+                > before["hits"] + before["stores"])
+        assert after["entries"] >= 1
+        assert after["pinned_slots"] == 0
+        assert fleet.status()["counters"]["inline_batches"] == 0
+
+    def test_inline_fleet_has_no_table(self, inline_fleet, probe_batch):
+        addresses, codes = probe_batch
+        inline_fleet.scan(addresses, codes)
+        status = inline_fleet.status()
+        assert "shared_cache" not in status
+        assert status["counters"]["inline_batches"] >= 1
 
     def test_repeat_batch_served_from_worker_cache(
             self, fleet, probe_batch):
@@ -226,23 +251,24 @@ class TestTransportFailures:
 
 
 class TestLifecycle:
-    def test_stop_unlinks_the_ring(self, store_root, probe_batch):
+    def test_stop_unlinks_the_shared_table(self, store_root, probe_batch):
         addresses, codes = probe_batch
         manager = _manager(store_root).start()
-        ring_name = manager.ring.name
+        table_name = manager.shared.name
         manager.scan(addresses, codes)
         manager.stop()
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ring_name)
+            shared_memory.SharedMemory(name=table_name)
 
     def test_stop_survives_a_crashed_worker(self, store_root):
-        """Teardown with a SIGKILLed worker must still clean everything."""
+        """Teardown with a SIGKILLed worker must still clean everything,
+        the shared table included."""
         manager = _manager(store_root).start()
-        ring_name = manager.ring.name
+        table_name = manager.shared.name
         manager.kill_worker(0)
         manager.stop()
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ring_name)
+            shared_memory.SharedMemory(name=table_name)
         assert all(not p.is_alive() for p in manager._processes)
 
     def test_exactly_one_model_source_enforced(self, store_root):
@@ -271,15 +297,14 @@ def test_shed_error_maps_to_http_429():
 class TestSharedFeatureCache:
     """Host-wide shared cache + mmap cold starts, end to end.
 
-    The ISSUE-9 acceptance: with the shared cache on, a second batch of
-    the *same* bytecodes must extract zero times per worker — the ids
-    land in the shared table on batch one and every later reference is
-    a zero-copy read.
+    A second batch of the *same* bytecodes must extract zero times per
+    worker — the ids land in the shared table on batch one and every
+    later reference is a zero-copy read.
     """
 
     @pytest.fixture(scope="class")
     def cached_fleet(self, store_root):
-        with _manager(store_root, shared_cache=True, mmap=True) as manager:
+        with _manager(store_root, mmap=True) as manager:
             yield manager
 
     @staticmethod
@@ -380,7 +405,7 @@ class TestNamespaceInvalidation:
         digest = ModelStore.from_url(str(store_root)).resolve("production")
         namespace = f"pred:artifact:{digest}"
         addresses, codes = probe_batch
-        with _manager(store_root, shared_cache=True) as manager:
+        with _manager(store_root) as manager:
             manager.scan(addresses, codes)
             before = self._per_worker_entries(manager, namespace)
             assert all(count > 0 for count in before.values()), (
@@ -430,3 +455,56 @@ class TestNamespaceInvalidation:
             # The coordinator's own decode cache holds the ids blocks it
             # shipped; the sweep covers it too.
             assert report["coordinator_evicted"] > 0
+
+
+class TestWorkerHttpHardening:
+    """A worker answers a malformed body with 400, never 500: garbage on
+    the wire is the caller's fault, not a scoring failure."""
+
+    @staticmethod
+    def _post_raw(url, body: bytes):
+        return http_request(
+            "POST", url, body=body,
+            headers={"Content-Type": "application/json"}, timeout=5.0,
+        )
+
+    def test_garbage_posted_to_a_worker_is_a_400(self, fleet):
+        worker = fleet.coordinator.workers[0].url
+        too_far = [fleet.shared.slots, 1, 1]
+        bodies = {
+            "/scan": [
+                b"{not json",
+                b"\xff\xfe",
+                json.dumps([1, 2, 3]).encode(),
+                json.dumps({"addresses": ["0x1"]}).encode(),
+                json.dumps({"addresses": "0x1", "code_of": [0],
+                            "inline_codes": ["60"]}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": ["0"],
+                            "inline_codes": ["60"]}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": [0],
+                            "inline_codes": ["zz"]}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": [3],
+                            "inline_codes": ["60"]}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": [0],
+                            "inline_codes": [], "rest": [],
+                            "shared_refs": {"0": too_far}}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": [0],
+                            "inline_codes": [], "rest": [],
+                            "shared_refs": {"0": [0, -1, 1]}}).encode(),
+            ],
+            "/invalidate": [
+                b"{not json",
+                json.dumps({}).encode(),
+                json.dumps({"namespace": 7}).encode(),
+            ],
+        }
+        for path, payloads in bodies.items():
+            for body in payloads:
+                response = self._post_raw(worker + path, body)
+                assert response.status == 400, (
+                    f"POST {path} {body!r} answered {response.status}"
+                )
+                assert "error" in response.json()
+        healthy = http_json("POST", worker + "/invalidate",
+                            {"namespace": "no-such-namespace"}, timeout=5.0)
+        assert healthy.status == 200
