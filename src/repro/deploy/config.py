@@ -11,9 +11,18 @@ file parsed into typed dataclasses, every knob checked against its
 domain at parse time, and unknown keys rejected so a typo cannot
 silently become a default.
 
+Each knob declares its type, default, domain and reference text once,
+on its dataclass field (:func:`_knob`). One walker parses every section
+from those declarations, and the knob tables in
+``docs/configuration.md`` are checked against them, so a domain lives
+in exactly one place.
+
 Parsing is *total*: all problems in a file are collected and reported
 together in one :class:`ConfigError` (field path + message per
-problem), not one-at-a-time. A :class:`DeployConfig` that exists is
+problem), not one-at-a-time: section by section, each knob's problem
+in field order, then the section's cross-knob problems, then its
+unknown keys. A bad knob falls back to its default so later checks
+still run. A :class:`DeployConfig` that exists is
 domain-valid by construction; *cross-knob* consistency is the rule
 engine's job (:mod:`repro.deploy.rules`), which is what
 ``phishinghook check-config`` runs — statically, before anything
@@ -33,11 +42,12 @@ Sections (TOML table names match the dataclass fields)::
     [loop]       # optional continuous-learning loop -> LoopConfig
 """
 
-from __future__ import annotations
-
 import dataclasses
 import json
+import math
 import pathlib
+import typing
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -136,14 +146,62 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------- #
 
 
+def _knob(
+    default,
+    doc: str = "",
+    *,
+    minimum: float | None = None,
+    maximum: float | None = None,
+    exclusive: bool = False,
+    choices: tuple[str, ...] = (),
+    nonempty: bool = False,
+):
+    """Declare one knob: default, domain and reference-table text.
+
+    The knob's type is its field annotation. ``exclusive`` makes both
+    bounds strict; ``doc`` is the prose that follows the generated
+    domain in the ``docs/configuration.md`` table.
+    """
+    return dataclasses.field(default=default, metadata={
+        "doc": doc,
+        "minimum": minimum,
+        "maximum": maximum,
+        "exclusive": exclusive,
+        "choices": choices,
+        "nonempty": nonempty,
+    })
+
+
+class _Table:
+    """What every section dataclass shares: its cross-knob hook and view."""
+
+    def _check(self, given: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """Same-section cross-knob problems, as ``(knob, message)``.
+
+        Runs on the parsed section, bad knobs already back at their
+        defaults; ``given`` holds the keys the file set.
+        """
+        return iter(())
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
 @dataclass(frozen=True)
-class StoreConfig:
+class StoreConfig(_Table):
     """Where model artifacts live (``[store]``)."""
 
-    url: str = "./phook-models"
+    url: str = _knob(
+        "./phook-models",
+        "bare path, or "
+        + ", ".join(f"`{scheme}://`" for scheme in STORE_SCHEMES) + " URL",
+        nonempty=True,
+    )
     #: Local spool directory for object-store backends (``bucket://``);
     #: multi-shard monitors without one re-pull every cold start (D006).
-    cache_dir: str = ""
+    cache_dir: str = _knob(
+        "", "host-local directory for artifact spooling (remote backends)"
+    )
 
     @property
     def scheme(self) -> str:
@@ -153,112 +211,180 @@ class StoreConfig:
                 return scheme
         return "file"
 
+    def _check(self, given):
+        scheme, separator, _ = self.url.partition("://")
+        if separator and scheme not in STORE_SCHEMES:
+            yield "url", (
+                f"unknown scheme {scheme!r}; supported: "
+                + ", ".join(f"{s}://" for s in STORE_SCHEMES)
+            )
+
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Table):
     """Which artifact the topology serves (``[model]``)."""
 
-    tag: str = ""  # store tag / version / unique prefix
-    path: str = ""  # artifact file (mutually exclusive with tag)
-    expected_fingerprint: str = ""
+    tag: str = _knob("", "store tag / version / version prefix")
+    path: str = _knob("", "artifact file on disk")
+    expected_fingerprint: str = _knob(
+        "", "refuse to serve unless the artifact digest matches"
+    )
 
     @property
     def source(self) -> str:
         return self.path or self.tag
 
+    def _check(self, given):
+        if self.tag and self.path:
+            yield "tag", "mutually exclusive with model.path — pick one source"
+        if not self.tag and not self.path:
+            yield "tag", "a deployment must name its model: set tag or path"
+
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(_Table):
     """Scan-service knobs (``[serve]``)."""
 
-    threshold: float = 0.5
-    cache_entries: int = 8192
+    threshold: float = _knob(0.5, minimum=0.0, maximum=1.0, exclusive=True)
+    cache_entries: int = _knob(8192, minimum=1)
 
 
 @dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(_Table):
     """Scanner topology and backpressure (``[stream]``)."""
 
-    shards: int = 2
-    batch_size: int = 16
-    queue: int = 256
-    policy: str = "block"
+    shards: int = _knob(2, minimum=1)
+    batch_size: int = _knob(16, minimum=1)
+    queue: int = _knob(256, minimum=1)
+    policy: str = _knob("block", choices=STREAM_POLICIES)
     #: Oldest-event age that forces a flush; 0 disables deadline
     #: flushing entirely (only safe under producer-paced ``block``).
-    deadline_seconds: float = 0.25
-    dedup_addresses: bool = True
+    deadline_seconds: float = _knob(
+        0.25, "0 disables deadline flushing", minimum=0.0
+    )
+    dedup_addresses: bool = _knob(True)
 
 
 @dataclass(frozen=True)
-class SinkConfig:
+class SinkConfig(_Table):
     """One alert delivery channel (``[[sinks]]``)."""
 
-    kind: str = "memory"
-    path: str = ""  # jsonl
-    url: str = ""  # webhook
-    #: Webhook POST timeout in seconds (webhook sinks only).
-    timeout: float = 2.0
+    #: No usable default: a sink entry must say what it is.
+    kind: str = _knob("", "required", choices=SINK_KINDS)
+    path: str = _knob("", "required for `jsonl`, rejected elsewhere")
+    url: str = _knob("", "required for `webhook`, rejected elsewhere")
+    timeout: float = _knob(
+        2.0, "`webhook` only, rejected elsewhere",
+        minimum=0.0, exclusive=True,
+    )
+
+    def _check(self, given):
+        kind = self.kind
+        if kind == "jsonl" and not self.path:
+            yield "path", "jsonl sink needs a file path"
+        if kind == "webhook" and not self.url:
+            yield "url", "webhook sink needs a url"
+        if kind == "memory" and (self.path or self.url):
+            yield "kind", "memory sink takes no path/url"
+        if kind == "jsonl" and self.url:
+            yield "url", "jsonl sink takes no url"
+        if kind == "webhook" and self.path:
+            yield "path", "webhook sink takes no path"
+        if "timeout" in given and kind != "webhook":
+            yield "timeout", "only webhook sinks take a delivery timeout"
+
+    def as_dict(self) -> dict:
+        # Dropping the timeout a non-webhook sink may not set keeps
+        # as_dict() re-parseable under the parser's own strictness.
+        view = super().as_dict()
+        if self.kind != "webhook":
+            del view["timeout"]
+        return view
 
 
 @dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(_Table):
     """Traffic source (``[source]``)."""
 
-    mode: str = "replay"
-    contracts: int = 200
-    seed: int = 0
-    #: Replay pacing in events/sec; 0 replays at maximum speed.
-    rate: float = 0.0
+    mode: str = _knob("replay", choices=SOURCE_MODES)
+    contracts: int = _knob(200, minimum=2)
+    seed: int = _knob(0, minimum=0)
+    rate: float = _knob(0.0, "0 replays at maximum speed", minimum=0.0)
 
 
 @dataclass(frozen=True)
-class RolloutConfig:
+class RolloutConfig(_Table):
     """Shadow-rollout plan (``[rollout]``, optional)."""
 
-    candidate: str = "candidate"
-    production: str = "production"
-    policy: str = "parity"
-    min_events: int = 100
-    promote_agreement: float = 0.98
-    abort_agreement: float = 0.90
-    max_divergence: float = 0.05
-    #: Highest tolerated fraction of shadow events where only production
-    #: flagged (``adaptive`` policy only): alerts the candidate drops.
-    max_lost_rate: float = 0.02
+    candidate: str = _knob(
+        "candidate", "store ref under validation", nonempty=True
+    )
+    production: str = _knob(
+        "production", "store tag serving production", nonempty=True
+    )
+    policy: str = _knob("parity", choices=ROLLOUT_POLICIES)
+    min_events: int = _knob(100, minimum=1)
+    promote_agreement: float = _knob(
+        0.98, minimum=0.0, maximum=1.0, exclusive=True
+    )
+    abort_agreement: float = _knob(
+        0.90, minimum=0.0, maximum=1.0, exclusive=True
+    )
+    max_divergence: float = _knob(
+        0.05, minimum=0.0, maximum=1.0, exclusive=True
+    )
+    max_lost_rate: float = _knob(
+        0.02,
+        "`adaptive` only — top tolerated fraction of shadow events where "
+        "only production flagged (alerts the candidate drops)",
+        minimum=0.0, maximum=1.0,
+    )
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(_Table):
     """Multi-process serving fleet (``[fleet]``, optional).
 
     Present means the topology launches as worker *processes* behind a
     coordinator (:mod:`repro.net`) instead of one in-process scanner.
     """
 
-    workers: int = 2
-    #: Max in-flight batches per worker before admission control acts.
-    queue_depth: int = 4
-    #: Overflow policy: ``shed`` (HTTP 429) or ``block`` the submitter.
-    overflow: str = "shed"
-    #: Decode each unique bytecode once per host into the shared
-    #: feature table that every worker reads zero-copy, so repeat
-    #: deployments are never re-shipped or re-decoded; off ships
-    #: bytecode inline and workers decode it themselves.
-    ship_features: bool = True
-    #: Map worker model artifacts with ``mmap_mode="r"`` (zero-copy cold
-    #: starts; node arrays page in on demand and are shared between
-    #: workers by the OS cache).
-    mmap: bool = False
-    host: str = "127.0.0.1"
-    #: Coordinator port; 0 binds an ephemeral port.
-    port: int = 0
-    #: Per-batch worker HTTP timeout (seconds): the bound on how long a
-    #: hung worker can stall a dispatch before it is declared dead.
-    request_timeout: float = 10.0
+    host: str = _knob("127.0.0.1", "coordinator bind address", nonempty=True)
+    port: int = _knob(
+        0, "coordinator port, 0 binds an ephemeral port",
+        minimum=0, maximum=65535,
+    )
+    workers: int = _knob(2, minimum=1)
+    queue_depth: int = _knob(
+        4, "per-worker in-flight batches before admission control acts",
+        minimum=1,
+    )
+    overflow: str = _knob(
+        "shed",
+        "`shed` answers HTTP 429 on overflow, `block` makes admission wait",
+        choices=FLEET_OVERFLOW,
+    )
+    ship_features: bool = _knob(
+        True,
+        "decode each unique bytecode once per host into the shared "
+        "feature table workers read zero-copy, `false` ships bytecode "
+        "inline and workers decode it",
+    )
+    mmap: bool = _knob(
+        False,
+        'workers map model artifacts with `mmap_mode="r"` (zero-copy '
+        "cold start; OS page cache shared across workers)",
+    )
+    request_timeout: float = _knob(
+        10.0,
+        "per-batch worker HTTP timeout (seconds) — the bound on how long "
+        "a hung worker can stall a dispatch before being declared dead",
+        minimum=0.0, exclusive=True,
+    )
 
 
 @dataclass(frozen=True)
-class FaultToleranceConfig:
+class FaultToleranceConfig(_Table):
     """Self-healing knobs (``[fault_tolerance]``, optional).
 
     Present means the fleet launches with worker supervision, retrying
@@ -267,28 +393,39 @@ class FaultToleranceConfig:
     routed around but never replaced.
     """
 
-    #: Auto-respawn crashed workers (heartbeat + exponential backoff).
-    respawn: bool = True
-    #: Consecutive failed respawns before a worker is quarantined.
-    max_respawns: int = 3
-    #: Supervisor heartbeat interval (seconds).
-    heartbeat_seconds: float = 0.5
-    #: First-respawn backoff; doubles per consecutive failure.
-    backoff_seconds: float = 0.2
-    backoff_max_seconds: float = 5.0
-    #: Retry attempts for store/webhook HTTP calls (1 = no retry).
-    retry_attempts: int = 3
-    #: Circuit breaker: consecutive failures that open it, and how long
-    #: it stays open before one half-open probe.
-    breaker_failures: int = 5
-    breaker_reset_seconds: float = 30.0
-    #: JSONL dead-letter spool for alerts the webhook cannot deliver;
-    #: empty disables spooling (failed deliveries are only counted).
-    dead_letter_path: str = ""
+    respawn: bool = _knob(
+        True, "auto-respawn crashed workers (heartbeat + backoff)"
+    )
+    max_respawns: int = _knob(
+        3, "consecutive failed respawns before quarantine", minimum=1
+    )
+    heartbeat_seconds: float = _knob(
+        0.5, "supervisor liveness probe interval",
+        minimum=0.0, exclusive=True,
+    )
+    backoff_seconds: float = _knob(
+        0.2, "first-respawn backoff, doubling per consecutive failure",
+        minimum=0.0,
+    )
+    backoff_max_seconds: float = _knob(5.0, "backoff ceiling", minimum=0.0)
+    retry_attempts: int = _knob(
+        3, "store/webhook HTTP retry attempts (1 = no retry)", minimum=1
+    )
+    breaker_failures: int = _knob(
+        5, "consecutive failures that open the delivery circuit", minimum=1
+    )
+    breaker_reset_seconds: float = _knob(
+        30.0, "open window before one half-open probe",
+        minimum=0.0, exclusive=True,
+    )
+    dead_letter_path: str = _knob(
+        "", "JSONL spool for undeliverable webhook alerts, empty disables "
+            "spooling (failed deliveries are only counted)"
+    )
 
 
 @dataclass(frozen=True)
-class LoopConfig:
+class LoopConfig(_Table):
     """Continuous-learning loop (``[loop]``, optional).
 
     Present means the topology runs a :class:`repro.loop.LoopOrchestrator`
@@ -298,35 +435,72 @@ class LoopConfig:
     to the store's ``loop-history.jsonl``.
     """
 
-    #: Scores per drift window (reference and live both hold this many).
-    window: int = 256
-    #: Labeled-event cadence between drift checks.
-    check_every: int = 64
-    #: Paired blocks per window (the Wilcoxon sample size).
-    blocks: int = 8
-    #: Significance level on the Holm-adjusted p-value.
-    alpha: float = 0.05
-    #: Cliff's-delta magnitude floor; smaller shifts are noise.
-    min_effect: float = 0.1
-    #: Consecutive positive checks required to confirm drift.
-    confirm_checks: int = 2
-    #: Estimators grown per warm-start retrain.
-    grow: int = 40
-    #: Held-out fraction of the retrain window.
-    holdout: float = 0.25
-    #: Store tag the fresh candidate registers under.
-    candidate: str = "candidate"
-    #: Retrain execution: forked ``subprocess`` (serving never stalls)
-    #: or ``inline`` (deterministic single-process tests).
-    retrain: str = "subprocess"
-    #: Declared production model family, checked against the
-    #: warm-startable set (D028); empty skips the static check.
-    model_family: str = ""
+    candidate: str = _knob(
+        "candidate", "store tag the fresh candidate registers under",
+        nonempty=True,
+    )
+    window: int = _knob(
+        256, "scores per drift window (reference and live each)", minimum=4
+    )
+    blocks: int = _knob(
+        8, "paired blocks per window (the Wilcoxon sample size), `window` "
+           "must be ≥ 2 × blocks and divisible by it",
+        minimum=2,
+    )
+    check_every: int = _knob(
+        64, "labeled events between drift checks", minimum=1
+    )
+    alpha: float = _knob(
+        0.05, "significance level on the Holm-adjusted p-value",
+        minimum=0.0, maximum=1.0, exclusive=True,
+    )
+    min_effect: float = _knob(
+        0.1, "Cliff's-delta magnitude floor, smaller shifts are noise",
+        minimum=0.0, maximum=1.0,
+    )
+    confirm_checks: int = _knob(
+        2, "consecutive positive checks to confirm drift", minimum=1
+    )
+    grow: int = _knob(40, "estimators grown per warm-start retrain", minimum=1)
+    holdout: float = _knob(
+        0.25, "held-out fraction of the retrain window",
+        minimum=0.0, maximum=1.0, exclusive=True,
+    )
+    retrain: str = _knob(
+        "subprocess",
+        "`subprocess` forks a child so serving never stalls, `inline` "
+        "suits deterministic single-process tests",
+        choices=LOOP_RETRAIN_MODES,
+    )
+    model_family: str = _knob(
+        "", "declared production family for the static D028 check, "
+            "empty skips"
+    )
+
+    def _check(self, given):
+        # Same-section, so the parser owns it (like model.tag vs
+        # model.path): the monitor rejects these shapes at construction,
+        # deep inside launch.
+        if self.window < 2 * self.blocks:
+            yield "window", (
+                f"must be >= 2 x loop.blocks ({2 * self.blocks}), "
+                f"got {self.window}"
+            )
+        elif self.window % self.blocks:
+            yield "window", (
+                f"must be divisible by loop.blocks={self.blocks}, "
+                f"got {self.window}"
+            )
 
 
 @dataclass(frozen=True)
 class DeployConfig:
-    """The full deployment topology, domain-valid by construction."""
+    """The full deployment topology, domain-valid by construction.
+
+    Each section field's annotation names its table's dataclass; a
+    ``None`` default marks an optional table and a tuple an array of
+    tables.
+    """
 
     store: StoreConfig = StoreConfig()
     model: ModelConfig = ModelConfig()
@@ -342,477 +516,112 @@ class DeployConfig:
     origin: str = "<dict>"
 
     def as_dict(self) -> dict:
-        """JSON-ready view of the parsed topology."""
-        data = {
-            "store": dataclasses.asdict(self.store),
-            "model": dataclasses.asdict(self.model),
-            "serve": dataclasses.asdict(self.serve),
-            "stream": dataclasses.asdict(self.stream),
-            "sinks": [
-                # Only webhook sinks take a delivery timeout; dropping the
-                # key elsewhere keeps as_dict() re-parseable under the same
-                # strictness the parser applies to hand-written configs.
-                {
-                    k: v
-                    for k, v in dataclasses.asdict(s).items()
-                    if not (k == "timeout" and s.kind != "webhook")
-                }
-                for s in self.sinks
-            ],
-            "source": dataclasses.asdict(self.source),
-            "rollout": (
-                dataclasses.asdict(self.rollout) if self.rollout else None
-            ),
-            "fleet": (
-                dataclasses.asdict(self.fleet) if self.fleet else None
-            ),
-            "fault_tolerance": (
-                dataclasses.asdict(self.fault_tolerance)
-                if self.fault_tolerance else None
-            ),
-            "loop": (
-                dataclasses.asdict(self.loop) if self.loop else None
-            ),
-        }
-        return data
+        """JSON-ready view of the parsed topology; it re-parses as is."""
+        view = {}
+        for field, _ in _TABLES:
+            value = getattr(self, field.name)
+            if isinstance(value, tuple):
+                view[field.name] = [entry.as_dict() for entry in value]
+            else:
+                view[field.name] = None if value is None else value.as_dict()
+        return view
+
+
+#: ``(DeployConfig field, table dataclass)`` for each top-level table,
+#: in declaration order, read off :class:`DeployConfig`'s annotations.
+_TABLES = tuple(
+    (field, table)
+    for field in dataclasses.fields(DeployConfig)
+    for table in (field.type, *typing.get_args(field.type))
+    if isinstance(table, type) and issubclass(table, _Table)
+)
 
 
 # --------------------------------------------------------------------- #
 # Parsing
 # --------------------------------------------------------------------- #
 
-
-class _Section:
-    """Typed field extraction over one raw mapping, collecting problems."""
-
-    def __init__(self, name: str, raw: dict, problems: list[ConfigProblem]):
-        self.name = name
-        self.raw = dict(raw)
-        self.problems = problems
-
-    def _path(self, field: str) -> str:
-        return f"{self.name}.{field}" if self.name else field
-
-    def complain(self, field: str, message: str) -> None:
-        self.problems.append(ConfigProblem(self._path(field), message))
-
-    def finish(self) -> None:
-        """Reject keys no field consumed (typos never become defaults)."""
-        for key in sorted(self.raw):
-            self.complain(str(key), "unknown key")
-
-    # ---- typed getters ------------------------------------------------ #
-
-    def _take(self, field: str, default):
-        return self.raw.pop(field, default)
-
-    def string(self, field: str, default: str, *, choices=None) -> str:
-        value = self._take(field, default)
-        if not isinstance(value, str):
-            self.complain(field, f"expected a string, got {value!r}")
-            return default
-        if choices is not None and value not in choices:
-            self.complain(
-                field,
-                f"{value!r} is not one of {', '.join(map(repr, choices))}",
-            )
-            return default
-        return value
-
-    def boolean(self, field: str, default: bool) -> bool:
-        value = self._take(field, default)
-        if not isinstance(value, bool):
-            self.complain(field, f"expected true/false, got {value!r}")
-            return default
-        return value
-
-    def integer(
-        self, field: str, default: int, *, minimum: int | None = None
-    ) -> int:
-        value = self._take(field, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.complain(field, f"expected an integer, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.complain(field, f"must be >= {minimum}, got {value}")
-            return default
-        return value
-
-    def number(
-        self,
-        field: str,
-        default: float,
-        *,
-        minimum: float | None = None,
-        maximum: float | None = None,
-        exclusive: bool = False,
-    ) -> float:
-        value = self._take(field, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.complain(field, f"expected a number, got {value!r}")
-            return default
-        value = float(value)
-        if minimum is not None and (
-            value <= minimum if exclusive else value < minimum
-        ):
-            bound = ">" if exclusive else ">="
-            self.complain(field, f"must be {bound} {minimum}, got {value}")
-            return default
-        if maximum is not None and (
-            value >= maximum if exclusive else value > maximum
-        ):
-            bound = "<" if exclusive else "<="
-            self.complain(field, f"must be {bound} {maximum}, got {value}")
-            return default
-        return value
+_EXPECTED = {
+    str: "a string",
+    bool: "true/false",
+    int: "an integer",
+    float: "a number",
+}
 
 
-def _section(
-    data: dict,
-    name: str,
-    problems: list[ConfigProblem],
-) -> _Section | None:
-    raw = data.pop(name, None)
-    if raw is None:
-        return _Section(name, {}, problems)
-    if not isinstance(raw, dict):
-        problems.append(
-            ConfigProblem(name, f"expected a table/object, got {raw!r}")
+def _checked(value, kind: type, meta) -> tuple[object, str | None]:
+    """``(value, None)`` when ``value`` is in a knob's domain, else
+    ``(None, problem)``. Floats come back as ``float``."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        return None, f"expected {_EXPECTED[kind]}, got {value!r}"
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # JSON integers are unbounded
+            value = math.inf if value > 0 else -math.inf
+    choices = meta["choices"]
+    if choices and value not in choices:
+        return None, f"{value!r} is not one of {', '.join(map(repr, choices))}"
+    low, high, strict = meta["minimum"], meta["maximum"], meta["exclusive"]
+    if low is not None and (value <= low if strict else value < low):
+        return None, f"must be {'>' if strict else '>='} {low}, got {value}"
+    if high is not None and (value >= high if strict else value > high):
+        return None, f"must be {'<' if strict else '<='} {high}, got {value}"
+    # NaN passes every bound above; a NaN threshold would silently
+    # classify nothing as phishing.
+    if kind is float and not math.isfinite(value):
+        return None, f"must be a finite number, got {value}"
+    if meta["nonempty"] and not value:
+        return None, "must not be empty"
+    return value, None
+
+
+def _parse_table(
+    table: type, name: str, raw: dict, problems: list[ConfigProblem]
+) -> _Table:
+    """Parse one table into ``table``; a bad knob keeps its default."""
+    unknown = dict(raw)
+    values = {}
+    for field in dataclasses.fields(table):
+        value, message = _checked(
+            unknown.pop(field.name, field.default), field.type, field.metadata
         )
-        return _Section(name, {}, problems)
-    return _Section(name, raw, problems)
+        if message is not None:
+            problems.append(ConfigProblem(f"{name}.{field.name}", message))
+            value = field.default
+        values[field.name] = value
+    section = table(**values)
+    for knob, message in section._check(raw.keys()):
+        problems.append(ConfigProblem(f"{name}.{knob}", message))
+    for key in sorted(unknown):
+        problems.append(ConfigProblem(f"{name}.{key}", "unknown key"))
+    return section
 
 
-def _parse_store(section: _Section) -> StoreConfig:
-    url = section.string("url", StoreConfig.url)
-    if not url:
-        section.complain("url", "must not be empty")
-        url = StoreConfig.url
-    else:
-        scheme, _, _ = url.partition("://")
-        if "://" in url and scheme not in STORE_SCHEMES:
-            section.complain(
-                "url",
-                f"unknown scheme {scheme!r}; supported: "
-                + ", ".join(f"{s}://" for s in STORE_SCHEMES),
-            )
-    cache_dir = section.string("cache_dir", "")
-    section.finish()
-    return StoreConfig(url=url, cache_dir=cache_dir)
+def _not_a_table(path: str, raw) -> ConfigProblem:
+    return ConfigProblem(path, f"expected a table/object, got {raw!r}")
 
 
-def _parse_model(section: _Section) -> ModelConfig:
-    tag = section.string("tag", "")
-    path = section.string("path", "")
-    fingerprint = section.string("expected_fingerprint", "")
-    if tag and path:
-        section.complain(
-            "tag", "mutually exclusive with model.path — pick one source"
-        )
-    if not tag and not path:
-        section.complain(
-            "tag", "a deployment must name its model: set tag or path"
-        )
-    section.finish()
-    return ModelConfig(tag=tag, path=path, expected_fingerprint=fingerprint)
-
-
-def _parse_serve(section: _Section) -> ServeConfig:
-    threshold = section.number(
-        "threshold", ServeConfig.threshold,
-        minimum=0.0, maximum=1.0, exclusive=True,
-    )
-    cache_entries = section.integer(
-        "cache_entries", ServeConfig.cache_entries, minimum=1
-    )
-    section.finish()
-    return ServeConfig(threshold=threshold, cache_entries=cache_entries)
-
-
-def _parse_stream(section: _Section) -> StreamConfig:
-    config = StreamConfig(
-        shards=section.integer("shards", StreamConfig.shards, minimum=1),
-        batch_size=section.integer(
-            "batch_size", StreamConfig.batch_size, minimum=1
-        ),
-        queue=section.integer("queue", StreamConfig.queue, minimum=1),
-        policy=section.string(
-            "policy", StreamConfig.policy, choices=STREAM_POLICIES
-        ),
-        deadline_seconds=section.number(
-            "deadline_seconds", StreamConfig.deadline_seconds, minimum=0.0
-        ),
-        dedup_addresses=section.boolean(
-            "dedup_addresses", StreamConfig.dedup_addresses
-        ),
-    )
-    section.finish()
-    return config
-
-
-def _parse_sinks(
-    data: dict, problems: list[ConfigProblem]
-) -> tuple[SinkConfig, ...]:
-    raw = data.pop("sinks", [])
+def _parse_array(
+    table: type, name: str, raw, problems: list[ConfigProblem]
+) -> tuple:
+    """Parse an array of tables (``[[sinks]]``), one ``table`` each."""
     if not isinstance(raw, list):
         problems.append(
-            ConfigProblem("sinks", f"expected an array of tables, got {raw!r}")
+            ConfigProblem(name, f"expected an array of tables, got {raw!r}")
         )
         return ()
-    sinks = []
+    entries = []
     for index, entry in enumerate(raw):
-        name = f"sinks[{index}]"
-        if not isinstance(entry, dict):
-            problems.append(
-                ConfigProblem(name, f"expected a table/object, got {entry!r}")
-            )
-            continue
-        section = _Section(name, entry, problems)
-        kind = section.string("kind", "", choices=SINK_KINDS)
-        path = section.string("path", "")
-        url = section.string("url", "")
-        has_timeout = "timeout" in section.raw
-        timeout = section.number(
-            "timeout", SinkConfig.timeout, minimum=0.0, exclusive=True
-        )
-        if kind == "jsonl" and not path:
-            section.complain("path", "jsonl sink needs a file path")
-        if kind == "webhook" and not url:
-            section.complain("url", "webhook sink needs a url")
-        if kind == "memory" and (path or url):
-            section.complain("kind", "memory sink takes no path/url")
-        if kind == "jsonl" and url:
-            section.complain("url", "jsonl sink takes no url")
-        if kind == "webhook" and path:
-            section.complain("path", "webhook sink takes no path")
-        if has_timeout and kind != "webhook":
-            section.complain(
-                "timeout", "only webhook sinks take a delivery timeout"
-            )
-        section.finish()
-        sinks.append(
-            SinkConfig(kind=kind, path=path, url=url, timeout=timeout)
-        )
-    return tuple(sinks)
-
-
-def _parse_source(section: _Section) -> SourceConfig:
-    config = SourceConfig(
-        mode=section.string("mode", SourceConfig.mode, choices=SOURCE_MODES),
-        contracts=section.integer(
-            "contracts", SourceConfig.contracts, minimum=2
-        ),
-        seed=section.integer("seed", SourceConfig.seed, minimum=0),
-        rate=section.number("rate", SourceConfig.rate, minimum=0.0),
-    )
-    section.finish()
-    return config
-
-
-def _parse_rollout(
-    data: dict, problems: list[ConfigProblem]
-) -> RolloutConfig | None:
-    raw = data.pop("rollout", None)
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        problems.append(
-            ConfigProblem("rollout", f"expected a table/object, got {raw!r}")
-        )
-        return None
-    section = _Section("rollout", raw, problems)
-    candidate = section.string("candidate", RolloutConfig.candidate)
-    production = section.string("production", RolloutConfig.production)
-    if not candidate:
-        section.complain("candidate", "must not be empty")
-        candidate = RolloutConfig.candidate
-    if not production:
-        section.complain("production", "must not be empty")
-        production = RolloutConfig.production
-    config = RolloutConfig(
-        candidate=candidate,
-        production=production,
-        policy=section.string(
-            "policy", RolloutConfig.policy, choices=ROLLOUT_POLICIES
-        ),
-        min_events=section.integer(
-            "min_events", RolloutConfig.min_events, minimum=1
-        ),
-        promote_agreement=section.number(
-            "promote_agreement", RolloutConfig.promote_agreement,
-            minimum=0.0, maximum=1.0, exclusive=True,
-        ),
-        abort_agreement=section.number(
-            "abort_agreement", RolloutConfig.abort_agreement,
-            minimum=0.0, maximum=1.0, exclusive=True,
-        ),
-        max_divergence=section.number(
-            "max_divergence", RolloutConfig.max_divergence,
-            minimum=0.0, maximum=1.0, exclusive=True,
-        ),
-        max_lost_rate=section.number(
-            "max_lost_rate", RolloutConfig.max_lost_rate,
-            minimum=0.0, maximum=1.0,
-        ),
-    )
-    section.finish()
-    return config
-
-
-def _parse_fleet(
-    data: dict, problems: list[ConfigProblem]
-) -> FleetConfig | None:
-    raw = data.pop("fleet", None)
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        problems.append(
-            ConfigProblem("fleet", f"expected a table/object, got {raw!r}")
-        )
-        return None
-    section = _Section("fleet", raw, problems)
-    host = section.string("host", FleetConfig.host)
-    if not host:
-        section.complain("host", "must not be empty")
-        host = FleetConfig.host
-    port = section.integer("port", FleetConfig.port, minimum=0)
-    if port > 65535:
-        section.complain("port", f"must be <= 65535, got {port}")
-        port = FleetConfig.port
-    config = FleetConfig(
-        workers=section.integer("workers", FleetConfig.workers, minimum=1),
-        queue_depth=section.integer(
-            "queue_depth", FleetConfig.queue_depth, minimum=1
-        ),
-        overflow=section.string(
-            "overflow", FleetConfig.overflow, choices=FLEET_OVERFLOW
-        ),
-        ship_features=section.boolean(
-            "ship_features", FleetConfig.ship_features
-        ),
-        mmap=section.boolean("mmap", FleetConfig.mmap),
-        host=host,
-        port=port,
-        request_timeout=section.number(
-            "request_timeout", FleetConfig.request_timeout,
-            minimum=0.0, exclusive=True,
-        ),
-    )
-    section.finish()
-    return config
-
-
-def _parse_fault_tolerance(
-    data: dict, problems: list[ConfigProblem]
-) -> FaultToleranceConfig | None:
-    raw = data.pop("fault_tolerance", None)
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        problems.append(
-            ConfigProblem(
-                "fault_tolerance", f"expected a table/object, got {raw!r}"
-            )
-        )
-        return None
-    section = _Section("fault_tolerance", raw, problems)
-    config = FaultToleranceConfig(
-        respawn=section.boolean("respawn", FaultToleranceConfig.respawn),
-        max_respawns=section.integer(
-            "max_respawns", FaultToleranceConfig.max_respawns, minimum=1
-        ),
-        heartbeat_seconds=section.number(
-            "heartbeat_seconds", FaultToleranceConfig.heartbeat_seconds,
-            minimum=0.0, exclusive=True,
-        ),
-        backoff_seconds=section.number(
-            "backoff_seconds", FaultToleranceConfig.backoff_seconds,
-            minimum=0.0,
-        ),
-        backoff_max_seconds=section.number(
-            "backoff_max_seconds",
-            FaultToleranceConfig.backoff_max_seconds,
-            minimum=0.0,
-        ),
-        retry_attempts=section.integer(
-            "retry_attempts", FaultToleranceConfig.retry_attempts,
-            minimum=1,
-        ),
-        breaker_failures=section.integer(
-            "breaker_failures", FaultToleranceConfig.breaker_failures,
-            minimum=1,
-        ),
-        breaker_reset_seconds=section.number(
-            "breaker_reset_seconds",
-            FaultToleranceConfig.breaker_reset_seconds,
-            minimum=0.0, exclusive=True,
-        ),
-        dead_letter_path=section.string("dead_letter_path", ""),
-    )
-    section.finish()
-    return config
-
-
-def _parse_loop(
-    data: dict, problems: list[ConfigProblem]
-) -> LoopConfig | None:
-    raw = data.pop("loop", None)
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        problems.append(
-            ConfigProblem("loop", f"expected a table/object, got {raw!r}")
-        )
-        return None
-    section = _Section("loop", raw, problems)
-    candidate = section.string("candidate", LoopConfig.candidate)
-    if not candidate:
-        section.complain("candidate", "must not be empty")
-        candidate = LoopConfig.candidate
-    window = section.integer("window", LoopConfig.window, minimum=4)
-    blocks = section.integer("blocks", LoopConfig.blocks, minimum=2)
-    # Window/blocks consistency is same-section, so the parser owns it
-    # (like model.tag vs model.path): the monitor rejects these shapes
-    # at construction, deep inside launch.
-    if window < 2 * blocks:
-        section.complain(
-            "window", f"must be >= 2 x loop.blocks ({2 * blocks}), "
-                      f"got {window}"
-        )
-    elif window % blocks:
-        section.complain(
-            "window",
-            f"must be divisible by loop.blocks={blocks}, got {window}",
-        )
-    config = LoopConfig(
-        window=window,
-        check_every=section.integer(
-            "check_every", LoopConfig.check_every, minimum=1
-        ),
-        blocks=blocks,
-        alpha=section.number(
-            "alpha", LoopConfig.alpha,
-            minimum=0.0, maximum=1.0, exclusive=True,
-        ),
-        min_effect=section.number(
-            "min_effect", LoopConfig.min_effect, minimum=0.0, maximum=1.0
-        ),
-        confirm_checks=section.integer(
-            "confirm_checks", LoopConfig.confirm_checks, minimum=1
-        ),
-        grow=section.integer("grow", LoopConfig.grow, minimum=1),
-        holdout=section.number(
-            "holdout", LoopConfig.holdout,
-            minimum=0.0, maximum=1.0, exclusive=True,
-        ),
-        candidate=candidate,
-        retrain=section.string(
-            "retrain", LoopConfig.retrain, choices=LOOP_RETRAIN_MODES
-        ),
-        model_family=section.string("model_family", ""),
-    )
-    section.finish()
-    return config
+        path = f"{name}[{index}]"
+        if isinstance(entry, dict):
+            entries.append(_parse_table(table, path, entry, problems))
+        else:
+            problems.append(_not_a_table(path, entry))
+    return tuple(entries)
 
 
 def parse_config(data: dict, *, origin: str = "<dict>") -> DeployConfig:
@@ -821,41 +630,33 @@ def parse_config(data: dict, *, origin: str = "<dict>") -> DeployConfig:
     Raises :class:`ConfigError` listing *every* domain problem found.
     """
     if not isinstance(data, dict):
-        raise ConfigError(
-            origin,
-            [ConfigProblem("", f"expected a table/object, got {data!r}")],
-        )
+        raise ConfigError(origin, [_not_a_table("", data)])
     data = dict(data)
     problems: list[ConfigProblem] = []
-
-    store = _parse_store(_section(data, "store", problems))
-    model = _parse_model(_section(data, "model", problems))
-    serve = _parse_serve(_section(data, "serve", problems))
-    stream = _parse_stream(_section(data, "stream", problems))
-    sinks = _parse_sinks(data, problems)
-    source = _parse_source(_section(data, "source", problems))
-    rollout = _parse_rollout(data, problems)
-    fleet = _parse_fleet(data, problems)
-    fault_tolerance = _parse_fault_tolerance(data, problems)
-    loop = _parse_loop(data, problems)
+    sections = {}
+    for field, table in _TABLES:
+        name = field.name
+        if isinstance(field.default, tuple):
+            sections[name] = _parse_array(
+                table, name, data.pop(name, []), problems
+            )
+            continue
+        raw = data.pop(name, None)
+        if raw is None and field.default is None:  # optional and absent
+            sections[name] = None
+            continue
+        if raw is None:
+            raw = {}
+        elif not isinstance(raw, dict):
+            problems.append(_not_a_table(name, raw))
+            raw = {}
+        sections[name] = _parse_table(table, name, raw, problems)
 
     for key in sorted(data):
         problems.append(ConfigProblem(str(key), "unknown section"))
     if problems:
         raise ConfigError(origin, problems)
-    return DeployConfig(
-        store=store,
-        model=model,
-        serve=serve,
-        stream=stream,
-        sinks=sinks,
-        source=source,
-        rollout=rollout,
-        fleet=fleet,
-        fault_tolerance=fault_tolerance,
-        loop=loop,
-        origin=origin,
-    )
+    return DeployConfig(**sections, origin=origin)
 
 
 def load_config(path) -> DeployConfig:
@@ -863,8 +664,9 @@ def load_config(path) -> DeployConfig:
 
     The format follows the file suffix: ``.toml`` parses with the
     stdlib ``tomllib``, ``.json`` with ``json``. Syntax errors, unknown
-    suffixes and unreadable files all surface as :class:`ConfigError`
-    (so ``check-config`` has exactly one failure type to render).
+    suffixes and unreadable or non-UTF-8 files all surface as
+    :class:`ConfigError` (so ``check-config`` has exactly one failure
+    type to render).
     """
     path = pathlib.Path(path)
     origin = str(path)
@@ -879,7 +681,7 @@ def load_config(path) -> DeployConfig:
         )
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(
             origin, [ConfigProblem("", f"unreadable: {error}")]
         ) from error
