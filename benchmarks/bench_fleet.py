@@ -2,8 +2,8 @@
 
 Not a paper artifact — this is the ROADMAP's "scale past one process"
 check. The same scan workload is pushed through a real fleet (forked
-worker processes, HTTP transport, the host-wide shared feature table)
-at one and at four workers, by concurrent client threads:
+worker processes, HTTP transport, bytecode shipped inline) at one and
+at four workers, by concurrent client threads:
 
 * **1 worker** — every batch funnels through one process: the serving
   floor,
@@ -11,14 +11,11 @@ at one and at four workers, by concurrent client threads:
 
 Prints one machine-readable JSON summary line (``FLEET {...}``) with
 events/sec per fleet size, the 4-vs-1 scaling ratio, parallel
-efficiency (scaling / 4), the client-observed p99 batch latency, and
-``shared_cache_hit`` — the shared feature table's hit rate when the
-same workload repeats against a warm fleet (must stay ≈ 1.0, with
-zero leaked pin leases).
+efficiency (scaling / 4) and the client-observed p99 batch latency.
 
 Shape assertions: the fleet's alert set must equal the single-process
-reference **bit for bit at both sizes** (sharding and the shared-table
-handoff may not change a single verdict), and throughput must scale. The paper-
+reference **bit for bit at both sizes** (sharding may not change a
+single verdict), and throughput must scale. The paper-
 grade floor — ≥ 0.7× linear at 4 workers — needs 4 free cores; on
 smaller machines (``PHOOK_BENCH_SMOKE=1`` or ``os.cpu_count() < 4``)
 it relaxes to "adding workers must not collapse throughput" while the
@@ -156,36 +153,6 @@ def test_fleet_scaling(corpus, dataset, tmp_path_factory):
         summary[f"throughput_{workers}"] = round(events / seconds, 2)
         summary[f"p99_seconds_{workers}"] = round(p99, 4)
 
-    # Host-wide shared feature cache: drive the same workload twice
-    # through one fleet. The second pass must resolve (nearly)
-    # every unique bytecode from the shared table — the hit rate is the
-    # tracked metric — and every pin lease must come back.
-    sink = MemorySink()
-    with FleetManager(
-        workers=2,
-        store_url=str(store_root),
-        model_ref="production",
-        overflow="block",
-        mmap=True,
-        sinks=(sink,),
-    ) as manager:
-        _drive(manager, batches)
-        first = manager.status()["shared_cache"]
-        _drive(manager, batches)
-        status = manager.status()
-        second = status["shared_cache"]
-    hits = second["hits"] - first["hits"]
-    misses = second["misses"] - first["misses"]
-    shared_hit = hits / max(1, hits + misses)
-    fleet_alerts = {alert.address for alert in sink.alerts}
-    assert fleet_alerts == expected_alerts, (
-        "shared-cache fleet alert set diverged from the reference"
-    )
-    assert second["pinned_slots"] == 0, (
-        f"{second['pinned_slots']} shared-cache slot lease(s) leaked"
-    )
-    summary["shared_cache_hit"] = round(shared_hit, 4)
-
     scaling = throughput[4] / throughput[1]
     efficiency = scaling / 4.0
     summary["scaling"] = round(scaling, 4)
@@ -210,7 +177,3 @@ def test_fleet_scaling(corpus, dataset, tmp_path_factory):
             f"4-worker throughput collapsed to {scaling:.2f}x of one "
             f"worker on a {os.cpu_count()}-core machine"
         )
-    assert shared_hit >= 0.95, (
-        f"repeat-workload shared-cache hit rate {shared_hit:.2f} < 0.95: "
-        "the host-wide table is not retaining bytecodes across batches"
-    )

@@ -83,11 +83,6 @@ TRACKED = (
     # detection, backoff and a full process spawn, so the band is the
     # widest — the gate catches recovery *stalling*, not jitter.
     Metric("FLEET", "recovery", "lower", tolerance=1.00),
-    # Shared feature table hit rate when the same workload repeats
-    # against a cached fleet. Deterministic ≈ 1.0; any drop means
-    # entries stopped surviving across batches (eviction storm, lease
-    # leak, or the coordinator stopped consulting the table).
-    Metric("FLEET", "shared_cache_hit", "higher", tolerance=0.05),
     # Warm-start retrain (fit_more on the drift window) vs cold refit of
     # an equal-sized forest on the same window, same process. The loop's
     # economics rest on this ratio staying well above 1; the wide band

@@ -1052,21 +1052,6 @@ def _cmd_fleet(args) -> int:
               f"scanned {counters['scanned']}  "
               f"flagged {counters['flagged']}  "
               f"shed {counters['shed']}  rerouted {counters['rerouted']}")
-        shared = status.get("shared_cache")
-        if not shared:
-            print(f"feature handoff: inline only, "
-                  f"{counters['inline_batches']} batches")
-        else:
-            print(f"feature handoff: "
-                  f"{counters['shared_cache_hits']} table hits, "
-                  f"{counters['shared_cache_stores']} stores, "
-                  f"{counters['shared_cache_fallback']} inline fallbacks")
-            print(f"shared feature cache: {shared['hits']} hits  "
-                  f"{shared['misses']} misses  "
-                  f"{shared['entries']}/{shared['slots']} slots "
-                  f"({shared['resident_bytes']} bytes resident)  "
-                  f"evictions {shared['evictions']}  "
-                  f"pinned {shared['pinned_slots']}")
         if latency:
             print(f"batch latency p50 {latency['p50'] * 1e3:.2f}ms  "
                   f"p95 {latency['p95'] * 1e3:.2f}ms  "

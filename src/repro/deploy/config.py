@@ -364,12 +364,6 @@ class FleetConfig(_Table):
         "`shed` answers HTTP 429 on overflow, `block` makes admission wait",
         choices=FLEET_OVERFLOW,
     )
-    ship_features: bool = _knob(
-        True,
-        "decode each unique bytecode once per host into the shared "
-        "feature table workers read zero-copy, `false` ships bytecode "
-        "inline and workers decode it",
-    )
     mmap: bool = _knob(
         False,
         'workers map model artifacts with `mmap_mode="r"` (zero-copy '

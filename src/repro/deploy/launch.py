@@ -217,7 +217,6 @@ def build_fleet(config: DeployConfig, *, sinks=None):
         cache_entries=config.serve.cache_entries,
         queue_depth=fleet.queue_depth,
         overflow=fleet.overflow,
-        ship_features=fleet.ship_features,
         mmap=fleet.mmap,
         host=fleet.host,
         port=fleet.port,

@@ -9,14 +9,9 @@ users" north star needs real processes and a real wire:
 * :mod:`repro.net.client` — stdlib ``http.client`` helpers (timeouts,
   typed transport errors) shared by every HTTP consumer in the repo
   (fleet dispatch, ``HttpStoreBackend``, the promoted ``WebhookSink``),
-* :mod:`repro.net.shared_cache` — :class:`ShmFeatureCache`, the one
-  way features reach a worker besides inline hex: a digest-keyed
-  ``multiprocessing.shared_memory`` table where each unique bytecode
-  (and its decoded mnemonic-id block) lands once per host, referenced
-  zero-copy by every later request from every worker,
 * :mod:`repro.net.worker` — the worker process: one
   :class:`~repro.serve.service.ScanService` cold-started from the
-  ModelStore behind a private HTTP port,
+  ModelStore behind a private HTTP port, fed bytecode inline as hex,
 * :mod:`repro.net.coordinator` — address-sharded dispatch, bounded
   per-worker admission control (429/shed or block), crash rerouting
   with zero lost events, drain-on-shutdown, and the public
@@ -66,7 +61,6 @@ from repro.net.fleet import (
     save_fleet_state,
 )
 from repro.net.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
-from repro.net.shared_cache import SharedEntry, ShmFeatureCache
 from repro.net.store_http import serve_store
 from repro.net.worker import WorkerSpec, worker_main
 
@@ -80,9 +74,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "CircuitOpenError",
-    # shared feature cache
-    "ShmFeatureCache",
-    "SharedEntry",
     # worker
     "WorkerSpec",
     "worker_main",

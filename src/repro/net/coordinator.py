@@ -18,14 +18,9 @@ The coordinator is the only public face of a fleet. It owns:
   alive worker; since a worker that died mid-request never delivered a
   response, re-sending cannot double-alert and not re-sending would
   lose events. The alert-set equality tests pin this down.
-* **Zero-copy feature handoff.** With a
-  :class:`~repro.net.shared_cache.ShmFeatureCache` attached, unique
-  bytecodes are decoded once per host through the coordinator's
-  :class:`~repro.serve.cache.FeatureCache` and stored with their
-  ``uint8`` ids block in the host-wide table; the request references
-  the entry (pinned for the exchange) instead of carrying it. A code
-  that misses a full table or does not fit a slot rides inline as hex —
-  counted, never fatal. Without the table every code rides inline.
+* **Inline bytecode.** Each shard request carries its unique
+  bytecodes as hex (``inline_codes``) plus an index per address
+  (``code_of``); the worker decodes and caches them itself.
 * **The monitor plane.** Flagged results become real
   :class:`~repro.stream.scanner.StreamAlert` objects fanned out to the
   configured sinks, and :meth:`FleetCoordinator.status` reports
@@ -66,6 +61,14 @@ class NoWorkersError(RuntimeError):
 
 class ShuttingDownError(RuntimeError):
     """The fleet is draining and admits no new work (HTTP 503)."""
+
+
+def check_admission(queue_depth: int, overflow: str) -> None:
+    """Raise ``ValueError`` unless ``queue_depth``/``overflow`` are valid."""
+    if queue_depth < 1:
+        raise ValueError("queue_depth must be positive")
+    if overflow not in ("shed", "block"):
+        raise ValueError(f"unknown overflow policy {overflow!r}")
 
 
 class WorkerHandle:
@@ -141,13 +144,6 @@ class FleetCoordinator:
         workers: Worker handles; their list order defines the shard
             space (``crc32(address) % len(workers)``), which stays fixed
             even as workers die — only the *fallback* target moves.
-        cache: Host-wide :class:`~repro.serve.cache.FeatureCache` used
-            to decode each unique bytecode once; required with ``shared``.
-        shared: :class:`~repro.net.shared_cache.ShmFeatureCache` holding
-            each unique bytecode + decoded ids once per host across
-            batches; requests reference entries by slot instead of
-            re-shipping, and only codes missing from the table ride
-            inline (``None`` → inline shipping only).
         queue_depth: Max in-flight batches per worker.
         overflow: ``"shed"`` (raise :class:`OverloadedError`) or
             ``"block"`` (wait for capacity).
@@ -160,8 +156,6 @@ class FleetCoordinator:
         self,
         workers,
         *,
-        cache=None,
-        shared=None,
         queue_depth: int = 4,
         overflow: str = "shed",
         timeout: float = 10.0,
@@ -169,16 +163,8 @@ class FleetCoordinator:
     ):
         if not workers:
             raise ValueError("a fleet needs at least one worker")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        if overflow not in ("shed", "block"):
-            raise ValueError(f"unknown overflow policy {overflow!r}")
-        if shared is not None and cache is None:
-            raise ValueError("a shared feature cache needs a FeatureCache "
-                             "to decode misses")
+        check_admission(queue_depth, overflow)
         self.workers = list(workers)
-        self.cache = cache
-        self.shared = shared
         self.queue_depth = queue_depth
         self.overflow = overflow
         self.timeout = timeout
@@ -194,10 +180,6 @@ class FleetCoordinator:
             "alerts": 0,
             "shed": 0,
             "rerouted": 0,
-            "inline_batches": 0,
-            "shared_cache_hits": 0,
-            "shared_cache_stores": 0,
-            "shared_cache_fallback": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -264,58 +246,6 @@ class FleetCoordinator:
         return [w for w in self.workers if w.state == "quarantined"]
 
     # ------------------------------------------------------------------ #
-    # Feature plane
-    # ------------------------------------------------------------------ #
-
-    def _build_request(self, addresses, code_of, unique_codes,
-                       pinned: list[int]) -> dict:
-        """Wire payload: shared-table refs, then inline hex.
-
-        Every shared-table slot the payload references is appended to
-        ``pinned`` as soon as it is leased; the caller must unpin them
-        all after the HTTP exchange (success or not — the response is
-        the fence that makes slot reuse safe).
-        """
-        payload = {"addresses": list(addresses), "code_of": list(code_of)}
-        inline = list(range(len(unique_codes)))
-        if self.shared is not None:
-            from repro.serve.cache import bytecode_digest
-
-            shared_refs: dict[str, list[int]] = {}
-            inline = []
-            hits = stores = 0
-            for index, code in enumerate(unique_codes):
-                digest = bytecode_digest(code)
-                entry = self.shared.pin(digest)
-                if entry is None:
-                    ids = np.ascontiguousarray(
-                        self.cache.mnemonic_ids(code)
-                    )
-                    entry = self.shared.store(digest, code, ids)
-                    stores += int(entry is not None)
-                else:
-                    hits += 1
-                if entry is None:
-                    inline.append(index)
-                    continue
-                pinned.append(entry.slot)
-                shared_refs[str(index)] = list(entry)
-            if shared_refs:
-                payload["shared_refs"] = shared_refs
-                payload["rest"] = inline
-            with self._lock:
-                self.counters["shared_cache_hits"] += hits
-                self.counters["shared_cache_stores"] += stores
-                self.counters["shared_cache_fallback"] += len(inline)
-        payload["inline_codes"] = [
-            bytes(unique_codes[index]).hex() for index in inline
-        ]
-        if inline:
-            with self._lock:
-                self.counters["inline_batches"] += 1
-        return payload
-
-    # ------------------------------------------------------------------ #
     # Scan path
     # ------------------------------------------------------------------ #
 
@@ -329,15 +259,16 @@ class FleetCoordinator:
         """
         from repro.net.client import http_json
 
+        payload = {
+            "addresses": list(addresses),
+            "code_of": list(code_of),
+            "inline_codes": [bytes(code).hex() for code in unique_codes],
+        }
         if not self._admit(worker):
             from repro.net.client import TransportError
 
             raise TransportError(f"worker {worker.index} died in admission")
-        pinned: list[int] = []
         try:
-            payload = self._build_request(
-                addresses, code_of, unique_codes, pinned
-            )
             response = http_json(
                 "POST", f"{worker.url}/scan", payload, timeout=self.timeout
             )
@@ -354,8 +285,6 @@ class FleetCoordinator:
                 result["worker"] = worker.index
             return results
         finally:
-            for shared_slot in pinned:
-                self.shared.unpin(shared_slot)
             self._release(worker)
 
     def _dispatch(self, shard: int, addresses, code_of,
@@ -409,8 +338,8 @@ class FleetCoordinator:
             bytes.fromhex(c) if isinstance(c, str) else bytes(c)
             for c in codes
         ]
-        # Host-level dedup: each unique bytecode is decoded (and shipped)
-        # once per batch no matter how many addresses deploy it.
+        # Host-level dedup: each unique bytecode is shipped once per
+        # shard request no matter how many addresses deploy it.
         unique_codes: list[bytes] = []
         index_of: dict[bytes, int] = {}
         code_of: list[int] = []
@@ -487,17 +416,11 @@ class FleetCoordinator:
     # ------------------------------------------------------------------ #
 
     def invalidate_namespace(self, namespace: str) -> dict:
-        """Evict one :class:`FeatureCache` namespace host-wide.
+        """Evict one :class:`FeatureCache` namespace on every worker.
 
-        Fans a ``POST /invalidate`` out to every alive worker (each owns
-        a private local cache) after dropping the namespace from the
-        coordinator's own decode cache. The host-wide
-        :class:`~repro.net.shared_cache.ShmFeatureCache` is deliberately
-        untouched: it holds bytecodes and decoded mnemonic ids keyed by
-        content digest — model-independent features that stay valid
-        across promotions. Only per-model *prediction* namespaces go
-        stale when the serving model changes, and those live exclusively
-        in the local caches this method reaches.
+        Fans a ``POST /invalidate`` out to every alive worker; each owns
+        a private local cache, and those caches are the only place
+        per-model *prediction* namespaces live.
 
         A dead or unreachable worker reports ``None`` (its cache dies
         with the process anyway; a respawn cold-starts empty). Returns
@@ -507,9 +430,6 @@ class FleetCoordinator:
         """
         from repro.net.client import TransportError, http_json
 
-        evicted = 0
-        if self.cache is not None:
-            evicted = self.cache.invalidate_namespace(namespace)
         workers: dict[int, int | None] = {}
         for worker in self.alive_workers():
             try:
@@ -525,9 +445,8 @@ class FleetCoordinator:
                 workers[worker.index] = None
         return {
             "namespace": namespace,
-            "coordinator_evicted": evicted,
             "workers": workers,
-            "total_evicted": evicted + sum(
+            "total_evicted": sum(
                 count for count in workers.values() if count
             ),
         }
@@ -551,7 +470,7 @@ class FleetCoordinator:
     def status(self) -> dict:
         with self._lock:
             counters = dict(self.counters)
-        payload = {
+        return {
             "draining": self._draining,
             "workers": [w.as_dict() for w in self.workers],
             "alive": len(self.alive_workers()),
@@ -563,11 +482,6 @@ class FleetCoordinator:
             "batch_latency_seconds": self.latency_percentiles(),
             "sinks": {s.name: s.stats.as_dict() for s in self.sinks},
         }
-        if self.shared is not None:
-            payload["shared_cache"] = self.shared.stats()
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats.as_dict()
-        return payload
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Refuse new work and wait for in-flight batches to finish.

@@ -1,16 +1,17 @@
 """Fleet lifecycle: spawn workers, run the coordinator, tear down.
 
 :class:`FleetManager` is the single owner of every cross-process
-resource a fleet holds — worker processes, the shared feature table,
-the coordinator HTTP server — with one lifecycle rule: **workers fork
-before any server thread starts**. Forking a multi-threaded parent can
+resource a fleet holds — worker processes and the coordinator HTTP
+server — with one lifecycle rule: **workers fork before any server
+thread starts**. Forking a multi-threaded parent can
 duplicate a thread-held lock into the child and deadlock it; spawning
 the whole fleet first keeps the parent single-threaded at fork time.
 
 Startup is synchronous and honest: each worker reports its bound port
 (or a startup error) over a pipe *after* its model cold-start completes,
 so :meth:`FleetManager.start` returning means every worker is actually
-ready to score — not merely forked.
+ready to score — not merely forked. A start that fails after the fork
+stops the fleet, killing every worker it spawned, before re-raising.
 
 :class:`FleetClient` is the JSON-RPC consumer (used by the CLI and the
 tests); :func:`save_fleet_state` / :func:`load_fleet_state` persist the
@@ -26,6 +27,8 @@ import os
 import threading
 import time
 from pathlib import Path
+
+from repro.net.coordinator import check_admission
 
 __all__ = [
     "FleetClient",
@@ -51,16 +54,13 @@ class FleetRpcError(RuntimeError):
 
 
 class FleetManager:
-    """Own a fleet end to end: processes, table, coordinator, server.
+    """Own a fleet end to end: processes, coordinator, server.
 
     Exactly one of ``model_path`` (an exported artifact file) or
     ``store_url`` + ``model_ref`` (a ModelStore pull — the production
-    path) selects where workers load their model from.
-
-    ``ship_features`` is the one feature-plane knob: on, the coordinator
-    decodes each unique bytecode once per host into the shared
-    :class:`~repro.net.shared_cache.ShmFeatureCache` and requests carry
-    references to it; off, every bytecode rides inline as hex.
+    path) selects where workers load their model from. Bytecode reaches
+    workers inline as hex; ``ship_features`` is accepted only as
+    ``False`` (the shared feature table it once switched on is gone).
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class FleetManager:
         cache_entries: int = 8192,
         queue_depth: int = 4,
         overflow: str = "shed",
-        ship_features: bool = True,
+        ship_features: bool = False,
         mmap: bool = False,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -94,6 +94,12 @@ class FleetManager:
             raise ValueError(
                 "pass either model_path or store_url+model_ref, not both"
             )
+        if ship_features:
+            raise ValueError(
+                "ship_features=True is not supported: the shared feature "
+                "table was removed and bytecode always ships inline"
+            )
+        check_admission(queue_depth, overflow)
         self.workers = workers
         self.store_url = store_url
         self.model_ref = model_ref
@@ -104,7 +110,6 @@ class FleetManager:
         self.cache_entries = cache_entries
         self.queue_depth = queue_depth
         self.overflow = overflow
-        self.ship_features = ship_features
         self.mmap = mmap
         self.host = host
         self.port = port
@@ -121,7 +126,6 @@ class FleetManager:
         self.respawn_backoff_seconds = respawn_backoff_seconds
         self.respawn_backoff_max = respawn_backoff_max
         self.coordinator = None
-        self.shared = None
         self._processes: list = []
         self._server = None
         self._server_thread = None
@@ -146,9 +150,6 @@ class FleetManager:
             threshold=self.threshold,
             shards=self.worker_shards,
             cache_entries=self.cache_entries,
-            shared_name=(
-                self.shared.name if self.shared is not None else ""
-            ),
             mmap=self.mmap,
             host=self.host,
         )
@@ -190,26 +191,22 @@ class FleetManager:
         return report
 
     def start(self) -> "FleetManager":
-        """Spawn workers, wait for readiness, start the coordinator."""
-        from repro.net.coordinator import FleetCoordinator, WorkerHandle
+        """Spawn workers, wait for readiness, start the coordinator.
 
-        cache = None
-        if self.ship_features:
-            from repro.net.shared_cache import ShmFeatureCache
-            from repro.serve.cache import FeatureCache
-
-            cache = FeatureCache(max_entries=self.cache_entries)
-            self.shared = ShmFeatureCache.create()
+        Any failure after the first fork (a worker that never gets
+        ready, a port already in use) runs :meth:`stop`, so every
+        spawned worker is gone before the error propagates.
+        """
+        from repro.net.coordinator import WorkerHandle
 
         context = multiprocessing.get_context()
-        pending = []
-        for index in range(self.workers):
-            process, receiver = self._spawn_worker(index, context)
-            pending.append((index, process, receiver))
-            self._processes.append(process)
-
-        handles = []
         try:
+            pending = []
+            for index in range(self.workers):
+                process, receiver = self._spawn_worker(index, context)
+                pending.append((index, process, receiver))
+                self._processes.append(process)
+            handles = []
             for index, process, receiver in pending:
                 report = self._await_ready(index, receiver)
                 handle = WorkerHandle(
@@ -217,16 +214,18 @@ class FleetManager:
                 )
                 handle.degraded = bool(report.get("degraded", False))
                 handles.append(handle)
-        except Exception:
-            self._kill_all()
-            if self.shared is not None:
-                self.shared.unlink()
+            self._serve(handles)
+        except BaseException:
+            self.stop(drain=False)
             raise
+        return self
+
+    def _serve(self, handles) -> None:
+        """Build the coordinator and start its server (and supervisor)."""
+        from repro.net.coordinator import FleetCoordinator
 
         self.coordinator = FleetCoordinator(
             handles,
-            cache=cache,
-            shared=self.shared,
             queue_depth=self.queue_depth,
             overflow=self.overflow,
             timeout=self.http_timeout,
@@ -251,7 +250,6 @@ class FleetManager:
                 name="fleet-supervisor", daemon=True,
             )
             self._supervisor_thread.start()
-        return self
 
     @property
     def url(self) -> str:
@@ -274,8 +272,7 @@ class FleetManager:
         return self.coordinator.status()
 
     def invalidate_namespace(self, namespace: str) -> dict:
-        """Evict one local-cache namespace on every alive worker (and
-        the coordinator's decode cache); see
+        """Evict one local-cache namespace on every alive worker; see
         :meth:`FleetCoordinator.invalidate_namespace`."""
         return self.coordinator.invalidate_namespace(namespace)
 
@@ -433,8 +430,6 @@ class FleetManager:
             self._server.server_close()
             if self._server_thread is not None:
                 self._server_thread.join(timeout=5)
-        if self.shared is not None:
-            self.shared.unlink()
         for sink in self.sinks:
             sink.close()
 
@@ -571,6 +566,7 @@ def load_fleet_state(path) -> dict:
     fleet was started and ``ValueError`` on a corrupt file."""
     text = Path(path).read_text(encoding="utf-8")
     state = json.loads(text)
-    if "url" not in state:
+    if not (isinstance(state, dict) and isinstance(state.get("url"), str)
+            and state["url"]):
         raise ValueError(f"fleet state file {path} has no url")
     return state

@@ -11,16 +11,10 @@ sharding, admission control, rerouting — lives in the coordinator; a
 worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
 
-Feature handoff: requests reference entries of the host-wide
-:class:`~repro.net.shared_cache.ShmFeatureCache` (``shared_refs``):
-those bytecodes and ids blocks never travel at all — any worker,
-including one scanning a contract for the first time, reads them
-straight out of the shared table and seeds its
-:class:`~repro.serve.cache.FeatureCache` ``"ids"`` namespace from them
-(copying only on first sight — cache entries must outlive the pin
-lease), so the model's extractors hit warm decoded features without the
-worker ever disassembling anything the coordinator already decoded.
-Every other bytecode arrives inline as hex (``inline_codes``).
+Bytecode arrives inline as hex (``inline_codes``, one entry per unique
+code in the batch); the worker decodes it through its own
+:class:`~repro.serve.cache.FeatureCache`, so a bytecode this worker has
+seen before costs a digest and a lookup.
 
 Endpoints:
 
@@ -34,7 +28,7 @@ Endpoints:
 * ``POST /shutdown`` — graceful stop (drains the HTTP server).
 
 A body that is not valid JSON, lacks a key, carries a value of the
-wrong type, or references a slot outside the shared table is answered
+wrong type, or indexes a code the batch does not carry is answered
 with HTTP 400; only a failure inside scoring is a 500.
 """
 
@@ -83,7 +77,6 @@ class WorkerSpec:
     threshold: float = 0.5
     shards: int = 1
     cache_entries: int = 8192
-    shared_name: str = ""
     mmap: bool = False
     host: str = "127.0.0.1"
 
@@ -117,98 +110,37 @@ class _WorkerState:
                 threshold=spec.threshold, mmap_mode=mmap_mode,
             )
         self.shards = self.service.sharded(spec.shards)
-        self.shared = None
-        if spec.shared_name:
-            from repro.net.shared_cache import ShmFeatureCache
-
-            self.shared = ShmFeatureCache.attach(spec.shared_name)
         self._lock = threading.Lock()
         self.batches = 0
         self.scanned = 0
         self.flagged = 0
-        self.seeded_ids = 0
-        self.inline_batches = 0
-        self.shared_reads = 0
         self.scan_delay = float(os.environ.get(SCAN_DELAY_ENV, "0") or 0)
 
     # ------------------------------------------------------------------ #
 
-    def _seed_ids(self, code: bytes, block) -> int:
-        """Copy-on-first-sight seed of the local ids cache from a shared
-        view: cache entries must outlive the pin (the coordinator may
-        reuse the slot right after our response), and a cache hit skips
-        even the copy."""
-        from repro.serve.cache import IDS_NAMESPACE, bytecode_digest
-
-        before = len(self.cache)
-        self.cache.get(
-            IDS_NAMESPACE, code, lambda _code, b=block: b.copy(),
-            digest=bytecode_digest(code),
-        )
-        return int(len(self.cache) != before)
-
-    def decode_scan_request(
-            self, request) -> tuple[list[str], list[int], list[bytes], int]:
+    @staticmethod
+    def decode_scan_request(request) -> tuple[list, list, list[bytes]]:
         """Validate one ``/scan`` body and resolve its unique bytecodes.
 
-        Each unique code is either a host-wide shared-table reference
-        (``shared_refs``, keyed by unique-code index; ``rest`` lists the
-        indices that ride inline instead) or inline hex
-        (``inline_codes``). Returns ``(addresses, code_of, codes,
-        seeded)`` where ``seeded`` counts ids blocks copied into the
-        local cache from the table. Raises :class:`BadRequest` for
-        anything malformed — including a reference that fails
-        :meth:`~repro.net.shared_cache.ShmFeatureCache.read`'s range
-        check.
+        Returns ``(addresses, code_of, codes)``: ``codes`` are the
+        batch's unique bytecodes from ``inline_codes`` and ``code_of``
+        maps each address to one of them. Raises :class:`BadRequest`
+        for anything malformed.
         """
         try:
             if not isinstance(request, dict):
                 raise TypeError("request body must be a JSON object")
             addresses = _list_of(request, "addresses", str)
             code_of = _list_of(request, "code_of", int)
-            inline = [bytes.fromhex(code)
-                      for code in _list_of(request, "inline_codes", str)]
-            shared_refs = request.get("shared_refs") or {}
-            if not isinstance(shared_refs, dict):
-                raise TypeError("'shared_refs' must be an object")
-            if shared_refs and self.shared is None:
-                raise ValueError("shared_refs sent to a worker without "
-                                 "the shared table")
-            rest = (_list_of(request, "rest", int) if shared_refs
-                    else list(range(len(inline))))
-            if len(rest) != len(inline):
-                raise ValueError("'rest' and 'inline_codes' differ in "
-                                 "length")
-            by_index = dict(zip(rest, inline))
-            n_unique = len(shared_refs) + len(by_index)
+            codes = [bytes.fromhex(code)
+                     for code in _list_of(request, "inline_codes", str)]
             if len(code_of) != len(addresses) or not all(
-                    0 <= i < n_unique for i in code_of):
+                    0 <= i < len(codes) for i in code_of):
                 raise ValueError("'code_of' does not index the batch's "
                                  "unique codes")
-            codes: list[bytes] = []
-            seeded = reads = 0
-            for index in range(n_unique):
-                ref = shared_refs.get(str(index))
-                if ref is None:
-                    codes.append(by_index[index])
-                    continue
-                if not (isinstance(ref, list) and len(ref) == 3 and all(
-                        isinstance(value, int) for value in ref)):
-                    raise TypeError(f"shared_refs[{index!r}] must be "
-                                    f"[slot, code_len, ids_len]")
-                slot, code_len, ids_len = ref
-                code, ids_view = self.shared.read(slot, code_len, ids_len)
-                if ids_len:
-                    seeded += self._seed_ids(code, ids_view)
-                codes.append(code)
-                reads += 1
         except (KeyError, TypeError, ValueError) as error:
             raise BadRequest(f"{type(error).__name__}: {error}") from error
-        with self._lock:
-            self.seeded_ids += seeded
-            self.shared_reads += reads
-            self.inline_batches += int(bool(inline))
-        return addresses, code_of, codes, seeded
+        return addresses, code_of, codes
 
     @property
     def degraded(self) -> bool:
@@ -228,9 +160,7 @@ class _WorkerState:
         if fault is not None and fault.action == "kill":
             os._exit(1)
 
-        addresses, code_of, codes, seeded = self.decode_scan_request(
-            request
-        )
+        addresses, code_of, codes = self.decode_scan_request(request)
         if self.scan_delay > 0:
             time.sleep(self.scan_delay)
 
@@ -263,7 +193,6 @@ class _WorkerState:
             "worker": self.spec.index,
             "pid": self.pid,
             "results": results,
-            "seeded_ids": seeded,
         }
 
     def status(self) -> dict:
@@ -272,9 +201,6 @@ class _WorkerState:
                 "batches": self.batches,
                 "scanned": self.scanned,
                 "flagged": self.flagged,
-                "seeded_ids": self.seeded_ids,
-                "inline_batches": self.inline_batches,
-                "shared_reads": self.shared_reads,
             }
         return {
             "worker": self.spec.index,
@@ -394,5 +320,3 @@ def worker_main(spec: WorkerSpec, ready) -> None:
         server.serve_forever(poll_interval=0.05)
     finally:
         server.server_close()
-        if state.shared is not None:
-            state.shared.close()

@@ -20,7 +20,6 @@ class TestFleetSection:
         assert fleet.workers == 2
         assert fleet.queue_depth == 4
         assert fleet.overflow == "shed"
-        assert fleet.ship_features is True
         assert fleet.host == "127.0.0.1"
         assert fleet.port == 0
 
@@ -28,7 +27,7 @@ class TestFleetSection:
         config = parse_config(base_config(
             stream={"shards": 3},
             fleet={"workers": 4, "queue_depth": 8, "overflow": "block",
-                   "ship_features": False, "host": "0.0.0.0",
+                   "mmap": True, "host": "0.0.0.0",
                    "port": 8900},
         ))
         assert config.fleet.workers == 4
@@ -47,6 +46,7 @@ class TestFleetSection:
         ({"port": 70000}, "fleet.port"),
         ({"wrokers": 2}, "fleet.wrokers"),
         ({"shared_cache": True}, "fleet.shared_cache"),
+        ({"ship_features": True}, "fleet.ship_features"),
     ])
     def test_domain_violations_rejected(self, overrides, needle):
         with pytest.raises(ConfigError) as excinfo:

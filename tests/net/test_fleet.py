@@ -1,17 +1,19 @@
 """End-to-end fleet tests over real processes and real sockets.
 
-The module fixture boots a genuine 2-worker fleet (fork + HTTP + the
-shared feature table) from the session store; transport-failure tests
-boot their own small fleets so they can kill workers and saturate
-queues without poisoning the shared one. The
+The module fixture boots a genuine 2-worker fleet (fork + HTTP) from
+the session store; transport-failure tests boot their own small fleets
+so they can kill workers and saturate queues without poisoning the
+shared one. The
 ``PHOOK_FLEET_SCAN_DELAY`` env knob (inherited by forked workers) slows
 worker scans so crashes and overload land mid-flight deterministically.
 """
 
 import json
+import multiprocessing
+import os
+import socket
 import threading
 import time
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -44,49 +46,22 @@ def fleet(store_root):
         yield manager
 
 
-@pytest.fixture(scope="module")
-def inline_fleet(store_root):
-    with _manager(store_root, ship_features=False) as manager:
-        yield manager
+def _assert_matches_reference(results, addresses, reference_results):
+    assert [r["address"] for r in results] == addresses
+    assert [r["probability"] for r in results] == [
+        r.probability for r in reference_results
+    ], "fleet probabilities diverged from the in-process service"
+    assert [r["is_phishing"] for r in results] == [
+        r.is_phishing for r in reference_results
+    ]
 
 
 class TestScanPath:
-    @pytest.mark.parametrize("ship_features", [True, False],
-                             ids=["shared-table", "inline"])
     def test_results_match_single_process_reference(
-            self, request, ship_features, probe_batch, reference_results):
-        manager = request.getfixturevalue(
-            "fleet" if ship_features else "inline_fleet"
-        )
+            self, fleet, probe_batch, reference_results):
         addresses, codes = probe_batch
-        results = manager.scan(addresses, codes)
-        assert [r["address"] for r in results] == addresses
-        assert [r["probability"] for r in results] == [
-            r.probability for r in reference_results
-        ], "fleet probabilities diverged from the in-process service"
-        assert [r["is_phishing"] for r in results] == [
-            r.is_phishing for r in reference_results
-        ]
-
-    def test_features_travel_through_the_shared_table(
-            self, fleet, probe_batch):
-        addresses, codes = probe_batch
-        before = fleet.status()["shared_cache"]
-        fleet.scan(addresses, codes)
-        after = fleet.status()["shared_cache"]
-        # Every unique code is either stored on first sight or a hit.
-        assert (after["hits"] + after["stores"]
-                > before["hits"] + before["stores"])
-        assert after["entries"] >= 1
-        assert after["pinned_slots"] == 0
-        assert fleet.status()["counters"]["inline_batches"] == 0
-
-    def test_inline_fleet_has_no_table(self, inline_fleet, probe_batch):
-        addresses, codes = probe_batch
-        inline_fleet.scan(addresses, codes)
-        status = inline_fleet.status()
-        assert "shared_cache" not in status
-        assert status["counters"]["inline_batches"] >= 1
+        _assert_matches_reference(fleet.scan(addresses, codes), addresses,
+                                  reference_results)
 
     def test_repeat_batch_served_from_worker_cache(
             self, fleet, probe_batch):
@@ -250,26 +225,70 @@ class TestTransportFailures:
             assert FleetClient(manager.url).healthz()["ok"] is False
 
 
+def _live_children() -> set[int]:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
 class TestLifecycle:
-    def test_stop_unlinks_the_shared_table(self, store_root, probe_batch):
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm on this platform")
+    def test_default_fleet_leaves_dev_shm_unchanged(
+            self, store_root, probe_batch):
+        before = set(os.listdir("/dev/shm"))
         addresses, codes = probe_batch
-        manager = _manager(store_root).start()
-        table_name = manager.shared.name
-        manager.scan(addresses, codes)
-        manager.stop()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=table_name)
+        manager = _manager(store_root, supervise=True,
+                           heartbeat_seconds=0.1).start()
+        try:
+            manager.scan(addresses, codes)
+            assert set(os.listdir("/dev/shm")) == before
+            manager.kill_worker(0)
+            deadline = time.monotonic() + 30
+            handle = manager.coordinator.workers[0]
+            while time.monotonic() < deadline and not handle.respawns:
+                time.sleep(0.1)
+            assert handle.respawns == 1, "killed worker never respawned"
+            manager.scan(addresses, codes)
+        finally:
+            manager.stop()
+        assert set(os.listdir("/dev/shm")) == before
 
     def test_stop_survives_a_crashed_worker(self, store_root):
-        """Teardown with a SIGKILLed worker must still clean everything,
-        the shared table included."""
+        """Teardown with a SIGKILLed worker must still clean everything."""
         manager = _manager(store_root).start()
-        table_name = manager.shared.name
         manager.kill_worker(0)
         manager.stop()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=table_name)
         assert all(not p.is_alive() for p in manager._processes)
+
+    def test_start_failure_after_fork_kills_the_workers(self, store_root):
+        """A port already in use fails ``start()`` after both workers
+        cold-started; none of them may outlive the error."""
+        before = _live_children()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            manager = _manager(store_root, port=taken.getsockname()[1])
+            with pytest.raises(OSError):
+                manager.start()
+        assert len(manager._processes) == 2
+        assert all(not p.is_alive() for p in manager._processes)
+        assert manager.stopped
+        assert _live_children() <= before
+
+    @pytest.mark.parametrize("overrides", [
+        {"queue_depth": 0},
+        {"overflow": "bogus"},
+    ], ids=["queue_depth", "overflow"])
+    def test_bad_admission_knobs_fail_before_forking(
+            self, store_root, overrides):
+        before = _live_children()
+        with pytest.raises(ValueError):
+            _manager(store_root, **overrides).start()
+        assert _live_children() <= before
+
+    def test_ship_features_only_accepts_false(self, store_root):
+        _manager(store_root, ship_features=False)
+        with pytest.raises(ValueError, match="shared feature table"):
+            _manager(store_root, ship_features=True)
 
     def test_exactly_one_model_source_enforced(self, store_root):
         with pytest.raises(ValueError):
@@ -294,94 +313,46 @@ def test_shed_error_maps_to_http_429():
     assert issubclass(OverloadedError, RuntimeError)
 
 
-class TestSharedFeatureCache:
-    """Host-wide shared cache + mmap cold starts, end to end.
-
-    A second batch of the *same* bytecodes must extract zero times per
-    worker — the ids land in the shared table on batch one and every
-    later reference is a zero-copy read.
-    """
+class TestMmapFleet:
+    """Workers that map the model artifact read-only (``mmap=True``)."""
 
     @pytest.fixture(scope="class")
-    def cached_fleet(self, store_root):
+    def mmap_fleet(self, store_root):
         with _manager(store_root, mmap=True) as manager:
             yield manager
 
     @staticmethod
     def _worker_ids_misses(manager):
-        """Per-worker (ids-namespace misses, shared_reads) from /status."""
-        from repro.net.client import http_json
-
+        """Per-worker ids-namespace misses from /status."""
         out = {}
         for worker in manager.coordinator.workers:
             status = http_json(
                 "GET", f"{worker.url}/status", timeout=5.0
             ).json()
             ids = status["service"]["by_namespace"].get("ids", {})
-            out[worker.index] = (ids.get("misses", 0),
-                                 status["shared_reads"])
+            out[worker.index] = ids.get("misses", 0)
         return out
 
-    def test_results_match_reference_with_cache_and_mmap(
-            self, cached_fleet, probe_batch, reference_results):
+    def test_results_match_reference_with_mmap(
+            self, mmap_fleet, probe_batch, reference_results):
         addresses, codes = probe_batch
-        results = cached_fleet.scan(addresses, codes)
-        assert [r["probability"] for r in results] == [
-            r.probability for r in reference_results
-        ]
+        _assert_matches_reference(mmap_fleet.scan(addresses, codes),
+                                  addresses, reference_results)
 
     def test_second_batch_extracts_nothing_per_worker(
-            self, cached_fleet, probe_batch):
+            self, mmap_fleet, probe_batch):
         addresses, codes = probe_batch
-        cached_fleet.scan(addresses, codes)
-        before = self._worker_ids_misses(cached_fleet)
-        cached_fleet.scan(addresses, codes)
-        after = self._worker_ids_misses(cached_fleet)
-        for index, (misses, reads) in after.items():
-            assert misses == before[index][0], (
-                f"worker {index} re-extracted a duplicate bytecode"
-            )
-            assert reads > before[index][1], (
-                f"worker {index} never read the shared table"
-            )
-
-    def test_coordinator_counts_hits_and_stores(
-            self, cached_fleet, probe_batch):
-        addresses, codes = probe_batch
-        cached_fleet.scan(addresses, codes)
-        status = cached_fleet.status()
-        counters = status["counters"]
-        shared = status["shared_cache"]
-        assert shared["entries"] >= 1
-        assert counters["shared_cache_stores"] == shared["stores"]
-        assert counters["shared_cache_fallback"] == 0
-        # A repeat batch resolves every code from the table: one pin per
-        # unique digest per *shard request* (duplicates that land in
-        # different shards pin once each), so the hit delta is bounded by
-        # [global unique, batch size].
-        from repro.serve.cache import bytecode_digest
-
-        unique = len({bytecode_digest(code) for code in codes})
-        before = counters["shared_cache_hits"]
-        cached_fleet.scan(addresses, codes)
-        after = cached_fleet.status()["counters"]["shared_cache_hits"]
-        assert unique <= after - before <= len(codes)
-
-    def test_no_lease_leaks_after_scans(self, cached_fleet, probe_batch):
-        addresses, codes = probe_batch
-        cached_fleet.scan(addresses, codes)
-        shared = cached_fleet.status()["shared_cache"]
-        assert shared["pinned_slots"] == 0, (
-            "a request finished without releasing its shared-cache lease"
+        mmap_fleet.scan(addresses, codes)
+        before = self._worker_ids_misses(mmap_fleet)
+        mmap_fleet.scan(addresses, codes)
+        assert self._worker_ids_misses(mmap_fleet) == before, (
+            "a worker re-extracted a bytecode it had already scanned"
         )
 
 
 class TestNamespaceInvalidation:
-    """ISSUE-10 regression: promotion must evict the demoted model's
-    prediction namespace on *every* worker's local cache, while the
-    digest-keyed host-wide feature table — model-independent by
-    construction — survives the sweep untouched.
-    """
+    """Promotion must evict the demoted model's prediction namespace
+    on *every* worker's local cache."""
 
     @staticmethod
     def _per_worker_entries(manager, namespace):
@@ -411,8 +382,6 @@ class TestNamespaceInvalidation:
             assert all(count > 0 for count in before.values()), (
                 "every worker should hold prediction rows after a scan"
             )
-            shared_before = manager.status()["shared_cache"]["entries"]
-            assert shared_before >= 1
 
             report = manager.invalidate_namespace(namespace)
             assert set(report["workers"]) == set(before)
@@ -427,11 +396,6 @@ class TestNamespaceInvalidation:
             assert all(count == 0 for count in after.values()), (
                 "stale prediction rows survived the fleet-wide sweep"
             )
-            # The shared table holds bytecodes + decoded ids keyed by
-            # content digest — valid for any model — so the sweep must
-            # not have touched it.
-            assert (manager.status()["shared_cache"]["entries"]
-                    == shared_before)
 
             # The fleet still serves: the rescan recomputes predictions
             # (no stale hit can exist) and repopulates the namespace.
@@ -452,9 +416,9 @@ class TestNamespaceInvalidation:
             assert set(report["workers"]) == {"0", "1"}
             assert all(count is not None and count > 0
                        for count in report["workers"].values())
-            # The coordinator's own decode cache holds the ids blocks it
-            # shipped; the sweep covers it too.
-            assert report["coordinator_evicted"] > 0
+            assert report["total_evicted"] == sum(
+                report["workers"].values()
+            )
 
 
 class TestWorkerHttpHardening:
@@ -470,7 +434,6 @@ class TestWorkerHttpHardening:
 
     def test_garbage_posted_to_a_worker_is_a_400(self, fleet):
         worker = fleet.coordinator.workers[0].url
-        too_far = [fleet.shared.slots, 1, 1]
         bodies = {
             "/scan": [
                 b"{not json",
@@ -485,12 +448,10 @@ class TestWorkerHttpHardening:
                             "inline_codes": ["zz"]}).encode(),
                 json.dumps({"addresses": ["0x1"], "code_of": [3],
                             "inline_codes": ["60"]}).encode(),
-                json.dumps({"addresses": ["0x1"], "code_of": [0],
-                            "inline_codes": [], "rest": [],
-                            "shared_refs": {"0": too_far}}).encode(),
-                json.dumps({"addresses": ["0x1"], "code_of": [0],
-                            "inline_codes": [], "rest": [],
-                            "shared_refs": {"0": [0, -1, 1]}}).encode(),
+                json.dumps({"addresses": ["0x1"], "code_of": [-1],
+                            "inline_codes": ["60"]}).encode(),
+                json.dumps({"addresses": ["0x1", "0x2"], "code_of": [0],
+                            "inline_codes": ["60"]}).encode(),
             ],
             "/invalidate": [
                 b"{not json",
@@ -508,3 +469,32 @@ class TestWorkerHttpHardening:
         healthy = http_json("POST", worker + "/invalidate",
                             {"namespace": "no-such-namespace"}, timeout=5.0)
         assert healthy.status == 200
+
+
+class TestFleetStateFile:
+    """``fleet status|scan|stop`` on a corrupt state file print one
+    error line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("body", [
+        '{"url": 5}',
+        '"a string that mentions url"',
+        '["url"]',
+        "null",
+        "{}",
+        '{"url": ""}',
+        "{not json",
+    ], ids=["url-int", "json-string", "json-list", "null", "no-url",
+            "empty-url", "not-json"])
+    @pytest.mark.parametrize("command", [
+        ["status"], ["scan", "0x1"], ["stop"],
+    ], ids=["status", "scan", "stop"])
+    def test_corrupt_state_is_a_one_line_error(
+            self, tmp_path, capsys, body, command):
+        import repro.cli
+
+        state = tmp_path / "fleet.json"
+        state.write_text(body, encoding="utf-8")
+        assert repro.cli.main(["fleet", *command, "--state",
+                               str(state)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err

@@ -49,8 +49,7 @@ def write_logs(tmp_path, **values):
         "PREDICT_THROUGHPUT": {"speedup": 6.0, "f32": 2.0},
         "COLD_START": {"speedup": 45.0, "mmap": 4.0},
         "SHADOW_ROLLOUT": {"overhead": 1.7},
-        "FLEET": {"scaling": 1.8, "recovery": 1.2,
-                  "shared_cache_hit": 1.0},
+        "FLEET": {"scaling": 1.8, "recovery": 1.2},
         "LOOP": {"warm_speedup": 7.0, "promotion_latency": 0.2},
     }
     for tag, payload in values.items():
