@@ -62,11 +62,6 @@ TRACKED = (
     Metric("STREAM_LATENCY", "speedup_warm_vs_seed_poll", "higher",
            tolerance=0.50),
     Metric("PREDICT_THROUGHPUT", "speedup", "higher"),
-    # Compact float32 kernel over the float64 flat path, measured in the
-    # same process on the same forest. A modest ratio (≈ 2×) with normal
-    # jitter: the gate catches the kernel regressing to parity, not
-    # run-to-run noise.
-    Metric("PREDICT_THROUGHPUT", "f32", "higher", tolerance=0.30),
     Metric("COLD_START", "speedup", "higher"),
     # Stored-layout mmap load vs full read+verify of the same cached
     # file. Crosses the page cache and per-array memmap setup, so the

@@ -46,10 +46,6 @@ from repro.artifacts.errors import (
     UnknownModelClassError,
     UnknownVersionError,
 )
-from repro.artifacts.compress import (
-    ZstdUnavailableError,
-    zstd_available,
-)
 from repro.artifacts.format import (
     ARTIFACT_FORMAT,
     READABLE_SCHEMAS,
@@ -82,8 +78,6 @@ __all__ = [
     "read_manifest",
     "repack_artifact",
     "is_stored_layout",
-    "zstd_available",
-    "ZstdUnavailableError",
     "ModelStore",
     "default_store_root",
     "StoreBackend",

@@ -49,11 +49,6 @@ from repro.artifacts.errors import (
     IntegrityError,
     UnknownVersionError,
 )
-from repro.artifacts.compress import (
-    is_zstd,
-    zstd_compress,
-    zstd_decompress,
-)
 from repro.artifacts.format import (
     artifact_digest,
     is_stored_layout,
@@ -410,15 +405,12 @@ class ModelStore:
         dest: str | pathlib.Path,
         *,
         layout: str | None = None,
-        compress: str | None = None,
     ) -> pathlib.Path:
         """Copy one artifact out of the store (e.g. to ship to a box).
 
         ``layout`` repacks the zip on the way out (``"stored"`` for a
         file the destination box can mmap directly, ``"deflate"`` to
-        re-compress a stored artifact for the wire); ``compress="zstd"``
-        additionally wraps the file in a zstd frame (``.zst`` suffix
-        appended when ``dest`` is a directory). Neither changes the
+        re-compress a stored artifact for the wire). Neither changes the
         content digest :meth:`import_artifact` recovers.
         """
         if layout not in (None, "stored", "deflate"):
@@ -426,27 +418,15 @@ class ModelStore:
                 f"unknown export layout {layout!r}; "
                 "choose 'stored' or 'deflate'"
             )
-        if compress not in (None, "zstd"):
-            raise ValueError(
-                f"unknown export compression {compress!r}; choose 'zstd'"
-            )
         source = self.path_of(ref)
         dest = pathlib.Path(dest)
         if dest.is_dir():
-            name = source.name
-            if compress == "zstd":
-                name += ".zst"
-            dest = dest / name
+            dest = dest / source.name
         dest.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix="phook-export-") as scratch:
-            staged = source
-            if layout is not None:
-                staged = pathlib.Path(scratch) / "layout.npz"
-                repack_artifact(source, staged, compression=layout)
-            if compress == "zstd":
-                dest.write_bytes(zstd_compress(staged.read_bytes()))
-            else:
-                shutil.copyfile(staged, dest)
+        if layout is None:
+            shutil.copyfile(source, dest)
+        else:
+            repack_artifact(source, dest, compression=layout)
         return dest
 
     def import_artifact(
@@ -455,30 +435,20 @@ class ModelStore:
         """Verify an external artifact and file it under its digest.
 
         The manifest's declared digest is recomputed before anything is
-        written; a tampered file is rejected, never stored. A
-        zstd-wrapped export (``.zst``, detected by frame magic, not
-        suffix) is transparently unwrapped first.
+        written; a tampered file is rejected, never stored.
         """
         source = pathlib.Path(source)
-        with tempfile.TemporaryDirectory(prefix="phook-import-") as scratch:
-            with source.open("rb") as stream:
-                head = stream.read(4)
-            if is_zstd(head):
-                plain = pathlib.Path(scratch) / "artifact.npz"
-                plain.write_bytes(zstd_decompress(source.read_bytes()))
-                source = plain
-            manifest = read_manifest(source)
-            digest = manifest.get("digest")
-            if not digest or artifact_digest(manifest) != digest:
-                raise IntegrityError(
-                    f"{source}: declared digest does not match manifest "
-                    "content"
-                )
-            # Full load exercises the per-array digests too (and proves
-            # the model actually reconstructs) before it is admitted.
-            load_artifact(source)
-            # consume=False: the caller's file must survive the import.
-            self.backend.put_path(self._object_key(digest), source)
+        manifest = read_manifest(source)
+        digest = manifest.get("digest")
+        if not digest or artifact_digest(manifest) != digest:
+            raise IntegrityError(
+                f"{source}: declared digest does not match manifest content"
+            )
+        # Full load exercises the per-array digests too (and proves the
+        # model actually reconstructs) before it is admitted.
+        load_artifact(source)
+        # consume=False: the caller's file must survive the import.
+        self.backend.put_path(self._object_key(digest), source)
         for name in tags:
             self.tag(name, digest)
         return digest

@@ -47,10 +47,12 @@ import sys
 
 import numpy as np
 
+from repro.artifacts.errors import ArtifactError
 from repro.chain.timeline import MONTHS
 from repro.core.pipeline import PhishingHook, PipelineConfig
 from repro.datagen.corpus import CorpusConfig, build_corpus
 from repro.evm.disassembler import Disassembler
+from repro.evm.errors import EVMError
 
 __all__ = ["main"]
 
@@ -252,11 +254,7 @@ def _cmd_models(args) -> int:
                   f"{','.join(row['tags']) or '-'}")
         return 0
     if args.models_command == "export":
-        dest = store.export(
-            args.ref, args.dest,
-            layout=args.layout,
-            compress="zstd" if args.zstd else None,
-        )
+        dest = store.export(args.ref, args.dest, layout=args.layout)
         print(f"exported {args.ref} -> {dest}")
         return 0
     if args.models_command == "import":
@@ -1235,10 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repack on the way out: 'stored' for an mmap-ready file, "
              "'deflate' to shrink a stored artifact for the wire",
     )
-    models_export.add_argument(
-        "--zstd", action="store_true",
-        help="wrap the exported file in a zstd frame (.zst)",
-    )
     models_import = models_sub.add_parser(
         "import", help="verify an artifact file and add it to the store"
     )
@@ -1578,7 +1572,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EVMError, ArtifactError) as error:
+        # Bad user input (undecodable hex, unknown store ref, damaged
+        # artifact) is one line on stderr, not a traceback.
+        message = error.args[0] if isinstance(error, KeyError) else error
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,22 +17,6 @@ tree order* (one vectorized add per tree, not a pairwise ``np.sum`` over the
 tree axis), matching the reference ``for tree in trees: total += ...`` loop
 float-for-float.
 
-Compact kernels: :meth:`FlatEnsemble.use_kernel` swaps the descent for a
-restructured raw-speed variant — ``float32`` (float32 thresholds/inputs)
-or ``quantized`` (uint16 thresholds and inputs under a per-feature affine
-scale). Narrow dtypes alone buy little (the gathers are bound by numpy's
-indexing machinery, not bandwidth), so the compact kernels also sort
-trees by depth and shrink the per-level working suffix as shallow trees
-finish, address X through one flat linear index, and run every gather as
-``np.take(..., mode="clip")`` into preallocated buffers — together worth
-~2× on realistic forests. Only the *routing* changes width: leaf values
-are always gathered and accumulated in float64 in tree order, so when a
-compact descent lands every sample on the same leaves, predictions stay
-bit-identical. Because rounding can flip a near-threshold comparison,
-installation is gated: the kernel measures ``predict_proba`` divergence
-and label flips against the float64 path on a caller-supplied eval matrix
-and falls back to float64 when either exceeds its bound.
-
 TreeSHAP contract: compilation is view-preserving. :meth:`FlatEnsemble.tree_view`
 returns the ``i``-th tree as an object exposing the exact per-tree attribute
 names (``children_left_`` …, local node ids, ``LEAF`` sentinels,
@@ -49,14 +33,11 @@ import numpy as np
 
 __all__ = [
     "LEAF",
-    "KERNELS",
-    "KernelReport",
     "FlatEnsemble",
     "level_descent",
     "max_leaf_depth",
     "reference_apply",
     "precompile",
-    "compact_precompile",
 ]
 
 #: Sentinel used in the flat arrays for leaves (shared with repro.ml.tree).
@@ -65,62 +46,6 @@ LEAF = -1
 #: Rows per descent chunk: bounds the (rows × trees) int64 temporaries to a
 #: few MB regardless of batch size.
 DESCENT_CHUNK_ROWS = 8192
-
-#: Descent kernel widths (see :meth:`FlatEnsemble.use_kernel`).
-KERNELS = ("float64", "float32", "quantized")
-
-#: Quantized kernel geometry: thresholds land in ``[0, _QUANT_BUCKETS]``,
-#: inputs clip to ``_QUANT_MAX_X`` (one above the largest threshold code,
-#: so "x above every split" still routes right), and parked leaves sit at
-#: ``_QUANT_LEAF`` — unreachable by any clipped input, so parked pairs
-#: never move.
-_QUANT_BUCKETS = 65533
-_QUANT_MAX_X = 65534
-_QUANT_LEAF = 65535
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Outcome of one :meth:`FlatEnsemble.use_kernel` installation.
-
-    ``active`` is what actually serves: the requested kernel when the
-    measured deltas were within bounds, ``"float64"`` after a fallback
-    (``fallback_reason`` says why). ``max_divergence`` is NaN for an
-    ungated install (no eval matrix supplied).
-    """
-
-    requested: str
-    active: str
-    max_divergence: float
-    label_flips: int
-    fallback_reason: str | None = None
-
-    @property
-    def fell_back(self) -> bool:
-        return self.requested != self.active
-
-
-@dataclass(frozen=True)
-class _CompactTable:
-    """Precomputed state for one compact descent kernel.
-
-    Trees appear sorted by their own max depth (``order`` maps sorted
-    position → original tree index); ``starts[level]`` is the first
-    sorted tree whose descent is still running at that level, so the
-    kernel shrinks its working suffix as shallow trees finish.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    feat: np.ndarray
-    thr: np.ndarray
-    lo: np.ndarray | None
-    inv_scale: np.ndarray | None
-    order: np.ndarray
-    roots_sorted: np.ndarray
-    starts: np.ndarray
-    consecutive: bool
-    depth: int
 
 
 def level_descent(
@@ -468,218 +393,26 @@ class FlatEnsemble:
         self.__dict__["_tables"] = (left, right, feat, thr, consecutive, depth)
         return self.__dict__["_tables"]
 
-    # ------------------------------------------------------------------ #
-    # Compact kernels
-    # ------------------------------------------------------------------ #
-
-    @property
-    def kernel(self) -> str:
-        """The descent kernel serving :meth:`apply` (default float64)."""
-        return self.__dict__.get("_kernel", "float64")
-
-    @property
-    def kernel_report(self) -> KernelReport | None:
-        """Report of the last :meth:`use_kernel` call, if any."""
-        return self.__dict__.get("_kernel_report")
-
-    def _compact_tables(self, kernel: str) -> "_CompactTable":
-        """Depth-sorted leaf-parked tables (built once per kernel).
-
-        Compact descent owes its speedup to three structural changes, not
-        just narrow dtypes (narrowing alone is a wash — gathers at this
-        scale are bound by indexing machinery, not bandwidth):
-
-        * trees are sorted by their own max depth and the per-level loop
-          only touches the still-descending suffix, so total gather work
-          is Σ depth_t instead of n_trees × max(depth_t);
-        * every gather is ``np.take(..., mode="clip")`` into a
-          preallocated buffer — ``take`` with bounds-checking disabled is
-          ~2× faster than fancy indexing and ``out=`` avoids re-faulting
-          fresh pages each level;
-        * X is addressed through one flat linear index
-          (``row * n_features + feat``), replacing the slow 2-D
-          fancy-index path.
-
-        Node ids stay int64: numpy converts non-``intp`` index arrays on
-        every gather, which costs more than the halved traffic saves.
-        """
-        key = f"_tables_{kernel}"
-        cached = self.__dict__.get(key)
-        if cached is not None:
-            return cached
-        left, right, feat64, thr, consecutive, depth = (
-            self._descent_tables()
-        )
-        tree_depths = np.array([
-            max_leaf_depth(
-                self.children_left, self.children_right, self.feature,
-                self.offsets[index:index + 1],
-            )
-            for index in range(self.n_trees)
-        ], dtype=np.int64)
-        order = np.argsort(tree_depths, kind="stable")
-        # starts[level] = first sorted tree still descending at `level`.
-        starts = np.searchsorted(
-            tree_depths[order], np.arange(1, depth + 1), side="left"
-        )
-        if kernel == "float32":
-            # +inf on parked leaves survives the cast, so parking still
-            # holds; near-threshold rounding is what the gate measures.
-            thr_c: np.ndarray = thr.astype(np.float32)
-            lo = inv_scale = None
-        else:
-            thr_c, lo, inv_scale = self._quantized_thresholds(feat64, thr)
-        table = _CompactTable(
-            left=left,
-            right=right,
-            feat=feat64,
-            thr=thr_c,
-            lo=lo,
-            inv_scale=inv_scale,
-            order=order,
-            roots_sorted=self.roots[order],
-            starts=starts,
-            consecutive=consecutive,
-            depth=depth,
-        )
-        self.__dict__[key] = table
-        return table
-
-    def _quantized_thresholds(self, feat64, thr):
-        """Per-feature affine uint16 codes for every node threshold.
-
-        Feature ``f``'s splits span ``[lo_f, hi_f]``; codes are
-        ``floor((t - lo_f) / scale_f)`` with ``scale_f`` sized so the
-        span covers ``_QUANT_BUCKETS`` buckets. An input quantized the
-        same way preserves ``x > t`` exactly unless x and t share a
-        bucket — the sub-bucket resolution the accuracy gate prices.
-        """
-        leaf = self.feature == LEAF
-        lo = np.full(self.n_features, np.inf)
-        hi = np.full(self.n_features, -np.inf)
-        internal_feat = self.feature[~leaf]
-        internal_thr = self.threshold[~leaf]
-        np.minimum.at(lo, internal_feat, internal_thr)
-        np.maximum.at(hi, internal_feat, internal_thr)
-        unsplit = ~np.isfinite(lo)
-        lo[unsplit] = 0.0
-        hi[unsplit] = 1.0
-        span = hi - lo
-        span[span == 0.0] = 1.0
-        inv_scale = _QUANT_BUCKETS / span
-        codes = np.floor((thr - lo[feat64]) * inv_scale[feat64])
-        codes = np.clip(codes, 0, _QUANT_MAX_X)
-        qthr = np.where(leaf, _QUANT_LEAF, codes).astype(np.uint16)
-        return qthr, lo, inv_scale
-
-    def _compact_input(self, X, kernel: str, lo, inv_scale) -> np.ndarray:
-        X = np.asarray(X)
-        if kernel == "float32":
-            return X.astype(np.float32, copy=False)
-        quantized = np.floor((X - lo) * inv_scale)
-        return np.clip(quantized, 0, _QUANT_MAX_X).astype(np.uint16)
-
-    def use_kernel(
-        self,
-        kernel: str,
-        X_eval: np.ndarray | None = None,
-        *,
-        max_divergence: float = 1e-6,
-        max_label_flips: int = 0,
-        threshold: float = 0.5,
-    ) -> KernelReport:
-        """Install a descent kernel, gated by measured accuracy delta.
-
-        With ``X_eval``, the compact kernel's ``predict_proba_mean`` is
-        compared against the float64 path: installation proceeds only
-        when the max absolute divergence and the number of thresholded
-        label flips stay within bounds, otherwise the ensemble keeps
-        (or reverts to) float64 and the report says why. Without
-        ``X_eval`` the kernel installs ungated — an explicit caller
-        choice, recorded as NaN divergence.
-        """
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown descent kernel {kernel!r}; "
-                f"choose one of {KERNELS}"
-            )
-        if kernel == "float64":
-            report = KernelReport("float64", "float64", 0.0, 0)
-        elif X_eval is None:
-            self._compact_tables(kernel)
-            report = KernelReport(kernel, kernel, float("nan"), 0)
-        else:
-            reference = self._proba_with("float64", X_eval)
-            compact = self._proba_with(kernel, X_eval)
-            divergence = float(np.max(np.abs(reference - compact)))
-            flips = int(np.count_nonzero(
-                (reference[:, -1] >= threshold)
-                != (compact[:, -1] >= threshold)
-            ))
-            if divergence <= max_divergence and flips <= max_label_flips:
-                report = KernelReport(kernel, kernel, divergence, flips)
-            else:
-                report = KernelReport(
-                    kernel, "float64", divergence, flips,
-                    fallback_reason=(
-                        f"measured divergence {divergence:.3g} "
-                        f"(bound {max_divergence:.3g}) with {flips} label "
-                        f"flip(s) (bound {max_label_flips})"
-                    ),
-                )
-        self.__dict__["_kernel"] = report.active
-        self.__dict__["_kernel_report"] = report
-        return report
-
-    def _proba_with(self, kernel: str, X) -> np.ndarray:
-        previous = self.kernel
-        self.__dict__["_kernel"] = kernel
-        try:
-            return self.predict_proba_mean(X)
-        finally:
-            self.__dict__["_kernel"] = previous
-
-    def apply(
-        self,
-        X,
-        chunk_rows: int = DESCENT_CHUNK_ROWS,
-        kernel: str | None = None,
-    ) -> np.ndarray:
+    def apply(self, X, chunk_rows: int = DESCENT_CHUNK_ROWS) -> np.ndarray:
         """``(n_samples, n_trees)`` global leaf ids (level-synchronous).
 
         Runs the leaf-parked full-set descent: ``max_depth`` branch-free
         numpy iterations over every (sample, tree) pair, chunked over
-        samples to bound temporaries. ``kernel`` overrides the installed
-        descent width for this call.
+        samples to bound temporaries.
         """
-        kernel = kernel or self.kernel
-        if kernel == "float64":
-            left, right, feat, thr, consecutive, depth = (
-                self._descent_tables()
-            )
-            roots = self.roots
-            X = np.asarray(X)
-            descend = lambda chunk: self._parked_descent(  # noqa: E731
-                chunk, left, right, feat, thr, roots, consecutive, depth
-            )
-        else:
-            table = self._compact_tables(kernel)
-            X = self._compact_input(X, kernel, table.lo, table.inv_scale)
-            descend = lambda chunk: self._compact_descent(  # noqa: E731
-                chunk, table
-            )
+        X = np.asarray(X)
         n_samples = len(X)
         if n_samples <= chunk_rows:
-            return descend(X)
+            return self._parked_descent(X)
         out = np.empty((n_samples, self.n_trees), dtype=np.int64)
         for start in range(0, n_samples, chunk_rows):
             stop = start + chunk_rows
-            out[start:stop] = descend(X[start:stop])
+            out[start:stop] = self._parked_descent(X[start:stop])
         return out
 
-    def _parked_descent(self, X, left, right, feat, thr, roots, consecutive,
-                        depth):
-        nodes = np.repeat(roots[None, :], len(X), axis=0)
+    def _parked_descent(self, X):
+        left, right, feat, thr, consecutive, depth = self._descent_tables()
+        nodes = np.repeat(self.roots[None, :], len(X), axis=0)
         rows = np.arange(len(X))[:, None]
         for __ in range(depth):
             go_right = X[rows, feat[nodes]] > thr[nodes]
@@ -690,43 +423,6 @@ class FlatEnsemble:
             else:
                 nodes = np.where(go_right, right[nodes], left[nodes])
         return nodes
-
-    def _compact_descent(self, X, table: "_CompactTable") -> np.ndarray:
-        # Transposed working set: nodes is (n_trees, n_samples) with trees
-        # sorted by depth, so the still-descending suffix nodes[s:] stays
-        # C-contiguous as shallow trees park out of the loop. All gathers
-        # are take/clip into preallocated buffers (indices are in range by
-        # construction; clip just disarms the bounds-check path).
-        n_samples = len(X)
-        n_trees = self.n_trees
-        x_flat = np.ascontiguousarray(X).reshape(-1)
-        nodes = np.repeat(table.roots_sorted[:, None], n_samples, axis=1)
-        row_base = np.arange(n_samples, dtype=np.int64) * self.n_features
-        fv = np.empty((n_trees, n_samples), dtype=np.int64)
-        xv = np.empty((n_trees, n_samples), dtype=x_flat.dtype)
-        tv = np.empty((n_trees, n_samples), dtype=table.thr.dtype)
-        gr = np.empty((n_trees, n_samples), dtype=bool)
-        lv = np.empty((n_trees, n_samples), dtype=np.int64)
-        for level in range(table.depth):
-            s = table.starts[level]
-            nd = nodes[s:]
-            f, x, t, g, l = fv[s:], xv[s:], tv[s:], gr[s:], lv[s:]
-            np.take(table.feat, nd, out=f, mode="clip")
-            np.take(table.thr, nd, out=t, mode="clip")
-            np.add(f, row_base, out=f)
-            np.take(x_flat, f, out=x, mode="clip")
-            # Parked leaves never fire: float32 keeps the +inf threshold,
-            # quantized parks at the reserved top code no input reaches.
-            np.greater(x, t, out=g)
-            np.take(table.left, nd, out=l, mode="clip")
-            if table.consecutive:
-                np.add(l, g, out=nd)
-            else:
-                rv = np.take(table.right, nd, mode="clip")
-                nd[...] = np.where(g, rv, l)
-        leaves = np.empty((n_samples, n_trees), dtype=np.int64)
-        leaves[:, table.order] = nodes.T
-        return leaves
 
     def accumulate_values(self, X) -> np.ndarray:
         """Sum of per-tree leaf ``value`` rows, ``(n_samples, n_outputs)``.
@@ -786,46 +482,3 @@ def precompile(model) -> int:
         for attr in ("classifier_", "model", "_model"):
             stack.append(getattr(node, attr, None))
     return count
-
-
-def compact_precompile(
-    model,
-    kernel: str,
-    X_eval: np.ndarray | None = None,
-    *,
-    max_divergence: float = 1e-6,
-    max_label_flips: int = 0,
-    threshold: float = 0.5,
-) -> list[KernelReport]:
-    """Install a compact kernel on every flat ensemble under ``model``.
-
-    Walks the same wrapper attributes as :func:`precompile` and calls
-    :meth:`FlatEnsemble.use_kernel` on each compiled ensemble. ``X_eval``
-    must already be in the *classifier's* feature space (run the
-    detector's extractor over an eval batch first); each ensemble gates
-    independently, so a mixed stack can end up part-compact,
-    part-float64. Returns one report per ensemble reached.
-    """
-    reports: list[KernelReport] = []
-    seen: set[int] = set()
-    stack = [model]
-    while stack:
-        node = stack.pop()
-        if node is None or id(node) in seen:
-            continue
-        seen.add(id(node))
-        compile_flat = getattr(node, "compile_flat", None)
-        if callable(compile_flat):
-            flat = compile_flat()
-            if flat is not None:
-                reports.append(flat.use_kernel(
-                    kernel,
-                    X_eval,
-                    max_divergence=max_divergence,
-                    max_label_flips=max_label_flips,
-                    threshold=threshold,
-                ))
-            continue
-        for attr in ("classifier_", "model", "_model"):
-            stack.append(getattr(node, attr, None))
-    return reports

@@ -316,7 +316,8 @@ class FleetCoordinator:
         """Scan a batch of ``(address, bytecode)`` pairs across the fleet.
 
         ``codes`` entries may be ``bytes`` or hex strings. Returns one
-        result dict per input, in input order. Raises
+        result dict per input, in input order. Raises ``ValueError`` for
+        an empty bytecode (nothing deployed to score), and
         :class:`ShuttingDownError` / :class:`OverloadedError` /
         :class:`NoWorkersError` as described in the module docstring.
         """
@@ -330,14 +331,17 @@ class FleetCoordinator:
         if len(addresses) != len(codes):
             raise ValueError("addresses and codes must be parallel lists")
         started = time.perf_counter()
-        with self._lock:
-            self._batch_counter += 1
-            batch_id = self._batch_counter
-
         raw_codes = [
             bytes.fromhex(c) if isinstance(c, str) else bytes(c)
             for c in codes
         ]
+        for address, code in zip(addresses, raw_codes):
+            if not code:
+                raise ValueError(f"no deployed code at {address}")
+        with self._lock:
+            self._batch_counter += 1
+            batch_id = self._batch_counter
+
         # Host-level dedup: each unique bytecode is shipped once per
         # shard request no matter how many addresses deploy it.
         unique_codes: list[bytes] = []

@@ -1,4 +1,4 @@
-"""Schema v2: shared-array storage, the compression knob, repack, zstd.
+"""Schema v2: shared-array storage, the compression knob, repack.
 
 Schema 2 stores identical payload arrays once (ensemble children share
 node tables); schema 1 artifacts written by earlier builds must keep
@@ -15,13 +15,11 @@ import pytest
 import repro.artifacts.format as artifact_format
 from repro.artifacts import (
     SCHEMA_VERSION,
-    ZstdUnavailableError,
     is_stored_layout,
     load_artifact,
     read_manifest,
     repack_artifact,
     save_artifact,
-    zstd_available,
 )
 from repro.core.registry import create_model
 
@@ -179,34 +177,3 @@ class TestRepack:
         with pytest.raises(IntegrityError):
             repack_artifact(tampered, tmp_path / "out.npz")
 
-
-class TestZstdGate:
-    def test_export_without_backend_raises_typed_error(
-        self, fitted_forest, tmp_path, monkeypatch
-    ):
-        import repro.artifacts.compress as compress
-        from repro.artifacts import ModelStore
-
-        store = ModelStore(tmp_path / "store")
-        store.put(fitted_forest, tags=("production",))
-        monkeypatch.setattr(compress, "_backend", lambda: None)
-        assert not zstd_available()
-        with pytest.raises(ZstdUnavailableError, match="zstd"):
-            store.export(
-                "production", tmp_path / "out.npz.zst", compress="zstd"
-            )
-
-    @pytest.mark.skipif(
-        not zstd_available(), reason="no zstd backend in this interpreter"
-    )
-    def test_zstd_export_import_round_trip(self, fitted_forest, tmp_path):
-        from repro.artifacts import ModelStore
-
-        store = ModelStore(tmp_path / "store")
-        version = store.put(fitted_forest, tags=("production",))
-        shipped = store.export(
-            "production", tmp_path / "ship", compress="zstd"
-        )
-        assert shipped.name.endswith(".zst")
-        other = ModelStore(tmp_path / "other")
-        assert other.import_artifact(shipped) == version

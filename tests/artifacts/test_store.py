@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.artifacts import (
+    CorruptArtifactError,
     IntegrityError,
     ModelStore,
     UnknownVersionError,
@@ -118,6 +119,14 @@ class TestTransportAndGc:
         from repro.artifacts import ArtifactError
 
         assert isinstance(caught.value, ArtifactError)
+        # A file wrapped in a compression frame (magic 28 b5 2f fd) is
+        # not an artifact zip: a typed refusal, never a traceback.
+        framed = tmp_path / "shipped.npz.frame"
+        framed.write_bytes(
+            b"\x28\xb5\x2f\xfd" + store.path_of(version).read_bytes()
+        )
+        with pytest.raises(CorruptArtifactError):
+            other.import_artifact(framed)
         assert len(other) == 0  # nothing admitted
 
     def test_gc_removes_only_untagged(self, stocked, artifact_dataset):

@@ -128,6 +128,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PUSH1" in out and "MSTORE" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["disasm", "abc"],
+        ["disasm", "zz"],
+        ["models", "--store", "{tmp}/store", "export", "nosuchref",
+         "{tmp}/out.npz"],
+    ], ids=["odd-hex", "non-hex", "unknown-ref"])
+    def test_bad_input_is_one_line_error(self, argv, capsys, tmp_path):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_dataset(self, capsys):
         assert main(["dataset", "--contracts", "40", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -302,6 +302,15 @@ class TestLevelDescentChunking:
         )
         assert np.array_equal(whole, chunked)
 
+    def test_chunked_apply_matches_unchunked(self):
+        X, y = _make_problem(31, n=300)
+        forest = RandomForestClassifier(n_estimators=12, random_state=0).fit(X, y)
+        flat = forest.compile_flat()
+        big = np.random.default_rng(3).normal(size=(900, X.shape[1]))
+        assert np.array_equal(
+            flat.apply(big, chunk_rows=128), flat.apply(big)
+        )
+
 
 class TestKNNVectorized:
     @pytest.mark.parametrize("weights", ["uniform", "distance"])

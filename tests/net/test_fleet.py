@@ -119,6 +119,20 @@ class TestHttpSurface:
             client.rpc("scan", {"addresses": ["0x1"]})  # codes missing
         assert excinfo.value.status == 400
 
+    def test_empty_bytecode_is_invalid_params(self, fleet):
+        # Nothing deployed means nothing to score: the fleet refuses the
+        # batch instead of alerting on the empty-histogram probability.
+        client = FleetClient(fleet.url)
+        sink = fleet.sinks[0]
+        sink.alerts.clear()
+        with pytest.raises(FleetRpcError) as excinfo:
+            client.scan(["0xabc"], [""])
+        assert excinfo.value.status == 400
+        assert "0xabc" in excinfo.value.message
+        assert sink.alerts == []
+        status = client.status()
+        assert status["alive"] == len(status["workers"]) == 2
+
 
 class TestTransportFailures:
     def test_worker_killed_mid_batch_loses_no_alerts(

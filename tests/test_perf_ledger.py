@@ -46,7 +46,7 @@ def write_logs(tmp_path, **values):
     defaults = {
         "SCAN_THROUGHPUT": {"speedup_warm_vs_seed_loop": 50000.0},
         "STREAM_LATENCY": {"speedup_warm_vs_seed_poll": 70.0},
-        "PREDICT_THROUGHPUT": {"speedup": 6.0, "f32": 2.0},
+        "PREDICT_THROUGHPUT": {"speedup": 6.0},
         "COLD_START": {"speedup": 45.0, "mmap": 4.0},
         "SHADOW_ROLLOUT": {"overhead": 1.7},
         "FLEET": {"scaling": 1.8, "recovery": 1.2},
