@@ -42,15 +42,19 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
+import os
 import sys
 
 import numpy as np
 
 from repro.artifacts.errors import ArtifactError
+from repro.artifacts.store import STORE_ENV
 from repro.chain.timeline import MONTHS
 from repro.core.pipeline import PhishingHook, PipelineConfig
 from repro.datagen.corpus import CorpusConfig, build_corpus
+from repro.deploy.config import _TABLES, _checked
 from repro.evm.disassembler import Disassembler
 from repro.evm.errors import EVMError
 
@@ -60,9 +64,8 @@ __all__ = ["main"]
 def _positive_int(text: str) -> int:
     """Argparse type: an integer >= 1, rejected *at parse time*.
 
-    Worker counts, batch sizes and queue bounds used to accept 0 or
-    negative values and blow up deep inside worker setup; argparse
-    rejecting them here turns that into a one-line usage error.
+    For counts that set no deployment knob; a knob's flag takes the
+    knob's own domain (:func:`_add_knob_flags`).
     """
     try:
         value = int(text)
@@ -88,25 +91,142 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _launchable_config(path):
-    """Load + statically verify a deployment config before launching.
+#: The flags that set a deployment knob, as ``(flag, "section.knob")``.
+#: Each flag's type, default, domain and help come from that knob's
+#: field metadata in :mod:`repro.deploy.config`, so a flag and a config
+#: file cannot disagree about what a value means or allows.
+_SOURCE_FLAGS = (
+    ("--contracts", "source.contracts"),
+    ("--seed", "source.seed"),
+)
+_TOPOLOGY_FLAGS = {
+    "monitor": (
+        *_SOURCE_FLAGS,
+        ("--threshold", "serve.threshold"),
+        ("--shards", "stream.shards"),
+        ("--batch-size", "stream.batch_size"),
+        ("--queue", "stream.queue"),
+        ("--policy", "stream.policy"),
+        ("--deadline", "stream.deadline_seconds"),
+        ("--rate", "source.rate"),
+    ),
+    "rollout start": (
+        ("--candidate", "rollout.candidate"),
+        ("--production", "rollout.production"),
+        *_SOURCE_FLAGS,
+        ("--shards", "stream.shards"),
+        ("--batch-size", "stream.batch_size"),
+        ("--threshold", "serve.threshold"),
+        ("--policy", "rollout.policy"),
+        ("--min-events", "rollout.min_events"),
+        ("--promote-agreement", "rollout.promote_agreement"),
+        ("--abort-agreement", "rollout.abort_agreement"),
+        ("--max-divergence", "rollout.max_divergence"),
+        ("--max-lost-rate", "rollout.max_lost_rate"),
+    ),
+}
 
-    Returns ``(config, 0)`` when launchable. On a parse/validation
-    failure or any ERROR-severity rule violation, prints the full
-    report and returns ``(None, 2)`` — the caller refuses to start.
-    WARN-severity violations are printed but do not block.
+
+def _knob_field(path: str) -> dataclasses.Field:
+    section, name = path.split(".")
+    table = next(table for field, table in _TABLES if field.name == section)
+    return next(f for f in dataclasses.fields(table) if f.name == name)
+
+
+def _add_knob_flags(parser, flags) -> None:
+    """Add each ``(flag, knob)`` typed, defaulted and bounded by its knob.
+
+    A value outside the knob's domain is a usage error at parse time,
+    judged by the same check the config parser applies to files.
+    """
+    for flag, path in flags:
+        field = _knob_field(path)
+        meta = field.metadata
+
+        def parse(text, kind=field.type, meta=meta, path=path):
+            try:
+                value = kind(text)
+            except ValueError:
+                value = text  # _checked names the expected type
+            value, problem = _checked(value, kind, meta)
+            if problem is not None:
+                raise argparse.ArgumentTypeError(
+                    f"expected a valid {path}: {problem}"
+                )
+            return value
+
+        strict = meta["exclusive"]
+        bounds = ", ".join(
+            f"{sign} {bound:g}" for sign, bound in (
+                (">" if strict else ">=", meta["minimum"]),
+                ("<" if strict else "<=", meta["maximum"]),
+            ) if bound is not None
+        )
+        help_text = "; ".join(filter(None, (f"sets {path}", bounds,
+                                            meta["doc"])))
+        parser.add_argument(
+            flag, type=parse, default=field.default,
+            choices=meta["choices"] or None,
+            # argparse %-formats help; knob prose may carry a literal %.
+            help=help_text.replace("%", "%%") + " (default: %(default)s)",
+        )
+
+
+def _flag_config(args) -> dict:
+    """The deployment mapping a ``monitor``/``rollout start`` command
+    line spells, for :func:`repro.deploy.parse_config`."""
+    if args.topology == "monitor":
+        # --train-on-the-fly serves a model fitted in-process; its
+        # registry name stands in for the store tag it never resolves.
+        model = {
+            "tag": args.model_tag or ("" if args.model_path else args.model),
+            "path": args.model_path,
+        }
+    else:
+        model = {"tag": args.production}
+    sinks = [{"kind": "memory"}]
+    if getattr(args, "jsonl", ""):
+        sinks.append({"kind": "jsonl", "path": args.jsonl})
+    data = {"model": model, "sinks": sinks}
+    store = args.store or os.environ.get(STORE_ENV)
+    if store:
+        data["store"] = {"url": store}
+    for flag, path in _TOPOLOGY_FLAGS[args.topology]:
+        section, knob = path.split(".")
+        dest = flag.removeprefix("--").replace("-", "_")
+        data.setdefault(section, {})[knob] = getattr(args, dest)
+    return data
+
+
+def _launchable_config(source, section: str = ""):
+    """Parse + statically verify a deployment config before launching.
+
+    ``source`` is a config file path or a :func:`_flag_config` mapping;
+    ``section`` names an optional table the launch needs. Returns
+    ``(config, 0)`` when launchable. On a parse/validation failure, a
+    missing section or any ERROR-severity rule violation, prints the
+    full report and returns ``(None, 2)`` — the caller refuses to
+    start. WARN-severity violations are printed but do not block.
     """
     from repro.deploy import (
         ConfigError,
         DeploymentBlockedError,
         ensure_launchable,
         load_config,
+        parse_config,
     )
 
     try:
-        config = load_config(path)
+        if isinstance(source, dict):
+            config = parse_config(source, origin="<flags>")
+        else:
+            config = load_config(source)
     except ConfigError as error:
         print(error, file=sys.stderr)
+        return None, 2
+    if section and getattr(config, section) is None:
+        print(f"error: {config.origin} has no [{section}] section "
+              "(see docs/configuration.md)", file=sys.stderr)
         return None, 2
     try:
         report = ensure_launchable(config)
@@ -123,16 +243,32 @@ def _launchable_config(path):
     return config, 0
 
 
-def _cmd_demo(args) -> int:
-    corpus = build_corpus(
-        CorpusConfig(
-            n_phishing=args.contracts // 2,
-            n_benign=args.contracts // 2,
-            seed=args.seed,
-        )
+def _corpus(args):
+    """The synthetic corpus ``--contracts``/``--seed`` describe."""
+    return build_corpus(
+        CorpusConfig(n_phishing=args.contracts // 2,
+                     n_benign=args.contracts // 2, seed=args.seed)
     )
+
+
+def _resolve_addresses(corpus, addresses):
+    """``addresses`` with each ``random-phishing`` replaced by the next
+    phishing record, or ``None`` (error printed) when there is none."""
+    phishing = corpus.phishing_records()
+    if "random-phishing" in addresses and not phishing:
+        print("error: corpus has no phishing records to sample "
+              "(raise --contracts)", file=sys.stderr)
+        return None
+    records = itertools.cycle(phishing)
+    return [
+        next(records).address if address == "random-phishing" else address
+        for address in addresses
+    ]
+
+
+def _cmd_demo(args) -> int:
     hook = PhishingHook(
-        corpus,
+        _corpus(args),
         PipelineConfig(
             model_names=tuple(args.models.split(",")),
             n_folds=args.folds,
@@ -150,14 +286,14 @@ def _store_from(args):
 
     # from_url accepts bare paths and file:// / memory:// / bucket://
     # URLs alike, and falls back to $PHOOK_MODEL_STORE / ./phook-models.
-    return ModelStore.from_url(getattr(args, "store", None) or None)
+    return ModelStore.from_url(args.store or None)
 
 
 def _artifact_source(args):
     """(source, store) for --model-path/--model-tag, or (None, None)."""
-    if getattr(args, "model_path", None):
+    if args.model_path:
         return args.model_path, None
-    if getattr(args, "model_tag", None):
+    if args.model_tag:
         return args.model_tag, _store_from(args)
     return None, None
 
@@ -184,11 +320,7 @@ def _cmd_train(args) -> int:
               "file later with 'phishinghook models import --tag …')",
               file=sys.stderr)
         return 2
-    corpus = build_corpus(
-        CorpusConfig(n_phishing=args.contracts // 2,
-                     n_benign=args.contracts // 2, seed=args.seed)
-    )
-    dataset = Dataset.from_corpus(corpus, seed=args.seed)
+    dataset = Dataset.from_corpus(_corpus(args), seed=args.seed)
     holdout = None
     train = dataset
     if args.holdout > 0:
@@ -299,88 +431,37 @@ def _cmd_rollout(args) -> int:
     import json
 
     from repro.rollout import (
-        AdaptivePromotionPolicy,
-        ManualHoldPolicy,
-        MetricParityPolicy,
         ShadowComparison,
         ShadowRollout,
         load_rollout_state,
         save_rollout_state,
     )
 
-    def _policy_from(name, *, min_events, promote_agreement,
-                     abort_agreement, max_divergence, max_lost_rate):
-        if name == "manual":
-            return ManualHoldPolicy()
-        if name == "adaptive":
-            return AdaptivePromotionPolicy(
-                min_events=min_events, max_lost_rate=max_lost_rate,
-            )
-        return MetricParityPolicy(
-            min_events=min_events,
-            promote_agreement=promote_agreement,
-            abort_agreement=abort_agreement,
-            max_mean_divergence=max_divergence,
-        )
-
     if args.rollout_command == "start":
-        from repro.stream import StreamScanner, TimelineReplayer
+        from repro.deploy import (
+            build_policy,
+            build_replay_corpus,
+            build_scanner,
+            build_service,
+            open_store,
+        )
+        from repro.stream import TimelineReplayer
 
-        if args.config:
-            # Config-driven launch: parse, statically verify (ERROR
-            # violations refuse to start), and build the shadow topology
-            # exactly as the file declares it.
-            from repro.deploy import (
-                build_replay_corpus,
-                build_scanner,
-                build_service,
-                open_store,
-            )
-
-            config, code = _launchable_config(args.config)
-            if config is None:
-                return code
-            if config.rollout is None:
-                print(f"error: {args.config} has no [rollout] section "
-                      "(see docs/configuration.md)", file=sys.stderr)
-                return 2
-            plan = config.rollout
-            candidate, production = plan.candidate, plan.production
-            shards = config.stream.shards
-            store = open_store(config)
-            policy = _policy_from(
-                plan.policy,
-                min_events=plan.min_events,
-                promote_agreement=plan.promote_agreement,
-                abort_agreement=plan.abort_agreement,
-                max_divergence=plan.max_divergence,
-                max_lost_rate=plan.max_lost_rate,
-            )
-            corpus = build_replay_corpus(config)
-            # The scanner serves the production tag; the [model] section
-            # names the same ref in a well-formed rollout config.
-            service = build_service(config, store=store, source=production)
-            scanner = build_scanner(config, service)
-        else:
-            store = _store_from(args)
-            candidate, production = args.candidate, args.production
-            shards = args.shards
-            policy = _policy_from(
-                args.policy,
-                min_events=args.min_events,
-                promote_agreement=args.promote_agreement,
-                abort_agreement=args.abort_agreement,
-                max_divergence=args.max_divergence,
-                max_lost_rate=args.max_lost_rate,
-            )
-            corpus = build_corpus(
-                CorpusConfig(n_phishing=args.contracts // 2,
-                             n_benign=args.contracts // 2, seed=args.seed)
-            )
-            scanner = StreamScanner.from_artifact(
-                production, store=store, shards=shards,
-                max_batch=args.batch_size, threshold=args.threshold,
-            )
+        # --config and the topology flags build the same DeployConfig,
+        # verified before launch (ERROR violations refuse to start).
+        config, code = _launchable_config(
+            args.config or _flag_config(args), "rollout"
+        )
+        if config is None:
+            return code
+        candidate = config.rollout.candidate
+        production = config.rollout.production
+        store = open_store(config)
+        corpus = build_replay_corpus(config)
+        # The scanner serves the production tag; the [model] section
+        # names the same ref in a well-formed rollout config.
+        service = build_service(config, store=store, source=production)
+        scanner = build_scanner(config, service)
         # A still-shadowing record for the same candidate/production
         # pair resumes its accumulated evidence ("rerun with more
         # traffic"); anything else starts a fresh rollout.
@@ -398,7 +479,7 @@ def _cmd_rollout(args) -> int:
                 previous.get("comparison") or {}
             )
         rollout = ShadowRollout(
-            scanner, candidate, store=store, policy=policy,
+            scanner, candidate, store=store, policy=build_policy(config),
             production_tag=production, comparison=resumed,
         )
         if resumed is not None and resumed.events:
@@ -409,7 +490,8 @@ def _cmd_rollout(args) -> int:
         record = save_rollout_state(store, rollout.status())
         print(f"shadow-scored {report.scanned} deployments in "
               f"{report.duration_seconds:.3f}s "
-              f"({shards} shard(s), {report.batches} micro-batches, "
+              f"({config.stream.shards} shard(s), "
+              f"{report.batches} micro-batches, "
               f"{report.dropped} dropped)")
         _print_rollout_record(record)
         if rollout.state == "promoted":
@@ -495,22 +577,11 @@ def _cmd_check_config(args) -> int:
 def _cmd_scan(args) -> int:
     from repro.serve.service import ScanService
 
-    corpus = build_corpus(
-        CorpusConfig(n_phishing=args.contracts // 2,
-                     n_benign=args.contracts // 2, seed=args.seed)
-    )
-    hook = PhishingHook(corpus, PipelineConfig(run_post_hoc=False))
-    addresses = []
-    phishing_records = corpus.phishing_records()
-    if "random-phishing" in args.addresses and not phishing_records:
-        print("error: corpus has no phishing records to sample "
-              "(raise --contracts)", file=sys.stderr)
+    corpus = _corpus(args)
+    addresses = _resolve_addresses(corpus, args.addresses)
+    if addresses is None:
         return 2
-    next_phishing = itertools.cycle(phishing_records)
-    for address in args.addresses:
-        if address == "random-phishing":
-            address = next(next_phishing).address
-        addresses.append(address)
+    hook = PhishingHook(corpus, PipelineConfig(run_post_hoc=False))
 
     source, store = _artifact_source(args)
     model = None
@@ -553,76 +624,37 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    from repro.deploy import build_replay_corpus, build_scanner, build_service
     from repro.stream import TimelineReplayer
 
-    if args.config:
-        # Config-driven launch: the declarative topology file is parsed,
-        # statically verified (ERROR violations refuse to start — see
-        # 'phishinghook check-config'), and built as written; topology
-        # flags on the command line are ignored in this mode.
-        from repro.deploy import (
-            build_replay_corpus,
-            build_scanner,
-            build_service,
-        )
-
-        config, code = _launchable_config(args.config)
-        if config is None:
-            return code
-        corpus = build_replay_corpus(config)
-        service = build_service(config)
-        scanner = build_scanner(config, service)
-        shards = config.stream.shards
-        rate = config.source.rate or None
-        jsonl_paths = [s.path for s in config.sinks if s.kind == "jsonl"]
-    else:
+    trained = not (args.config or args.model_tag or args.model_path)
+    if trained and not args.train_on_the_fly:
+        print(_NO_MODEL_HINT.format(model=args.model,
+                                    contracts=args.contracts,
+                                    seed=args.seed), file=sys.stderr)
+        return 2
+    # --config and the topology flags build the same DeployConfig,
+    # verified before launch (ERROR violations refuse to start — see
+    # 'phishinghook check-config'); with --config the flags are ignored.
+    config, code = _launchable_config(args.config or _flag_config(args))
+    if config is None:
+        return code
+    corpus = build_replay_corpus(config)
+    if trained:
         from repro.datagen.dataset import Dataset
         from repro.serve.service import ScanService
-        from repro.stream import JsonlSink, MemorySink, StreamScanner
 
-        corpus = build_corpus(
-            CorpusConfig(n_phishing=args.contracts // 2,
-                         n_benign=args.contracts // 2, seed=args.seed)
+        seed = config.source.seed
+        service = ScanService(
+            args.model, train_dataset=Dataset.from_corpus(corpus, seed=seed),
+            seed=seed, threshold=config.serve.threshold,
         )
-        source, store = _artifact_source(args)
-        if source is not None:
-            # The production shape: every shard cold-starts from one
-            # persisted artifact — no training inside the monitor.
-            service = ScanService.from_artifact(
-                source, store=store, threshold=args.threshold
-            )
-        elif args.train_on_the_fly:
-            dataset = Dataset.from_corpus(corpus, seed=args.seed)
-            service = ScanService(
-                args.model, train_dataset=dataset, seed=args.seed,
-                threshold=args.threshold,
-            )
-        else:
-            print(_NO_MODEL_HINT.format(model=args.model,
-                                        contracts=args.contracts,
-                                        seed=args.seed), file=sys.stderr)
-            return 2
-        sinks = [MemorySink()]
-        if args.jsonl:
-            sinks.append(JsonlSink(args.jsonl))
-        # Drop policies only bite when the producer can outrun the
-        # consumer: switch to consumer-paced intake (flush on deadline/
-        # drain, not on batch size) so the bounded queue actually
-        # overflows under load.
-        scanner = StreamScanner(
-            service,
-            shards=args.shards,
-            max_batch=args.batch_size,
-            max_queue=max(args.batch_size, args.queue),
-            policy=args.policy,
-            auto_flush=args.policy == "block",
-            flush_deadline_seconds=args.deadline,
-            sinks=sinks,
-        )
-        shards = args.shards
-        rate = args.rate or None
-        jsonl_paths = [args.jsonl] if args.jsonl else []
-    replayer = TimelineReplayer(scanner, rate=rate)
+    else:
+        # The production shape: every shard cold-starts from one
+        # persisted artifact — no training inside the monitor.
+        service = build_service(config)
+    scanner = build_scanner(config, service)
+    replayer = TimelineReplayer(scanner, rate=config.source.rate or None)
     report = replayer.replay_chain(corpus.chain)
     scanner.close()
 
@@ -630,7 +662,8 @@ def _cmd_monitor(args) -> int:
     print(f"replayed {report.events} deployments in "
           f"{report.duration_seconds:.3f}s "
           f"({report.events_per_second:.0f} events/s, "
-          f"{report.batches} micro-batches, {shards} shard(s))")
+          f"{report.batches} micro-batches, "
+          f"{config.stream.shards} shard(s))")
     print(f"scanned {report.scanned}, flagged {report.flagged}, "
           f"dropped {report.dropped}, empty {report.skipped_empty}")
     print(f"latency p50 {latency['p50'] * 1e3:.2f}ms  "
@@ -648,8 +681,9 @@ def _cmd_monitor(args) -> int:
         precision = len(flagged & truth) / len(flagged)
         print(f"alert precision vs ground truth: {precision:.3f} "
               f"({len(flagged & truth)}/{len(flagged)})")
-    for path in jsonl_paths:
-        print(f"alerts appended to {path}")
+    for sink in config.sinks:
+        if sink.kind == "jsonl":
+            print(f"alerts appended to {sink.path}")
     return 0
 
 
@@ -666,13 +700,9 @@ def _cmd_loop(args) -> int:
         from repro.loop import read_history, save_loop_state
         from repro.stream import TimelineReplayer
 
-        config, code = _launchable_config(args.config)
+        config, code = _launchable_config(args.config, "loop")
         if config is None:
             return code
-        if config.loop is None:
-            print(f"error: {args.config} has no [loop] section "
-                  "(see docs/configuration.md)", file=sys.stderr)
-            return 2
         store = open_store(config)
         service = build_service(config, store=store)
         scanner = build_scanner(config, service)
@@ -730,9 +760,7 @@ def _cmd_loop(args) -> int:
               f"(phishinghook loop history)")
         return 0
 
-    from repro.artifacts import ModelStore
-
-    store = ModelStore.from_url(getattr(args, "store", None) or None)
+    store = _store_from(args)
     if args.loop_command == "history":
         from repro.loop import read_history
 
@@ -794,10 +822,7 @@ def _cmd_disasm(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    corpus = build_corpus(
-        CorpusConfig(n_phishing=args.contracts // 2,
-                     n_benign=args.contracts // 2, seed=args.seed)
-    )
+    corpus = _corpus(args)
     obtained = corpus.monthly_counts(label=1)
     unique = corpus.monthly_counts(label=1, unique=True)
     print(f"{'Month':8s} {'Obtained':>9s} {'Unique':>7s}")
@@ -810,11 +835,7 @@ def _cmd_dataset(args) -> int:
 def _train_test_from_args(args):
     from repro.datagen.dataset import Dataset
 
-    corpus = build_corpus(
-        CorpusConfig(n_phishing=args.contracts // 2,
-                     n_benign=args.contracts // 2, seed=args.seed)
-    )
-    dataset = Dataset.from_corpus(corpus, seed=args.seed)
+    dataset = Dataset.from_corpus(_corpus(args), seed=args.seed)
     return dataset.train_test_split(0.3, seed=args.seed)
 
 
@@ -914,17 +935,9 @@ def _fleet_serve(args) -> int:
     from repro.deploy import build_fleet
     from repro.net import save_fleet_state
 
-    config, code = _launchable_config(args.config)
+    config, code = _launchable_config(args.config, "fleet")
     if config is None:
         return code
-    if config.fleet is None:
-        print(
-            f"error: {args.config} has no [fleet] section; "
-            "'phishinghook monitor --config' serves single-process "
-            "topologies",
-            file=sys.stderr,
-        )
-        return 2
     manager = build_fleet(config)
     try:
         manager.start()
@@ -966,13 +979,9 @@ def _fleet_start(args) -> int:
 
     # Verify locally first: a doomed config fails here in milliseconds
     # with the full report instead of a "check the log" round-trip.
-    config, code = _launchable_config(args.config)
+    config, code = _launchable_config(args.config, "fleet")
     if config is None:
         return code
-    if config.fleet is None:
-        print(f"error: {args.config} has no [fleet] section",
-              file=sys.stderr)
-        return 2
     pathlib.Path(args.state).unlink(missing_ok=True)
     with open(args.log, "ab") as log:
         process = subprocess.Popen(
@@ -1070,20 +1079,10 @@ def _cmd_fleet(args) -> int:
         return 0
 
     if args.fleet_command == "scan":
-        corpus = build_corpus(
-            CorpusConfig(n_phishing=args.contracts // 2,
-                         n_benign=args.contracts // 2, seed=args.seed)
-        )
-        phishing_records = corpus.phishing_records()
-        if "random-phishing" in args.addresses and not phishing_records:
-            print("error: corpus has no phishing records to sample "
-                  "(raise --contracts)", file=sys.stderr)
+        corpus = _corpus(args)
+        addresses = _resolve_addresses(corpus, args.addresses)
+        if addresses is None:
             return 2
-        next_phishing = itertools.cycle(phishing_records)
-        addresses = [
-            next(next_phishing).address if a == "random-phishing" else a
-            for a in args.addresses
-        ]
         codes = [corpus.chain.get_code(address) for address in addresses]
         try:
             results = client.scan(addresses, codes)
@@ -1152,10 +1151,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_store_option(parser):
+        parser.add_argument(
+            "--store", default="",
+            help="model store path or URL (file://, memory://, bucket://, "
+                 f"http://; default: ${STORE_ENV} or ./phook-models)",
+        )
+
     demo = sub.add_parser("demo", help="run a reduced Table II evaluation")
-    demo.add_argument("--contracts", type=int, default=200)
+    _add_knob_flags(demo, _SOURCE_FLAGS)
     demo.add_argument("--folds", type=int, default=3)
-    demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
         "--models", default="Random Forest,k-NN,Logistic Regression",
         help="comma-separated Table II model names",
@@ -1171,12 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--model-tag", default="",
             help="serve the store version behind this tag/version/prefix",
         )
-        parser.add_argument(
-            "--store", default="",
-            help="model store path or URL (file://, memory://, "
-                 "bucket://, http://; default: $PHOOK_MODEL_STORE or "
-                 "./phook-models)",
-        )
+        add_store_option(parser)
         parser.add_argument(
             "--train-on-the-fly", action="store_true",
             help="explicit fallback: refit the model in-process instead "
@@ -1188,8 +1188,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit one model offline and persist it as a versioned artifact",
     )
     train.add_argument("--model", default="Random Forest")
-    train.add_argument("--contracts", type=int, default=200)
-    train.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(train, _SOURCE_FLAGS)
     train.add_argument(
         "--holdout", type=float, default=0.25,
         help="holdout fraction for the recorded metrics (0 = train on "
@@ -1199,11 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="",
         help="write the artifact to this file instead of the store",
     )
-    train.add_argument(
-        "--store", default="",
-        help="model store path or URL (file://, memory://, bucket://, "
-             "http://; default: $PHOOK_MODEL_STORE or ./phook-models)",
-    )
+    add_store_option(train)
     train.add_argument(
         "--tag", action="append", default=[],
         help="store tag(s) for the new version (default: latest; "
@@ -1214,11 +1209,7 @@ def build_parser() -> argparse.ArgumentParser:
     models = sub.add_parser(
         "models", help="inspect and manage the model artifact store"
     )
-    models.add_argument(
-        "--store", default="",
-        help="model store path or URL (file://, memory://, bucket://, "
-             "http://; default: $PHOOK_MODEL_STORE or ./phook-models)",
-    )
+    add_store_option(models)
     models_sub = models.add_subparsers(dest="models_command", required=True)
     models_list = models_sub.add_parser("list", help="list stored versions")
     models_list.add_argument("--json", action="store_true",
@@ -1248,11 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rollout",
         help="shadow-validate a candidate model against production",
     )
-    rollout.add_argument(
-        "--store", default="",
-        help="model store path or URL (file://, memory://, bucket://, "
-             "http://; default: $PHOOK_MODEL_STORE or ./phook-models)",
-    )
+    add_store_option(rollout)
     rollout_sub = rollout.add_subparsers(dest="rollout_command",
                                          required=True)
     rollout_start = rollout_sub.add_parser(
@@ -1266,52 +1253,8 @@ def build_parser() -> argparse.ArgumentParser:
              "section; statically verified first — ERROR violations "
              "refuse to launch (overrides the topology flags below)",
     )
-    rollout_start.add_argument(
-        "--candidate", default="candidate",
-        help="store tag/version of the model under validation",
-    )
-    rollout_start.add_argument(
-        "--production", default="production",
-        help="store tag serving production (repointed on promotion)",
-    )
-    rollout_start.add_argument("--contracts", type=_positive_int,
-                               default=200)
-    rollout_start.add_argument("--seed", type=int, default=0)
-    rollout_start.add_argument("--shards", type=_positive_int, default=2,
-                               help="sharded scan workers")
-    rollout_start.add_argument("--batch-size", type=_positive_int,
-                               default=16,
-                               help="micro-batch flush threshold")
-    rollout_start.add_argument("--threshold", type=float, default=0.5)
-    rollout_start.add_argument(
-        "--policy", default="parity",
-        choices=("parity", "manual", "adaptive"),
-        help="parity: promote/abort automatically on the thresholds "
-             "below; adaptive: loss-averse learning-loop gate (promote "
-             "unless production alerts are dropped); manual: only "
-             "accumulate evidence, decide with 'rollout promote|abort'",
-    )
-    rollout_start.add_argument(
-        "--min-events", type=_positive_int, default=100,
-        help="evidence floor before the parity policy may decide",
-    )
-    rollout_start.add_argument(
-        "--promote-agreement", type=float, default=0.98,
-        help="verdict agreement rate required to promote",
-    )
-    rollout_start.add_argument(
-        "--abort-agreement", type=float, default=0.90,
-        help="agreement rate below which the candidate is aborted",
-    )
-    rollout_start.add_argument(
-        "--max-divergence", type=float, default=0.05,
-        help="maximum mean |p_prod - p_cand| allowed for promotion",
-    )
-    rollout_start.add_argument(
-        "--max-lost-rate", type=_nonnegative_float, default=0.02,
-        help="adaptive policy: highest tolerated fraction of shadow "
-             "events where only production flagged",
-    )
+    _add_knob_flags(rollout_start, _TOPOLOGY_FLAGS["rollout start"])
+    rollout_start.set_defaults(topology="rollout start")
     rollout_status = rollout_sub.add_parser(
         "status", help="print the recorded rollout state"
     )
@@ -1337,8 +1280,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(deduped, feature-cached) and print cache statistics",
     )
     scan.add_argument("--model", default="Random Forest")
-    scan.add_argument("--contracts", type=int, default=200)
-    scan.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(scan, _SOURCE_FLAGS)
     add_artifact_options(scan)
     scan.set_defaults(func=_cmd_scan)
 
@@ -1352,32 +1294,12 @@ def build_parser() -> argparse.ArgumentParser:
              "verified first — ERROR violations refuse to launch "
              "(overrides the topology flags below)",
     )
-    monitor.add_argument("--contracts", type=_positive_int, default=200)
-    monitor.add_argument("--seed", type=int, default=0)
     monitor.add_argument("--model", default="Random Forest")
-    monitor.add_argument("--threshold", type=float, default=0.5)
-    monitor.add_argument("--shards", type=_positive_int, default=2,
-                         help="sharded scan workers")
-    monitor.add_argument("--batch-size", type=_positive_int, default=16,
-                         help="micro-batch flush threshold")
-    monitor.add_argument("--queue", type=_positive_int, default=256,
-                         help="bounded intake queue size")
-    monitor.add_argument(
-        "--policy", default="block",
-        choices=("block", "drop_oldest", "drop_newest", "sample"),
-        help="backpressure policy when the intake queue is full; a drop "
-             "policy implies consumer-paced intake (micro-batches flush "
-             "on the --deadline, so an overrun queue sheds load)",
-    )
-    monitor.add_argument("--deadline", type=_nonnegative_float,
-                         default=0.25,
-                         help="micro-batch flush deadline (seconds)")
-    monitor.add_argument("--rate", type=_nonnegative_float, default=0.0,
-                         help="replay rate in events/sec (0 = max speed)")
+    _add_knob_flags(monitor, _TOPOLOGY_FLAGS["monitor"])
     monitor.add_argument("--jsonl", default="",
                          help="also append alerts to this JSONL file")
     add_artifact_options(monitor)
-    monitor.set_defaults(func=_cmd_monitor)
+    monitor.set_defaults(func=_cmd_monitor, topology="monitor")
 
     loop = sub.add_parser(
         "loop",
@@ -1410,15 +1332,13 @@ def build_parser() -> argparse.ArgumentParser:
     loop_status = loop_sub.add_parser(
         "status", help="print the last saved loop state from the store"
     )
-    loop_status.add_argument("--store", default="",
-                             help="model store URL or path")
+    add_store_option(loop_status)
     loop_status.add_argument("--json", action="store_true")
     loop_history = loop_sub.add_parser(
         "history",
         help="print the durable decision log (loop-history.jsonl)",
     )
-    loop_history.add_argument("--store", default="",
-                              help="model store URL or path")
+    add_store_option(loop_history)
     loop_history.add_argument("--tail", type=_positive_int, default=0,
                               help="only the last N entries")
     loop_history.add_argument("--json", action="store_true",
@@ -1462,31 +1382,22 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a fleet in the foreground until SIGTERM/Ctrl-C",
     )
-    fleet_serve.add_argument(
-        "--config", required=True,
-        help="deployment file (TOML/JSON) with a [fleet] section; "
-             "statically verified first — ERROR violations refuse to "
-             "launch",
-    )
-    fleet_serve.add_argument(
-        "--state", default="./phook-fleet.json",
-        help="write the coordinator URL + pid here for status/scan/stop",
-    )
-
     fleet_start = fleet_sub.add_parser(
         "start",
         help="launch a fleet in the background and wait until healthy",
     )
-    fleet_start.add_argument(
-        "--config", required=True,
-        help="deployment file (TOML/JSON) with a [fleet] section; "
-             "statically verified first — ERROR violations refuse to "
-             "launch",
-    )
-    fleet_start.add_argument(
-        "--state", default="./phook-fleet.json",
-        help="write the coordinator URL + pid here for status/scan/stop",
-    )
+    for launcher in (fleet_serve, fleet_start):
+        launcher.add_argument(
+            "--config", required=True,
+            help="deployment file (TOML/JSON) with a [fleet] section; "
+                 "statically verified first — ERROR violations refuse to "
+                 "launch",
+        )
+        launcher.add_argument(
+            "--state", default="./phook-fleet.json",
+            help="write the coordinator URL + pid here for "
+                 "status/scan/stop",
+        )
     fleet_start.add_argument(
         "--log", default="phook-fleet.log",
         help="append the daemonized fleet's output here",
@@ -1510,8 +1421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "addresses", nargs="+", metavar="address",
         help="0x… addresses, or 'random-phishing' (repeatable)",
     )
-    fleet_scan.add_argument("--contracts", type=_positive_int, default=200)
-    fleet_scan.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(fleet_scan, _SOURCE_FLAGS)
     add_fleet_locator(fleet_scan)
 
     fleet_stop = fleet_sub.add_parser(
@@ -1524,11 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store-serve",
         help="publish a model store over HTTP (http:// store backend)",
     )
-    store_serve.add_argument(
-        "--store", default="",
-        help="model store path or URL (file://, memory://, bucket://, "
-             "http://; default: $PHOOK_MODEL_STORE or ./phook-models)",
-    )
+    add_store_option(store_serve)
     store_serve.add_argument("--host", default="127.0.0.1")
     store_serve.add_argument(
         "--port", type=int, default=8700,
@@ -1545,15 +1451,13 @@ def build_parser() -> argparse.ArgumentParser:
     disasm.set_defaults(func=_cmd_disasm)
 
     dataset = sub.add_parser("dataset", help="print Fig. 2 monthly counts")
-    dataset.add_argument("--contracts", type=int, default=200)
-    dataset.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(dataset, _SOURCE_FLAGS)
     dataset.set_defaults(func=_cmd_dataset)
 
     attack = sub.add_parser(
         "attack", help="benign-mimicry evasion sweep against Random Forest"
     )
-    attack.add_argument("--contracts", type=int, default=200)
-    attack.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(attack, _SOURCE_FLAGS)
     attack.add_argument(
         "--strengths", default="0,0.5,1,2",
         help="comma-separated padding strengths (x contract length)",
@@ -1564,8 +1468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", help="probability calibration report for one model"
     )
     calibrate.add_argument("--model", default="Random Forest")
-    calibrate.add_argument("--contracts", type=int, default=200)
-    calibrate.add_argument("--seed", type=int, default=0)
+    _add_knob_flags(calibrate, _SOURCE_FLAGS)
     calibrate.set_defaults(func=_cmd_calibrate)
     return parser
 

@@ -44,6 +44,7 @@ from repro.deploy.launch import (
     DeploymentBlockedError,
     build_fleet,
     build_loop,
+    build_policy,
     build_replay_corpus,
     build_scanner,
     build_service,
@@ -95,6 +96,7 @@ __all__ = [
     "build_service",
     "build_scanner",
     "build_fleet",
+    "build_policy",
     "build_loop",
     "build_replay_corpus",
 ]

@@ -28,6 +28,7 @@ __all__ = [
     "build_service",
     "build_scanner",
     "build_fleet",
+    "build_policy",
     "build_loop",
     "build_replay_corpus",
 ]
@@ -157,10 +158,11 @@ def build_service(config: DeployConfig, *, store=None, source=None):
 def build_scanner(config: DeployConfig, service, *, sinks=None):
     """The configured :class:`StreamScanner` over a built service.
 
-    Mirrors the monitor CLI's construction rules: a ``block`` policy is
-    producer-paced (``auto_flush``), drop policies are consumer-paced so
-    the bounded queue actually governs overflow, and the deadline flush
-    bounds worst-case alert latency either way.
+    A ``block`` policy is producer-paced (``auto_flush``), drop
+    policies are consumer-paced so the bounded queue actually governs
+    overflow, and the deadline flush bounds worst-case alert latency
+    either way. ``monitor`` and ``rollout start`` build every scanner
+    here, from a file or from their flags.
     """
     from repro.stream import StreamScanner
 
@@ -226,6 +228,36 @@ def build_fleet(config: DeployConfig, *, sinks=None):
     )
 
 
+def build_policy(config: DeployConfig):
+    """The rollout decision policy ``[rollout]`` declares.
+
+    A config without a ``[rollout]`` section gets the section's
+    defaults, so the loop's auto-started shadow and an operator's
+    ``rollout start`` decide by the same rule.
+    """
+    from repro.deploy.config import RolloutConfig
+    from repro.rollout.policy import (
+        AdaptivePromotionPolicy,
+        ManualHoldPolicy,
+        MetricParityPolicy,
+    )
+
+    rollout = config.rollout or RolloutConfig()
+    if rollout.policy == "manual":
+        return ManualHoldPolicy()
+    if rollout.policy == "adaptive":
+        return AdaptivePromotionPolicy(
+            min_events=rollout.min_events,
+            max_lost_rate=rollout.max_lost_rate,
+        )
+    return MetricParityPolicy(
+        min_events=rollout.min_events,
+        promote_agreement=rollout.promote_agreement,
+        abort_agreement=rollout.abort_agreement,
+        max_mean_divergence=rollout.max_divergence,
+    )
+
+
 def build_loop(config: DeployConfig, scanner, store, *, label_of,
                on_invalidate=None):
     """The configured continuous-learning loop, attached to ``scanner``.
@@ -244,28 +276,9 @@ def build_loop(config: DeployConfig, scanner, store, *, label_of,
         )
     from repro.deploy.config import RolloutConfig
     from repro.loop import DriftMonitor, LoopOrchestrator
-    from repro.rollout.policy import (
-        AdaptivePromotionPolicy,
-        ManualHoldPolicy,
-        MetricParityPolicy,
-    )
 
     loop = config.loop
     rollout = config.rollout or RolloutConfig()
-    if rollout.policy == "manual":
-        policy = ManualHoldPolicy()
-    elif rollout.policy == "adaptive":
-        policy = AdaptivePromotionPolicy(
-            min_events=rollout.min_events,
-            max_lost_rate=rollout.max_lost_rate,
-        )
-    else:
-        policy = MetricParityPolicy(
-            min_events=rollout.min_events,
-            promote_agreement=rollout.promote_agreement,
-            abort_agreement=rollout.abort_agreement,
-            max_mean_divergence=rollout.max_divergence,
-        )
     monitor = DriftMonitor(
         window=loop.window,
         blocks=loop.blocks,
@@ -281,7 +294,7 @@ def build_loop(config: DeployConfig, scanner, store, *, label_of,
         check_every=loop.check_every,
         grow=loop.grow,
         holdout=loop.holdout,
-        policy=policy,
+        policy=build_policy(config),
         retrain_mode=loop.retrain,
         store_url=config.store.url,
         cache_dir=config.store.cache_dir or None,

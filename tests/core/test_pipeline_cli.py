@@ -1,9 +1,11 @@
 """Tests for the end-to-end pipeline and the CLI."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.pipeline import PhishingHook, PipelineConfig
 
 from tests.core.conftest import fast_hsc_factory
@@ -220,6 +222,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "replayed" in out and "latency" in out
 
+    def test_monitor_train_on_the_fly(self, capsys):
+        code = main(["monitor", "--contracts", "60", "--train-on-the-fly"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "replayed" in out and "2 shard(s)" in out
+        assert "sink memory" in out
+
     def test_monitor_without_model_refuses(self, capsys):
         code = main(["monitor", "--contracts", "60"])
         assert code == 2
@@ -251,3 +260,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "temperature" in out
         assert "ECE" in out
+
+
+def _parsers(parser, path=()):
+    """``(command path, parser)`` for the CLI and every (sub)subcommand."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parsers(child, (*path, name))
+
+
+@pytest.mark.parametrize("parser", [
+    pytest.param(parser, id=" ".join(path) or "phishinghook")
+    for path, parser in _parsers(build_parser())
+])
+def test_help_renders(parser):
+    # argparse %-formats every help string, and the topology flags'
+    # help is knob doc text: a stray % would only fail at --help time.
+    text = parser.format_help()
+    assert text.startswith("usage: phishinghook")

@@ -4,7 +4,11 @@ End-to-end through ``repro.cli.main`` — the same entry points CI and
 the runbook exercise — plus the argparse-level knob validation.
 """
 
+import dataclasses
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -12,6 +16,7 @@ import repro.cli
 from repro.deploy import (
     DeploymentBlockedError,
     ensure_launchable,
+    load_config,
     parse_config,
 )
 from tests.deploy.conftest import base_config, clean_rollout
@@ -91,6 +96,26 @@ class TestMonitorConfig:
             "refused launch must not touch sinks"
         )
 
+    @pytest.mark.parametrize("flags, rule", [
+        # queue 256 < batch 512 under block: today's flags must not be
+        # silently rewritten to queue = max(batch, queue).
+        (["--batch-size", "512"], "D008"),
+        (["--policy", "drop_oldest", "--deadline", "0"], "D010"),
+    ])
+    def test_monitor_refuses_error_flags(
+        self, flags, rule, tmp_path, trained_store, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        exit_code = repro.cli.main([
+            "monitor", "--store", str(trained_store),
+            "--model-tag", "production", "--jsonl", "alerts.jsonl", *flags,
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert rule in captured.err
+        assert "refusing to launch" in captured.err
+        assert not (tmp_path / "alerts.jsonl").exists()
+
     def test_monitor_reports_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "broken.toml"
         bad.write_text("[stream\nshards = ")
@@ -119,6 +144,18 @@ class TestRolloutConfig:
         assert exit_code == 0
         assert "shadow-scored" in out
         assert "production" in out
+
+    def test_rollout_start_refuses_inverted_band_flags(
+        self, trained_store, capsys
+    ):
+        exit_code = repro.cli.main([
+            "rollout", "--store", str(trained_store), "start",
+            "--abort-agreement", "0.99",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "D012" in captured.err
+        assert "refusing to launch" in captured.err
 
     def test_rollout_start_requires_rollout_section(
         self, tmp_path, trained_store, capsys
@@ -158,6 +195,22 @@ class TestKnobValidation:
         ["rollout", "start", "--batch-size", "-4"],
         ["rollout", "start", "--contracts", "0"],
         ["rollout", "start", "--min-events", "0"],
+        # --contracts/--seed take source.contracts/source.seed's domain
+        # on every command that builds a corpus.
+        ["dataset", "--seed", "-1"],
+        ["demo", "--seed", "-1"],
+        ["train", "--seed", "-1"],
+        ["scan", "random-phishing", "--seed", "-1"],
+        ["monitor", "--seed", "-1"],
+        ["rollout", "start", "--seed", "-1"],
+        ["attack", "--seed", "-1"],
+        ["calibrate", "--seed", "-1"],
+        ["fleet", "scan", "random-phishing", "--seed", "-1"],
+        ["dataset", "--contracts", "-4"],
+        # Floats outside the knob's domain, NaN included.
+        ["monitor", "--threshold", "nan"],
+        ["monitor", "--threshold", "1.5"],
+        ["rollout", "start", "--max-divergence", "nan"],
     ])
     def test_non_positive_knobs_rejected_at_parse_time(
         self, argv, capsys
@@ -175,3 +228,37 @@ class TestKnobValidation:
     def test_positive_knobs_accepted(self, argv):
         args = repro.cli.build_parser().parse_args(argv)
         assert args.shards >= 1
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "deploy"
+
+
+class TestFlagConfigEquivalence:
+    """A shipped example and the flag invocation its header names
+    describe the same topology."""
+
+    @pytest.mark.parametrize("name", ["monitor.toml", "rollout.toml"])
+    def test_header_invocation_parses_to_the_file(self, name, monkeypatch):
+        monkeypatch.delenv("PHOOK_MODEL_STORE", raising=False)
+        path = EXAMPLES / name
+        header = re.search(r"`phishinghook ([^`]+)`", path.read_text())
+        args = repro.cli.build_parser().parse_args(
+            shlex.split(header.group(1))
+        )
+        from_flags = parse_config(repro.cli._flag_config(args))
+        from_file = load_config(path)
+        assert dataclasses.replace(from_flags, origin="") == (
+            dataclasses.replace(from_file, origin="")
+        )
+
+    def test_store_flag_falls_back_to_environment(self, monkeypatch):
+        monkeypatch.setenv("PHOOK_MODEL_STORE", "memory://env")
+        parser = repro.cli.build_parser()
+        args = parser.parse_args(["monitor", "--model-tag", "production"])
+        assert repro.cli._flag_config(args)["store"] == {
+            "url": "memory://env"
+        }
+        args = parser.parse_args(
+            ["rollout", "--store", "./here", "start"]
+        )
+        assert repro.cli._flag_config(args)["store"] == {"url": "./here"}

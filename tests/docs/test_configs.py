@@ -6,7 +6,8 @@ zero violations (WARNs included) on everything under
 ``examples/deploy/``, and machine-readable JSON output. The knob tables
 in ``docs/configuration.md`` are rendered from the field metadata the
 parser checks against, so a default, bound or choice cannot drift
-between the two.
+between the two; its flag table is rendered from the CLI's flag-to-knob
+mapping the same way.
 """
 
 import dataclasses
@@ -144,4 +145,32 @@ def test_knob_table_matches_metadata(name, table):
         f"docs/configuration.md's [{name}] knob table drifted from the "
         f"field metadata in repro/deploy/config.py; it should read:\n\n"
         f"{expected}"
+    )
+
+
+# ---- flag table: the CLI's flag -> knob mapping ----
+
+
+def render_flag_table() -> str:
+    rows = ["| command | flag | knob |", "| --- | --- | --- |"]
+    for command, flags in repro.cli._TOPOLOGY_FLAGS.items():
+        rows.extend(
+            f"| `{command}` | `{flag}` | `{knob}` |" for flag, knob in flags
+        )
+    return "\n".join(rows)
+
+
+def test_flag_table_matches_cli():
+    section = CONFIGURATION.read_text(encoding="utf-8").split(
+        "\n## Flag launches\n", 1
+    )[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    start = lines.index("| command | flag | knob |")
+    rows = itertools.takewhile(
+        lambda line: line.startswith("|"), lines[start:]
+    )
+    expected = render_flag_table()
+    assert "\n".join(rows) == expected, (
+        "docs/configuration.md's flag table drifted from "
+        "repro.cli._TOPOLOGY_FLAGS; it should read:\n\n" + expected
     )
