@@ -7,8 +7,11 @@ layer that crosses a process boundary — the ROADMAP's "millions of
 users" north star needs real processes and a real wire:
 
 * :mod:`repro.net.client` — stdlib ``http.client`` helpers (timeouts,
-  typed transport errors) shared by every HTTP consumer in the repo
-  (fleet dispatch, ``HttpStoreBackend``, the promoted ``WebhookSink``),
+  typed transport errors, keep-alive :class:`HttpSession`\\ s) shared by
+  every HTTP consumer in the repo (fleet dispatch, ``HttpStoreBackend``,
+  the promoted ``WebhookSink``),
+* :mod:`repro.net.server` — the keep-alive HTTP/1.1 JSON handler and
+  server the coordinator and workers share,
 * :mod:`repro.net.worker` — the worker process: one
   :class:`~repro.serve.service.ScanService` cold-started from the
   ModelStore behind a private HTTP port, fed bytecode inline as hex,
@@ -42,6 +45,7 @@ before anything forks.
 
 from repro.net.client import (
     HttpResponse,
+    HttpSession,
     TransportError,
     http_json,
     http_request,
@@ -52,6 +56,7 @@ from repro.net.coordinator import (
     OverloadedError,
     ShuttingDownError,
     WorkerHandle,
+    WorkerRejectedError,
 )
 from repro.net.fleet import (
     FleetClient,
@@ -67,6 +72,7 @@ from repro.net.worker import WorkerSpec, worker_main
 __all__ = [
     # client
     "HttpResponse",
+    "HttpSession",
     "TransportError",
     "http_request",
     "http_json",
@@ -83,6 +89,7 @@ __all__ = [
     "OverloadedError",
     "NoWorkersError",
     "ShuttingDownError",
+    "WorkerRejectedError",
     # fleet
     "FleetManager",
     "FleetClient",

@@ -13,11 +13,20 @@ The coordinator is the only public face of a fleet. It owns:
   *blocks* the submitting thread until capacity frees (lossless,
   latency-paying). Draining fleets refuse new work
   (:class:`ShuttingDownError` → 503) but finish everything admitted.
-* **Crash rerouting.** A :class:`~repro.net.client.TransportError` from
-  a worker marks it dead and re-sends the *whole batch* to the next
-  alive worker; since a worker that died mid-request never delivered a
-  response, re-sending cannot double-alert and not re-sending would
-  lose events. The alert-set equality tests pin this down.
+* **Concurrent fan-out.** A batch's shard groups are sent at once: the
+  first on the calling thread, the rest on a per-coordinator thread
+  pool, each over its worker's kept-alive
+  :class:`~repro.net.client.HttpSession`. Results stay positional and
+  alerts go out only after every group returned, so concurrency changes
+  neither the results nor the alert set or its order.
+* **Crash rerouting.** A :class:`~repro.net.client.TransportError` (or
+  HTTP 5xx) from a worker marks it dead and re-sends the *whole shard
+  group* to the next alive worker; since a worker that died mid-request
+  never delivered a response, re-sending cannot double-alert and not
+  re-sending would lose events. The alert-set equality tests pin this
+  down. A worker's HTTP 4xx is different: the batch was bad, not the
+  worker, so it becomes :class:`WorkerRejectedError` (JSON-RPC 400)
+  and the worker stays in rotation.
 * **Inline bytecode.** Each shard request carries its unique
   bytecodes as hex (``inline_codes``) plus an index per address
   (``code_of``); the worker decodes and caches them itself.
@@ -33,9 +42,12 @@ import json
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+
+from repro.net.client import HttpSession, TransportError
+from repro.net.server import JsonHandler, KeepAliveServer, list_of
 
 __all__ = [
     "FleetCoordinator",
@@ -43,6 +55,7 @@ __all__ = [
     "OverloadedError",
     "ShuttingDownError",
     "WorkerHandle",
+    "WorkerRejectedError",
 ]
 
 #: Bound on the client-side latency sample window (matches the spirit of
@@ -61,6 +74,11 @@ class NoWorkersError(RuntimeError):
 
 class ShuttingDownError(RuntimeError):
     """The fleet is draining and admits no new work (HTTP 503)."""
+
+
+class WorkerRejectedError(ValueError):
+    """A worker answered a batch with HTTP 4xx: the request was bad, the
+    worker is fine (JSON-RPC 400 carrying the worker's message)."""
 
 
 def check_admission(queue_depth: int, overflow: str) -> None:
@@ -82,6 +100,12 @@ class WorkerHandle:
     ``respawns`` counts successful restarts; ``degraded`` mirrors the
     worker's own report (serving from the local artifact cache because
     the store is unreachable).
+
+    The handle owns ``session``, the keep-alive connections to the
+    worker's current URL: :meth:`FleetCoordinator.mark_dead` closes it
+    and :meth:`revive` swaps in a fresh one for the respawned port. It
+    connects on first use, and it never holds more idle connections
+    than the coordinator's ``queue_depth`` admits requests at once.
     """
 
     def __init__(self, index: int, host: str, port: int, process=None):
@@ -89,6 +113,7 @@ class WorkerHandle:
         self.host = host
         self.port = port
         self.process = process
+        self.session = HttpSession(self.url)
         self.alive = True
         self.state = "alive"
         self.respawns = 0
@@ -113,6 +138,8 @@ class WorkerHandle:
         """
         with self.capacity:
             self.port = port
+            self.session.close()
+            self.session = HttpSession(self.url)
             if process is not None:
                 self.process = process
             self.alive = True
@@ -173,6 +200,7 @@ class FleetCoordinator:
         self._draining = False
         self._batch_counter = 0
         self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._fanout: ThreadPoolExecutor | None = None
         self.counters = {
             "batches": 0,
             "scanned": 0,
@@ -226,9 +254,10 @@ class FleetCoordinator:
             worker.dispatched += 1
             return True
 
-    def _release(self, worker: WorkerHandle) -> None:
+    def _release(self, worker: WorkerHandle, *, completed: bool) -> None:
         with worker.capacity:
             worker.inflight = max(0, worker.inflight - 1)
+            worker.completed += int(completed)
             worker.capacity.notify_all()
 
     def mark_dead(self, worker: WorkerHandle) -> None:
@@ -236,6 +265,7 @@ class FleetCoordinator:
             worker.alive = False
             if worker.state not in ("quarantined", "respawning"):
                 worker.state = "dead"
+            worker.session.close()
             worker.capacity.notify_all()
 
     def degraded_workers(self) -> list[WorkerHandle]:
@@ -254,44 +284,40 @@ class FleetCoordinator:
         """One admission + HTTP exchange with one worker.
 
         Raises :class:`~repro.net.client.TransportError` when the worker
-        is unreachable (the caller reroutes) and :class:`OverloadedError`
-        on shed.
+        is unreachable or fails (HTTP 5xx; the caller reroutes),
+        :class:`WorkerRejectedError` when it refuses the batch (HTTP
+        4xx; rerouting would only repeat the refusal) and
+        :class:`OverloadedError` on shed.
         """
-        from repro.net.client import http_json
-
         payload = {
             "addresses": list(addresses),
             "code_of": list(code_of),
             "inline_codes": [bytes(code).hex() for code in unique_codes],
         }
         if not self._admit(worker):
-            from repro.net.client import TransportError
-
             raise TransportError(f"worker {worker.index} died in admission")
+        completed = False
         try:
-            response = http_json(
-                "POST", f"{worker.url}/scan", payload, timeout=self.timeout
+            response = worker.session.json(
+                "POST", "/scan", payload, timeout=self.timeout
             )
             if not response.ok:
-                from repro.net.client import TransportError
-
-                raise TransportError(
-                    f"worker {worker.index} replied HTTP {response.status}: "
-                    f"{response.body[:200]!r}"
-                )
-            worker.completed += 1
+                reply = (f"worker {worker.index} replied HTTP "
+                         f"{response.status}: {response.body[:200]!r}")
+                if 400 <= response.status < 500:
+                    raise WorkerRejectedError(reply)
+                raise TransportError(reply)
+            completed = True
             results = response.json()["results"]
             for result in results:
                 result["worker"] = worker.index
             return results
         finally:
-            self._release(worker)
+            self._release(worker, completed=completed)
 
     def _dispatch(self, shard: int, addresses, code_of,
                   unique_codes) -> list[dict]:
         """Send one shard group, rerouting around dead workers."""
-        from repro.net.client import TransportError
-
         last_error = None
         tried: set[int] = set()
         for _ in range(len(self.workers)):
@@ -301,7 +327,8 @@ class FleetCoordinator:
             try:
                 return self._send(worker, addresses, code_of, unique_codes)
             except TransportError as error:
-                worker.failed += 1
+                with worker.capacity:
+                    worker.failed += 1
                 self.mark_dead(worker)
                 tried.add(worker.index)
                 with self._lock:
@@ -355,12 +382,13 @@ class FleetCoordinator:
             code_of.append(index_of[digest])
 
         n = len(self.workers)
-        groups: dict[int, list[int]] = {}
+        by_shard: dict[int, list[int]] = {}
         for position, address in enumerate(addresses):
-            groups.setdefault(shard_of(address, n), []).append(position)
+            by_shard.setdefault(shard_of(address, n), []).append(position)
+        groups = sorted(by_shard.items())
 
-        results: list[dict | None] = [None] * len(addresses)
-        for shard, positions in sorted(groups.items()):
+        sends = []
+        for shard, positions in groups:
             sub_unique: list[bytes] = []
             sub_index: dict[int, int] = {}
             sub_code_of: list[int] = []
@@ -370,10 +398,11 @@ class FleetCoordinator:
                     sub_index[u] = len(sub_unique)
                     sub_unique.append(unique_codes[u])
                 sub_code_of.append(sub_index[u])
-            scored = self._dispatch(
-                shard, [addresses[p] for p in positions],
-                sub_code_of, sub_unique,
-            )
+            sends.append((shard, [addresses[p] for p in positions],
+                          sub_code_of, sub_unique))
+
+        results: list[dict | None] = [None] * len(addresses)
+        for (_, positions), scored in zip(groups, self._fan_out(sends)):
             for position, result in zip(positions, scored):
                 results[position] = result
 
@@ -387,6 +416,31 @@ class FleetCoordinator:
         self._emit_alerts(flagged, batch_id=batch_id, elapsed=elapsed,
                           block_number=block_number, timestamp=timestamp)
         return [dict(r) for r in results]
+
+    def _fan_out(self, sends) -> list[list[dict]]:
+        """``_dispatch`` every shard group at once; results in order.
+
+        The first group runs on the calling thread and the rest on the
+        fan-out pool (one thread per other worker, created on first
+        use). Every group finishes before this returns or raises, so
+        no send outlives its batch.
+        """
+        first, *rest = sends
+        futures = []
+        if rest:
+            with self._lock:
+                if self._fanout is None:
+                    self._fanout = ThreadPoolExecutor(
+                        max_workers=len(self.workers) - 1,
+                        thread_name_prefix="fleet-fanout",
+                    )
+                pool = self._fanout
+            futures = [pool.submit(self._dispatch, *send) for send in rest]
+        try:
+            scored = [self._dispatch(*first)]
+        finally:
+            wait(futures)
+        return scored + [future.result() for future in futures]
 
     def _emit_alerts(self, flagged, *, batch_id: int, elapsed: float,
                      block_number: int, timestamp: int | None) -> None:
@@ -432,7 +486,7 @@ class FleetCoordinator:
         promotion hook, the ``invalidate`` RPC — can assert the sweep
         actually landed.
         """
-        from repro.net.client import TransportError, http_json
+        from repro.net.client import http_json
 
         workers: dict[int, int | None] = {}
         for worker in self.alive_workers():
@@ -508,23 +562,28 @@ class FleetCoordinator:
     def draining(self) -> bool:
         return self._draining
 
+    def close(self) -> None:
+        """Stop the fan-out pool and close every worker session."""
+        with self._lock:
+            pool, self._fanout = self._fanout, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        for worker in self.workers:
+            worker.session.close()
+
     # ------------------------------------------------------------------ #
     # HTTP/JSON-RPC surface
     # ------------------------------------------------------------------ #
 
     def serve(self, host: str, port: int,
-              on_shutdown=None) -> ThreadingHTTPServer:
+              on_shutdown=None) -> KeepAliveServer:
         """Build (not start) the coordinator's HTTP server.
 
         The caller owns the server thread (see
         :class:`~repro.net.fleet.FleetManager`). ``on_shutdown`` runs in
         a fresh thread when ``POST /shutdown`` arrives.
         """
-        server = ThreadingHTTPServer(
-            (host, port), _make_handler(self, on_shutdown)
-        )
-        server.daemon_threads = True
-        return server
+        return KeepAliveServer((host, port), _make_handler(self, on_shutdown))
 
 
 #: JSON-RPC error codes (the relevant subset of the 2.0 spec, plus the
@@ -535,18 +594,7 @@ _RPC_INTERNAL = -32603
 
 
 def _make_handler(coordinator: FleetCoordinator, on_shutdown):
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args):  # noqa: D102
-            pass
-
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
+    class Handler(JsonHandler):
         def do_GET(self):  # noqa: N802
             if self.path == "/healthz":
                 alive = len(coordinator.alive_workers())
@@ -572,6 +620,7 @@ def _make_handler(coordinator: FleetCoordinator, on_shutdown):
                 self._reply(404, {"error": f"no route {self.path}"})
 
         def do_POST(self):  # noqa: N802
+            body = self._read_body()
             if self.path == "/shutdown":
                 self._reply(200, {"ok": True})
                 if on_shutdown is not None:
@@ -581,9 +630,10 @@ def _make_handler(coordinator: FleetCoordinator, on_shutdown):
                 self._reply(404, {"error": f"no route {self.path}"})
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                request = json.loads(self.rfile.read(length))
-            except (ValueError, KeyError):
+                request = json.loads(body) if body is not None else None
+            except ValueError:
+                request = None
+            if not isinstance(request, dict):
                 self._reply(400, {"error": "malformed JSON-RPC request"})
                 return
             self._rpc(request)
@@ -605,14 +655,16 @@ def _make_handler(coordinator: FleetCoordinator, on_shutdown):
                 })
 
             try:
+                if not isinstance(params, dict):
+                    raise TypeError("'params' must be a JSON object")
                 if method == "ping":
                     result({"pong": True})
                 elif method == "status":
                     result(coordinator.status())
                 elif method == "scan":
                     results = coordinator.scan(
-                        params["addresses"],
-                        params["codes"],
+                        list_of(params, "addresses", str),
+                        list_of(params, "codes", str),
                         block_number=int(params.get("block_number", 0)),
                         timestamp=params.get("timestamp"),
                     )

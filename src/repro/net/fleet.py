@@ -416,6 +416,10 @@ class FleetManager:
         if self.coordinator is not None:
             from repro.net.client import TransportError, http_json
 
+            # Closing the worker sessions first lets each worker's
+            # handler threads see their connections end, so a worker's
+            # server closes without waiting on them.
+            self.coordinator.close()
             for worker in self.coordinator.workers:
                 if not worker.alive:
                     continue
@@ -456,16 +460,25 @@ def _connection_refused(error: BaseException) -> bool:
 class FleetClient:
     """JSON-RPC consumer of a coordinator (CLI ``fleet scan|status``).
 
+    The client keeps its connections to the coordinator open between
+    calls (an :class:`~repro.net.client.HttpSession`); :meth:`close`
+    or a ``with`` block closes them, and so does garbage collection of
+    a client dropped without either.
+
     ``connect_retry`` (a :class:`repro.net.retry.RetryPolicy`) bounds
     how long the client re-dials a refused connection before giving up —
     closing the ``fleet start`` race where the daemonized coordinator's
     socket is not bound yet when the first health poll arrives. Only
-    refused connects are retried; a reset or timeout mid-request is
-    surfaced immediately (the request may have been acted on).
+    refused connects are retried (beyond the session's own one retry of
+    a kept-alive connection the coordinator closed while idle); a reset
+    or timeout mid-request is surfaced immediately (the request may have
+    been acted on).
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
                  *, connect_retry=None):
+        from repro.net.client import HttpSession
+
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         if connect_retry is None:
@@ -475,6 +488,17 @@ class FleetClient:
                 attempts=10, base_delay=0.05, max_delay=0.5
             )
         self.connect_retry = connect_retry
+        self._session = HttpSession(self.base_url)
+
+    def close(self) -> None:
+        """Close the client's connections to the coordinator."""
+        self._session.close()
+
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _exchange(self, send):
         return self.connect_retry.call(
@@ -482,10 +506,8 @@ class FleetClient:
         )
 
     def rpc(self, method: str, params: dict | None = None):
-        from repro.net.client import http_json
-
-        response = self._exchange(lambda: http_json(
-            "POST", f"{self.base_url}/rpc",
+        response = self._exchange(lambda: self._session.json(
+            "POST", "/rpc",
             {"jsonrpc": "2.0", "id": 1, "method": method,
              "params": params or {}},
             timeout=self.timeout,
@@ -530,19 +552,16 @@ class FleetClient:
         return bool(self.rpc("ping").get("pong"))
 
     def healthz(self) -> dict:
-        from repro.net.client import http_request
-
-        return self._exchange(lambda: http_request(
-            "GET", f"{self.base_url}/healthz", timeout=self.timeout
+        return self._exchange(lambda: self._session.request(
+            "GET", "/healthz", timeout=self.timeout
         )).json()
 
     def shutdown(self) -> bool:
-        from repro.net.client import TransportError, http_json
+        from repro.net.client import TransportError
 
         try:
-            return http_json(
-                "POST", f"{self.base_url}/shutdown", {},
-                timeout=self.timeout,
+            return self._session.json(
+                "POST", "/shutdown", {}, timeout=self.timeout,
             ).ok
         except TransportError:
             # The coordinator may die between the reply and our read.

@@ -4,9 +4,10 @@ A worker is deliberately boring: it cold-starts a
 :class:`~repro.serve.service.ScanService` from the ModelStore (exactly
 the artifact path every other serving surface uses), splits it into
 ``shards`` in-process views partitioned by the same crc32 address hash
-as the streaming scanner, and answers ``POST /scan`` on a loopback
-port it binds itself (port 0 → the kernel picks; the bound port travels
-back to the coordinator over a pipe). All fleet intelligence —
+as the streaming scanner, and answers ``POST /scan`` over keep-alive
+HTTP/1.1 (:mod:`repro.net.server`) on a loopback port it binds itself
+(port 0 → the kernel picks; the bound port travels back to the
+coordinator over a pipe). All fleet intelligence —
 sharding, admission control, rerouting — lives in the coordinator; a
 worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
@@ -40,9 +41,9 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults
+from repro.net.server import JsonHandler, KeepAliveServer, list_of
 
 __all__ = ["BadRequest", "WorkerSpec", "worker_main"]
 
@@ -54,15 +55,6 @@ SCAN_DELAY_ENV = "PHOOK_FLEET_SCAN_DELAY"
 
 class BadRequest(ValueError):
     """A malformed ``/scan`` or ``/invalidate`` body (HTTP 400)."""
-
-
-def _list_of(request: dict, key: str, kind: type) -> list:
-    """``request[key]``, checked to be a JSON list of ``kind``."""
-    value = request[key]
-    if not isinstance(value, list) or not all(
-            isinstance(item, kind) for item in value):
-        raise TypeError(f"{key!r} must be a list of {kind.__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -130,10 +122,10 @@ class _WorkerState:
         try:
             if not isinstance(request, dict):
                 raise TypeError("request body must be a JSON object")
-            addresses = _list_of(request, "addresses", str)
-            code_of = _list_of(request, "code_of", int)
+            addresses = list_of(request, "addresses", str)
+            code_of = list_of(request, "code_of", int)
             codes = [bytes.fromhex(code)
-                     for code in _list_of(request, "inline_codes", str)]
+                     for code in list_of(request, "inline_codes", str)]
             if len(code_of) != len(addresses) or not all(
                     0 <= i < len(codes) for i in code_of):
                 raise ValueError("'code_of' does not index the batch's "
@@ -216,20 +208,7 @@ class _WorkerState:
 
 
 def _make_handler(state: _WorkerState, server_box: dict):
-    class Handler(BaseHTTPRequestHandler):
-        # One worker serves one coordinator on loopback; access logs
-        # would just interleave with test output.
-        def log_message(self, *args):  # noqa: D102
-            pass
-
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
+    class Handler(JsonHandler):
         def do_GET(self):  # noqa: N802
             if self.path == "/healthz":
                 self._reply(200, {"ok": True, "worker": state.spec.index,
@@ -241,6 +220,7 @@ def _make_handler(state: _WorkerState, server_box: dict):
                 self._reply(404, {"error": f"no route {self.path}"})
 
         def do_POST(self):  # noqa: N802
+            body = self._read_body()
             if self.path == "/shutdown":
                 self._reply(200, {"ok": True})
                 threading.Thread(
@@ -251,7 +231,7 @@ def _make_handler(state: _WorkerState, server_box: dict):
                 self._reply(404, {"error": f"no route {self.path}"})
                 return
             try:
-                request = self._read_json()
+                request = self._parse_json(body)
                 if self.path == "/invalidate":
                     self._reply(200, self._invalidate(request))
                 else:
@@ -262,10 +242,12 @@ def _make_handler(state: _WorkerState, server_box: dict):
                 self._reply(500, {"error": f"{type(error).__name__}: "
                                            f"{error}"})
 
-        def _read_json(self):
+        @staticmethod
+        def _parse_json(body: bytes | None):
+            if body is None:
+                raise BadRequest("malformed Content-Length")
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                return json.loads(self.rfile.read(length))
+                return json.loads(body)
             except ValueError as error:
                 raise BadRequest(f"malformed JSON: {error}") from error
 
@@ -297,11 +279,10 @@ def worker_main(spec: WorkerSpec, ready) -> None:
             raise RuntimeError("injected startup failure")
         state = _WorkerState(spec)
         server_box: dict = {}
-        server = ThreadingHTTPServer(
+        server = KeepAliveServer(
             (spec.host, 0), _make_handler(state, server_box)
         )
         server_box["server"] = server
-        server.daemon_threads = True
     except Exception as error:  # noqa: BLE001
         try:
             ready.send({"error": f"{type(error).__name__}: {error}"})

@@ -322,3 +322,93 @@ class TestSinkOutages:
         )
         assert dead_letter.stats.failed == 0
         assert dead_letter.stats.spooled == 0
+
+
+class TestKeptAliveConnections:
+    """Fleet connections stay open between batches; a worker that dies
+    or moves must still be noticed, and nothing may pile up."""
+
+    def test_idle_connection_to_a_killed_worker_reroutes(
+            self, store_root, probe_batch, reference_results):
+        addresses, codes = probe_batch
+        expected = _expected_alerts(reference_results)
+        with _supervised(store_root, supervise=False) as manager:
+            manager.scan(addresses, codes)
+            handle = manager.coordinator.workers[0]
+            assert handle.session._idle, "no connection was kept open"
+            manager.kill_worker(0)
+
+            sink = manager.sinks[0]
+            sink.alerts.clear()
+            results = manager.scan(addresses, codes)
+            assert [r["probability"] for r in results] == [
+                r.probability for r in reference_results
+            ]
+            assert {r["worker"] for r in results} == {1}
+            assert {a.address for a in sink.alerts} == expected
+            assert handle.state == "dead" and not handle.alive
+            assert manager.status()["counters"]["rerouted"] >= 1
+
+    def test_respawned_worker_is_reached_on_a_new_connection(
+            self, store_root, probe_batch, reference_results):
+        addresses, codes = probe_batch
+        with _supervised(store_root) as manager:
+            manager.scan(addresses, codes)
+            handle = manager.coordinator.workers[0]
+            old_session, old_port = handle.session, handle.port
+            manager.kill_worker(0)
+            _wait_until(lambda: handle.state == "alive" and handle.respawns,
+                        what="respawn")
+            assert old_session.closed
+            assert handle.port != old_port
+            assert handle.session.base_url == handle.url
+
+            results = manager.scan(addresses, codes)
+            assert [r["probability"] for r in results] == [
+                r.probability for r in reference_results
+            ]
+            assert 0 in {r["worker"] for r in results}
+            assert handle.alive and handle.respawns == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count open sockets")
+    def test_start_scan_stop_cycles_leak_no_sockets_or_threads(
+            self, store_root, probe_batch):
+        """Each cycle drops its FleetClient without closing it, as a
+        benchmark or a short script does. The stopped managers are kept,
+        so only ``stop()`` and the dropped client can free anything."""
+        addresses, codes = probe_batch
+        stopped = []
+
+        def cycle():
+            manager = FleetManager(workers=2, store_url=str(store_root),
+                                   model_ref="production").start()
+            stopped.append(manager)
+            try:
+                client = FleetClient(manager.url)
+                for _ in range(3):
+                    client.scan(addresses, codes)
+            finally:
+                manager.stop()
+
+        def census():
+            sockets = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue  # the fd listing itself, now closed
+                sockets += target.startswith("socket:")
+            return sockets, threading.active_count()
+
+        cycle()
+        sockets, threads = census()
+        for _ in range(19):
+            cycle()
+        after_sockets, after_threads = census()
+        assert after_sockets <= sockets + 2, (
+            f"open sockets grew {sockets} -> {after_sockets}"
+        )
+        assert after_threads <= threads + 1, (
+            f"threads grew {threads} -> {after_threads}"
+        )

@@ -24,7 +24,7 @@ from repro.net import (
     OverloadedError,
     ShuttingDownError,
 )
-from repro.net.client import http_json, http_request
+from repro.net.client import HttpSession, http_json, http_request
 from repro.net.worker import SCAN_DELAY_ENV
 from repro.stream import MemorySink
 
@@ -119,6 +119,29 @@ class TestHttpSurface:
             client.rpc("scan", {"addresses": ["0x1"]})  # codes missing
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("params", [
+        {"addresses": "ab", "codes": ["6080", "6080"]},
+        {"addresses": ["0xa", "0xb"], "codes": "6080"},
+        {"addresses": [1, 2], "codes": ["6080", "6080"]},
+        {"addresses": ["0xa"], "codes": [None]},
+    ], ids=["addresses-string", "codes-string", "int-address", "null-code"])
+    def test_scan_params_must_be_lists_of_strings(self, fleet, params):
+        # A JSON string is a sequence too: "ab" must not scan "a" and "b".
+        client = FleetClient(fleet.url)
+        before = client.status()["counters"]["scanned"]
+        with pytest.raises(FleetRpcError) as excinfo:
+            client.rpc("scan", params)
+        assert (excinfo.value.status, excinfo.value.code) == (400, -32602)
+        assert client.status()["counters"]["scanned"] == before
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b"{\"method\": \"ping\", "
+                                      b"\"params\": [1]}"],
+                             ids=["array", "params-array"])
+    def test_non_object_rpc_is_a_400(self, fleet, body):
+        response = http_request("POST", f"{fleet.url}/rpc", body=body,
+                                timeout=5.0)
+        assert response.status == 400
+
     def test_empty_bytecode_is_invalid_params(self, fleet):
         # Nothing deployed means nothing to score: the fleet refuses the
         # batch instead of alerting on the empty-histogram probability.
@@ -132,6 +155,64 @@ class TestHttpSurface:
         assert sink.alerts == []
         status = client.status()
         assert status["alive"] == len(status["workers"]) == 2
+
+
+class TestKeepAlive:
+    """Fleet servers keep connections open, so every request body must
+    be read even on routes that ignore it."""
+
+    @staticmethod
+    def _reused(session, first, second):
+        """Send two requests on ``session``; assert both used one
+        connection and return the second response."""
+        first()
+        (connection,) = session._idle
+        response = second()
+        assert session._idle == [connection], "connection was not reused"
+        return response
+
+    def test_coordinator_drains_an_unrouted_body(self, fleet):
+        session = HttpSession(fleet.url)
+        response = self._reused(
+            session,
+            lambda: session.json("POST", "/no-such-route", {"x": "y" * 64}),
+            lambda: session.json("POST", "/rpc", {"jsonrpc": "2.0", "id": 1,
+                                                  "method": "ping"}),
+        )
+        assert response.json()["result"] == {"pong": True}
+        session.close()
+
+    def test_worker_drains_an_unrouted_body(self, fleet):
+        session = HttpSession(fleet.coordinator.workers[0].url)
+        response = self._reused(
+            session,
+            lambda: session.json("POST", "/no-such-route", {"x": "y" * 64}),
+            lambda: session.json("POST", "/invalidate",
+                                 {"namespace": "no-such-namespace"}),
+        )
+        assert response.status == 200
+        session.close()
+
+    def test_unusable_content_length_closes_the_connection(self, fleet):
+        session = HttpSession(fleet.url)
+        response = session.request("POST", "/rpc", body=b"{}",
+                                   headers={"Content-Length": "-5"})
+        assert response.status == 400
+        assert response.headers["connection"] == "close"
+        assert session._idle == []
+        session.close()
+
+    def test_shard_groups_are_sent_concurrently(
+            self, store_root, probe_batch, monkeypatch):
+        monkeypatch.setenv(SCAN_DELAY_ENV, "1.0")
+        addresses, codes = probe_batch
+        with _manager(store_root) as manager:
+            started = time.perf_counter()
+            results = manager.scan(addresses, codes)
+            elapsed = time.perf_counter() - started
+        assert {r["worker"] for r in results} == {0, 1}
+        # One delayed batch per worker: sequential sends take 2 s.
+        assert elapsed < 1.8, f"shard groups took {elapsed:.2f}s"
 
 
 class TestTransportFailures:
