@@ -13,9 +13,12 @@ loop iterations.
 Numerical contract: the engine is **bit-identical** to the per-row reference
 traversal. Descent uses the same ``x[feature] <= threshold`` comparison on the
 same float64 values, and per-tree leaf values are accumulated *sequentially in
-tree order* (one vectorized add per tree, not a pairwise ``np.sum`` over the
-tree axis), matching the reference ``for tree in trees: total += ...`` loop
-float-for-float.
+tree order*: one gather of every (sample, tree) leaf value, then
+``np.add.accumulate`` along the tree axis, which adds tree ``t`` to the
+running total of trees ``0 … t-1`` exactly as the reference
+``for tree in trees: total += ...`` loop does. ``np.sum`` /
+``.sum(axis=...)`` over the tree axis is *not* used: it sums pairwise, which
+rounds differently. The cost is a few numpy calls per batch, not one per tree.
 
 TreeSHAP contract: compilation is view-preserving. :meth:`FlatEnsemble.tree_view`
 returns the ``i``-th tree as an object exposing the exact per-tree attribute
@@ -43,8 +46,10 @@ __all__ = [
 #: Sentinel used in the flat arrays for leaves (shared with repro.ml.tree).
 LEAF = -1
 
-#: Rows per descent chunk: bounds the (rows × trees) int64 temporaries to a
-#: few MB regardless of batch size.
+#: Rows per descent chunk. It bounds the temporaries regardless of batch
+#: size: (chunk × trees) int64 node ids during descent, and two float64
+#: (chunk × (trees + 1) × outputs) arrays during accumulation — ~16 MB each
+#: for a 120-tree two-class forest.
 DESCENT_CHUNK_ROWS = 8192
 
 
@@ -412,10 +417,20 @@ class FlatEnsemble:
 
     def _parked_descent(self, X):
         left, right, feat, thr, consecutive, depth = self._descent_tables()
-        nodes = np.repeat(self.roots[None, :], len(X), axis=0)
-        rows = np.arange(len(X))[:, None]
+        n_samples, n_columns = X.shape
+        if n_columns < self.n_features:
+            raise ValueError(
+                f"X has {n_columns} features; the ensemble was fitted on "
+                f"{self.n_features}"
+            )
+        # Split values gather through one flat index, row * n_columns +
+        # feature, instead of a 2-D fancy index. ravel() flattens in row
+        # order: a view of a C-contiguous X, one copy of any other layout.
+        flat_x = X.ravel()
+        row_base = (np.arange(n_samples) * n_columns)[:, None]
+        nodes = np.repeat(self.roots[None, :], n_samples, axis=0)
         for __ in range(depth):
-            go_right = X[rows, feat[nodes]] > thr[nodes]
+            go_right = flat_x[row_base + feat[nodes]] > thr[nodes]
             if consecutive:
                 # right = left + 1 on internal nodes; parked leaves have
                 # threshold +inf so go_right is always False there.
@@ -424,34 +439,52 @@ class FlatEnsemble:
                 nodes = np.where(go_right, right[nodes], left[nodes])
         return nodes
 
-    def accumulate_values(self, X) -> np.ndarray:
-        """Sum of per-tree leaf ``value`` rows, ``(n_samples, n_outputs)``.
+    def _leaf_total(self, X, start, scale) -> np.ndarray:
+        """``start + Σ_t scale·value[leaf_t]`` per sample, in tree order.
 
-        Trees are accumulated sequentially in tree order so the result is
-        bit-identical to the reference per-tree ``+=`` loop.
+        Per chunk, one gather lays out ``[start, scale·v₀, scale·v₁, …]``
+        along a tree axis and ``np.add.accumulate`` sums it sequentially,
+        so the last slice is bit-identical to the reference loop
+        ``total = start; for t: total += scale * v_t`` (``scale = 1``
+        leaves every ``v_t`` exact). Pairwise ``np.sum`` would round
+        differently.
+
+        Returns:
+            ``(n_samples, n_outputs)`` float64 totals.
         """
-        leaves = self.apply(X)
-        total = np.zeros((len(leaves), self.value.shape[1]))
-        for tree_index in range(self.n_trees):
-            total += self.value[leaves[:, tree_index]]
+        X = np.asarray(X)
+        n_outputs = self.value.shape[1]
+        total = np.empty((len(X), n_outputs))
+        for begin in range(0, len(X), DESCENT_CHUNK_ROWS):
+            stop = begin + DESCENT_CHUNK_ROWS
+            leaves = self._parked_descent(X[begin:stop])
+            terms = np.empty((len(leaves), self.n_trees + 1, n_outputs))
+            terms[:, 0] = start
+            # ``take`` gathers whole value rows far faster than value[leaves].
+            np.multiply(
+                np.take(self.value, leaves, axis=0), scale, out=terms[:, 1:]
+            )
+            total[begin:stop] = np.add.accumulate(terms, axis=1)[:, -1]
         return total
 
     def predict_proba_mean(self, X) -> np.ndarray:
-        """Forest-style probability: mean of per-tree class fractions."""
-        return self.accumulate_values(X) / self.n_trees
+        """Forest-style probability: mean of per-tree class fractions.
+
+        Sums the trees' leaf ``value`` rows from zero in tree order (one
+        gather and one sequential accumulate per chunk), then divides by
+        the tree count — bit-identical to the reference per-tree ``+=``
+        loop.
+        """
+        return self._leaf_total(X, 0.0, 1.0) / self.n_trees
 
     def decision_sum(self, X, learning_rate: float, base_score: float) -> np.ndarray:
         """Boosting-style raw score: ``base + lr * Σ_t weight_t`` per sample.
 
-        Per-tree contributions are added in boosting order (bit-identical to
-        the reference sequential loop, which scales *each* tree by the
-        learning rate before adding).
+        Accumulates ``[base, lr·w₀, lr·w₁, …]`` in boosting order, each
+        ``lr·w`` the same elementwise product the reference sequential loop
+        adds, so the score is bit-identical to it.
         """
-        leaves = self.apply(X)
-        raw = np.full(len(leaves), base_score)
-        for tree_index in range(self.n_trees):
-            raw += learning_rate * self.value[leaves[:, tree_index], 0]
-        return raw
+        return self._leaf_total(X, base_score, learning_rate)[:, 0]
 
 
 def precompile(model) -> int:

@@ -10,7 +10,14 @@ same master seed.
 import numpy as np
 import pytest
 
-from repro.ml.flat import LEAF, FlatEnsemble, level_descent, precompile, reference_apply
+from repro.ml.flat import (
+    DESCENT_CHUNK_ROWS,
+    LEAF,
+    FlatEnsemble,
+    level_descent,
+    precompile,
+    reference_apply,
+)
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbdt import (
     CatBoostClassifier,
@@ -176,6 +183,53 @@ class TestForestEquivalence:
             assert phi.sum() + view.value_[0, 1] == pytest.approx(prediction)
 
 
+class TestServingShapes:
+    """Bit-identity at the batch sizes a scan service actually sends.
+
+    A stream shard or fleet worker scores ~8 rows per call and the cold
+    path 16, against a forest of 100+ trees: the per-tree accumulation
+    runs over a long tree axis and a short row axis.
+    """
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        X, y = _make_problem(60)
+        return RandomForestClassifier(n_estimators=120, random_state=0).fit(X, y)
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        return np.random.default_rng(61).normal(size=(16, 6))
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_predict_proba_at_serving_rows(self, forest, probe, rows):
+        assert forest.compile_flat().n_trees >= 100
+        batch = probe[:rows]
+        assert np.array_equal(
+            forest.predict_proba(batch), _seed_forest_proba(forest, batch)
+        )
+
+    @pytest.mark.parametrize("rows", [8, 16])
+    def test_fortran_ordered_and_column_sliced_input(self, forest, probe, rows):
+        # Split values gather through a flat row-major index, so memory
+        # layout must not leak into which value a (row, feature) reads.
+        batch = probe[:rows]
+        expected = _seed_forest_proba(forest, batch)
+        flat = forest.compile_flat()
+        fortran = np.asfortranarray(batch)
+        assert not fortran.flags.c_contiguous
+        assert np.array_equal(flat.predict_proba_mean(fortran), expected)
+        wide = np.random.default_rng(62).normal(size=(rows, 15))
+        wide[:, 3:9] = batch
+        view = wide[:, 3:9]
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        assert np.array_equal(flat.predict_proba_mean(view), expected)
+        assert np.array_equal(flat.apply(view), flat.apply(batch))
+
+    def test_input_narrower_than_fitted_width_rejected(self, forest, probe):
+        with pytest.raises(ValueError, match="fitted on 6"):
+            forest.compile_flat().apply(probe[:, :5])
+
+
 class TestParallelFit:
     @pytest.mark.parametrize("seed", [0, 13])
     def test_parallel_fit_reproduces_serial_fit(self, seed):
@@ -253,6 +307,27 @@ class TestGBDTEquivalence:
             model.decision_function(X), self._reference_decision(model, X)
         )
 
+    @pytest.mark.parametrize("rows", [8, 16])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: XGBoostClassifier(n_estimators=12, max_depth=3),
+            lambda: LightGBMClassifier(n_estimators=12, num_leaves=7),
+        ],
+        ids=["xgboost", "lightgbm"],
+    )
+    def test_decision_bit_identical_at_serving_rows(self, make, rows):
+        X, y = _make_problem(25)
+        model = make().fit(X, y)
+        # Leaf weights of both signs: the accumulated running total
+        # crosses zero, where a reordered sum would round differently.
+        weights = model.compile_flat().value
+        assert (weights < 0).any() and (weights > 0).any()
+        probe = np.random.default_rng(26).normal(size=(rows, X.shape[1]))
+        assert np.array_equal(
+            model.decision_function(probe), self._reference_decision(model, probe)
+        )
+
     def test_catboost_has_no_flat_compilation(self):
         X, y = _make_problem(22)
         model = CatBoostClassifier(n_estimators=4, depth=2).fit(X, y)
@@ -309,6 +384,34 @@ class TestLevelDescentChunking:
         big = np.random.default_rng(3).normal(size=(900, X.shape[1]))
         assert np.array_equal(
             flat.apply(big, chunk_rows=128), flat.apply(big)
+        )
+
+    def test_chunked_accumulation_matches_single_chunk(self):
+        # A batch one chunk and a bit long: rows are independent, so each
+        # part scored on its own (a single chunk) must equal the chunked
+        # result row for row.
+        X, y = _make_problem(32, n=300)
+        big = np.random.default_rng(4).normal(
+            size=(DESCENT_CHUNK_ROWS + 300, X.shape[1])
+        )
+        head, tail = big[:DESCENT_CHUNK_ROWS], big[DESCENT_CHUNK_ROWS:]
+        forest = RandomForestClassifier(n_estimators=12, random_state=0).fit(X, y)
+        flat = forest.compile_flat()
+        assert np.array_equal(
+            flat.predict_proba_mean(big),
+            np.concatenate(
+                [flat.predict_proba_mean(head), flat.predict_proba_mean(tail)]
+            ),
+        )
+        booster = XGBoostClassifier(n_estimators=10, max_depth=3).fit(X, y)
+        compiled = booster.compile_flat()
+        rate, base = booster.learning_rate, booster.base_score_
+        assert np.array_equal(
+            compiled.decision_sum(big, rate, base),
+            np.concatenate([
+                compiled.decision_sum(head, rate, base),
+                compiled.decision_sum(tail, rate, base),
+            ]),
         )
 
 
