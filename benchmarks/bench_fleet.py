@@ -7,14 +7,15 @@ at four workers, by concurrent client threads:
 
 * **1 worker** — every batch funnels through one process: the serving
   floor,
-* **4 workers** — address-sharded dispatch across four processes.
+* **4 workers** — each batch goes whole to the least-loaded of four
+  processes, so the concurrent clients' batches spread across them.
 
 Prints one machine-readable JSON summary line (``FLEET {...}``) with
 events/sec per fleet size, the 4-vs-1 scaling ratio, parallel
 efficiency (scaling / 4) and the client-observed p99 batch latency.
 
 Shape assertions: the fleet's alert set must equal the single-process
-reference **bit for bit at both sizes** (sharding may not change a
+reference **bit for bit at both sizes** (routing may not change a
 single verdict), and throughput must scale. The paper-
 grade floor — ≥ 0.7× linear at 4 workers — needs 4 free cores; on
 smaller machines (``PHOOK_BENCH_SMOKE=1`` or ``os.cpu_count() < 4``)

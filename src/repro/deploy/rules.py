@@ -341,25 +341,6 @@ def _fleet_unreachable_store(c: DeployConfig):
     return None
 
 
-def _fleet_aliased_sharding(c: DeployConfig):
-    import math
-
-    if c.fleet is None or c.fleet.workers < 2 or c.stream.shards < 2:
-        return None
-    g = math.gcd(c.fleet.workers, c.stream.shards)
-    if g > 1:
-        return (
-            f"fleet.workers={c.fleet.workers} and stream.shards="
-            f"{c.stream.shards} share a factor of {g}: both hash "
-            f"crc32(address), so worker w only ever receives addresses "
-            f"with crc32 ≡ w (mod {g}) and exercises just "
-            f"{c.stream.shards // g} of its {c.stream.shards} in-process "
-            f"shard views — the rest sit idle while their siblings "
-            f"absorb the skew"
-        )
-    return None
-
-
 def _fleet_shed_alert_loss(c: DeployConfig):
     if c.fleet is None or c.fleet.overflow != "shed":
         return None
@@ -522,8 +503,9 @@ def _loop_subprocess_memory_store(c: DeployConfig):
 
 #: The catalog. IDs are stable — tooling, dashboards and the docs rule
 #: table key on them; new rules append, old rules never renumber. The
-#: gaps after D019 and D024 are the retired feature-ring rules; their
-#: IDs are never reused.
+#: gaps are retired rules whose IDs are never reused: D018 policed the
+#: address-hash routing the fleet coordinator no longer does, D020 and
+#: D025 the feature-ring knobs.
 RULES: tuple[Rule, ...] = (
     Rule(
         "D001", ERROR, "silent-alert-loss",
@@ -677,17 +659,6 @@ RULES: tuple[Rule, ...] = (
         "topologies (store-serve publishes a local store over HTTP)",
         _fleet_unreachable_store,
         ("store.url", "fleet.workers"),
-    ),
-    Rule(
-        "D018", ERROR, "fleet-aliased-sharding",
-        "Worker count and in-process shard count sharing a common "
-        "factor alias the crc32 address hash: each worker can only ever "
-        "reach a fixed residue class of its shard views, idling the "
-        "rest and concentrating load on the survivors.",
-        "pick coprime fleet.workers and stream.shards (e.g. 4 workers "
-        "x 3 shards), or set stream.shards=1 and scale workers",
-        _fleet_aliased_sharding,
-        ("fleet.workers", "stream.shards"),
     ),
     Rule(
         "D019", ERROR, "fleet-shed-alert-loss",

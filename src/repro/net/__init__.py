@@ -15,10 +15,10 @@ users" north star needs real processes and a real wire:
 * :mod:`repro.net.worker` — the worker process: one
   :class:`~repro.serve.service.ScanService` cold-started from the
   ModelStore behind a private HTTP port, fed bytecode inline as hex,
-* :mod:`repro.net.coordinator` — address-sharded dispatch, bounded
-  per-worker admission control (429/shed or block), crash rerouting
-  with zero lost events, drain-on-shutdown, and the public
-  HTTP/JSON-RPC scan+monitor API,
+* :mod:`repro.net.coordinator` — whole-batch dispatch to the
+  least-loaded worker, bounded per-worker admission control (429/shed
+  or block), crash rerouting with zero lost events, drain-on-shutdown,
+  and the public HTTP/JSON-RPC scan+monitor API,
 * :mod:`repro.net.fleet` — :class:`FleetManager` (spawn/collect/stop
   lifecycle, plus opt-in worker supervision: heartbeat liveness,
   spawn-context respawn with exponential backoff, quarantine after

@@ -1,39 +1,38 @@
-"""Fleet coordinator: sharded dispatch, admission control, reroute.
+"""Fleet coordinator: least-loaded dispatch, admission control, reroute.
 
 The coordinator is the only public face of a fleet. It owns:
 
-* **Address-sharded dispatch.** Each scan event routes to worker
-  ``crc32(address) % workers`` — the same hash the in-process streaming
-  scanner uses — so one address's history always lands on one worker's
-  cache. When that worker is dead, the batch deterministically falls to
-  the next alive index; nothing is dropped.
+* **Least-loaded dispatch.** Each scan batch goes whole to one worker:
+  the alive worker with the fewest in-flight batches, the lowest index
+  on ties. The pick and the reservation of that worker's in-flight slot
+  are one step under a routing lock, so batches that arrive together
+  spread across workers. Worker caches are keyed by bytecode content,
+  so no address affinity is lost; a worker shards each batch over its
+  own in-process views.
 * **Admission control.** Per-worker in-flight batches are bounded by
-  ``queue_depth``. On overflow the ``overflow`` policy either *sheds*
-  (:class:`OverloadedError`, surfaced as HTTP 429 — callers retry) or
-  *blocks* the submitting thread until capacity frees (lossless,
-  latency-paying). Draining fleets refuse new work
-  (:class:`ShuttingDownError` → 503) but finish everything admitted.
-* **Concurrent fan-out.** A batch's shard groups are sent at once: the
-  first on the calling thread, the rest on a per-coordinator thread
-  pool, each over its worker's kept-alive
-  :class:`~repro.net.client.HttpSession`. Results stay positional and
-  alerts go out only after every group returned, so concurrency changes
-  neither the results nor the alert set or its order.
+  ``queue_depth``. When every alive worker is full the ``overflow``
+  policy either *sheds* (:class:`OverloadedError`, surfaced as HTTP
+  429 — callers retry) or *blocks* the submitting thread until
+  capacity frees and then picks again (lossless, latency-paying).
+  Draining fleets refuse new work (:class:`ShuttingDownError` → 503)
+  but finish everything admitted.
 * **Crash rerouting.** A :class:`~repro.net.client.TransportError` (or
-  HTTP 5xx) from a worker marks it dead and re-sends the *whole shard
-  group* to the next alive worker; since a worker that died mid-request
-  never delivered a response, re-sending cannot double-alert and not
-  re-sending would lose events. The alert-set equality tests pin this
-  down. A worker's HTTP 4xx is different: the batch was bad, not the
-  worker, so it becomes :class:`WorkerRejectedError` (JSON-RPC 400)
-  and the worker stays in rotation.
-* **Inline bytecode.** Each shard request carries its unique
+  HTTP 5xx) from a worker marks it dead and re-sends the *whole batch*
+  to the least-loaded alive worker not yet tried; since a worker that
+  died mid-request never delivered a response, re-sending cannot
+  double-alert and not re-sending would lose events. The alert-set
+  equality tests pin this down. A worker's HTTP 4xx is different: the
+  batch was bad, not the worker, so it becomes
+  :class:`WorkerRejectedError` (JSON-RPC 400) and the worker stays in
+  rotation.
+* **Inline bytecode.** Each worker request carries the batch's unique
   bytecodes as hex (``inline_codes``) plus an index per address
   (``code_of``); the worker decodes and caches them itself.
 * **The monitor plane.** Flagged results become real
   :class:`~repro.stream.scanner.StreamAlert` objects fanned out to the
-  configured sinks, and :meth:`FleetCoordinator.status` reports
-  per-worker counters plus client-observed p50/p95/p99 batch latency.
+  configured sinks after the batch returns, and
+  :meth:`FleetCoordinator.status` reports per-worker counters plus
+  client-observed p50/p95/p99 batch latency.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -132,9 +130,10 @@ class WorkerHandle:
                degraded: bool = False) -> None:
         """Point this handle at a freshly respawned process.
 
-        The port/process swap and the ``alive`` flip happen under the
-        capacity condition so threads blocked in admission wake up and
-        route to the new process, never a half-updated handle.
+        The port/process swap and the ``alive`` flip happen together
+        under the capacity condition, so routing never reaches a
+        half-updated handle; a batch blocked in admission picks the
+        revived worker on its next poll.
         """
         with self.capacity:
             self.port = port
@@ -146,7 +145,6 @@ class WorkerHandle:
             self.state = "alive"
             self.degraded = degraded
             self.respawns += 1
-            self.capacity.notify_all()
 
     def as_dict(self) -> dict:
         return {
@@ -168,9 +166,9 @@ class FleetCoordinator:
     """Dispatch scans across :class:`WorkerHandle`\\ s; see module docs.
 
     Args:
-        workers: Worker handles; their list order defines the shard
-            space (``crc32(address) % len(workers)``), which stays fixed
-            even as workers die — only the *fallback* target moves.
+        workers: Worker handles; list order breaks ties in the
+            least-loaded pick, and ``len(workers)`` is the shard space
+            of each alert's ``shard`` field (``crc32(address) % N``).
         queue_depth: Max in-flight batches per worker.
         overflow: ``"shed"`` (raise :class:`OverloadedError`) or
             ``"block"`` (wait for capacity).
@@ -197,10 +195,10 @@ class FleetCoordinator:
         self.timeout = timeout
         self.sinks = list(sinks)
         self._lock = threading.Lock()
+        self._routing = threading.Condition()
         self._draining = False
         self._batch_counter = 0
         self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
-        self._fanout: ThreadPoolExecutor | None = None
         self.counters = {
             "batches": 0,
             "scanned": 0,
@@ -217,48 +215,46 @@ class FleetCoordinator:
     def alive_workers(self) -> list[WorkerHandle]:
         return [w for w in self.workers if w.alive]
 
-    def _worker_for(self, shard: int, skip=()) -> WorkerHandle | None:
-        """Preferred worker for a shard, falling to the next alive index.
+    def _acquire(self, tried) -> WorkerHandle | None:
+        """Pick a worker for one batch and reserve its in-flight slot.
 
-        The fallback is deterministic (``shard + k`` mod worker count) so
-        a rerouted address keeps landing on the *same* substitute until
-        the fleet membership changes again.
+        The pick is the alive worker outside ``tried`` with the fewest
+        in-flight batches, the lowest index on ties; it and the
+        reservation happen under one routing lock. When it is at
+        ``queue_depth``, so is every candidate: ``shed`` raises
+        :class:`OverloadedError` and ``block`` waits for capacity and
+        picks again. Returns ``None`` when no candidate is alive.
         """
-        n = len(self.workers)
-        for k in range(n):
-            worker = self.workers[(shard + k) % n]
-            if worker.alive and worker.index not in skip:
-                return worker
-        return None
-
-    def _admit(self, worker: WorkerHandle) -> bool:
-        """Reserve one in-flight unit on ``worker``; see ``overflow``."""
-        with worker.capacity:
-            if self.overflow == "shed":
-                if worker.inflight >= self.queue_depth:
-                    with self._lock:
-                        self.counters["shed"] += 1
-                    raise OverloadedError(
-                        f"worker {worker.index} at queue_depth="
-                        f"{self.queue_depth}"
-                    )
-            else:
-                while (worker.alive and not self._draining
-                       and worker.inflight >= self.queue_depth):
-                    worker.capacity.wait(timeout=0.1)
-                if not worker.alive:
-                    return False
+        with self._routing:
+            while True:
+                candidates = [w for w in self.workers
+                              if w.alive and w.index not in tried]
+                if not candidates:
+                    return None
+                worker = min(candidates, key=lambda w: w.inflight)
+                if worker.inflight < self.queue_depth:
+                    with worker.capacity:
+                        worker.inflight += 1
+                        worker.dispatched += 1
+                    return worker
+                if self.overflow == "shed":
+                    break
                 if self._draining:
                     raise ShuttingDownError("fleet is draining")
-            worker.inflight += 1
-            worker.dispatched += 1
-            return True
+                self._routing.wait(timeout=0.1)
+        with self._lock:
+            self.counters["shed"] += 1
+        raise OverloadedError(
+            f"every alive worker at queue_depth={self.queue_depth}"
+        )
 
     def _release(self, worker: WorkerHandle, *, completed: bool) -> None:
         with worker.capacity:
             worker.inflight = max(0, worker.inflight - 1)
             worker.completed += int(completed)
             worker.capacity.notify_all()
+        with self._routing:
+            self._routing.notify_all()
 
     def mark_dead(self, worker: WorkerHandle) -> None:
         with worker.capacity:
@@ -266,7 +262,8 @@ class FleetCoordinator:
             if worker.state not in ("quarantined", "respawning"):
                 worker.state = "dead"
             worker.session.close()
-            worker.capacity.notify_all()
+        with self._routing:
+            self._routing.notify_all()
 
     def degraded_workers(self) -> list[WorkerHandle]:
         """Alive workers serving from cache because the store is down."""
@@ -279,23 +276,15 @@ class FleetCoordinator:
     # Scan path
     # ------------------------------------------------------------------ #
 
-    def _send(self, worker: WorkerHandle, addresses, code_of,
-              unique_codes) -> list[dict]:
-        """One admission + HTTP exchange with one worker.
+    def _send(self, worker: WorkerHandle, payload: dict) -> list[dict]:
+        """One HTTP exchange with a worker :meth:`_acquire` reserved.
 
-        Raises :class:`~repro.net.client.TransportError` when the worker
-        is unreachable or fails (HTTP 5xx; the caller reroutes),
+        Releases the reservation. Raises
+        :class:`~repro.net.client.TransportError` when the worker is
+        unreachable or fails (HTTP 5xx; the caller reroutes) and
         :class:`WorkerRejectedError` when it refuses the batch (HTTP
-        4xx; rerouting would only repeat the refusal) and
-        :class:`OverloadedError` on shed.
+        4xx; rerouting would only repeat the refusal).
         """
-        payload = {
-            "addresses": list(addresses),
-            "code_of": list(code_of),
-            "inline_codes": [bytes(code).hex() for code in unique_codes],
-        }
-        if not self._admit(worker):
-            raise TransportError(f"worker {worker.index} died in admission")
         completed = False
         try:
             response = worker.session.json(
@@ -315,17 +304,13 @@ class FleetCoordinator:
         finally:
             self._release(worker, completed=completed)
 
-    def _dispatch(self, shard: int, addresses, code_of,
-                  unique_codes) -> list[dict]:
-        """Send one shard group, rerouting around dead workers."""
+    def _dispatch(self, payload: dict) -> list[dict]:
+        """Send one batch, rerouting it whole around dead workers."""
         last_error = None
         tried: set[int] = set()
-        for _ in range(len(self.workers)):
-            worker = self._worker_for(shard, skip=tried)
-            if worker is None:
-                break
+        while (worker := self._acquire(tried)) is not None:
             try:
-                return self._send(worker, addresses, code_of, unique_codes)
+                return self._send(worker, payload)
             except TransportError as error:
                 with worker.capacity:
                     worker.failed += 1
@@ -334,13 +319,11 @@ class FleetCoordinator:
                 with self._lock:
                     self.counters["rerouted"] += 1
                 last_error = error
-        raise NoWorkersError(
-            f"no alive worker for shard {shard}"
-        ) from last_error
+        raise NoWorkersError("no alive worker for the batch") from last_error
 
     def scan(self, addresses, codes, *, block_number: int = 0,
              timestamp: int | None = None) -> list[dict]:
-        """Scan a batch of ``(address, bytecode)`` pairs across the fleet.
+        """Scan a batch of ``(address, bytecode)`` pairs on one worker.
 
         ``codes`` entries may be ``bytes`` or hex strings. Returns one
         result dict per input, in input order. Raises ``ValueError`` for
@@ -348,9 +331,6 @@ class FleetCoordinator:
         :class:`ShuttingDownError` / :class:`OverloadedError` /
         :class:`NoWorkersError` as described in the module docstring.
         """
-        from repro.serve.cache import bytecode_digest
-        from repro.stream.scanner import shard_of
-
         if self._draining:
             raise ShuttingDownError("fleet is draining")
         if not self.alive_workers():
@@ -369,45 +349,19 @@ class FleetCoordinator:
             self._batch_counter += 1
             batch_id = self._batch_counter
 
-        # Host-level dedup: each unique bytecode is shipped once per
-        # shard request no matter how many addresses deploy it.
-        unique_codes: list[bytes] = []
+        # Host-level dedup: each unique bytecode is shipped once no
+        # matter how many addresses deploy it.
         index_of: dict[bytes, int] = {}
-        code_of: list[int] = []
-        for code in raw_codes:
-            digest = bytecode_digest(code)
-            if digest not in index_of:
-                index_of[digest] = len(unique_codes)
-                unique_codes.append(code)
-            code_of.append(index_of[digest])
-
-        n = len(self.workers)
-        by_shard: dict[int, list[int]] = {}
-        for position, address in enumerate(addresses):
-            by_shard.setdefault(shard_of(address, n), []).append(position)
-        groups = sorted(by_shard.items())
-
-        sends = []
-        for shard, positions in groups:
-            sub_unique: list[bytes] = []
-            sub_index: dict[int, int] = {}
-            sub_code_of: list[int] = []
-            for position in positions:
-                u = code_of[position]
-                if u not in sub_index:
-                    sub_index[u] = len(sub_unique)
-                    sub_unique.append(unique_codes[u])
-                sub_code_of.append(sub_index[u])
-            sends.append((shard, [addresses[p] for p in positions],
-                          sub_code_of, sub_unique))
-
-        results: list[dict | None] = [None] * len(addresses)
-        for (_, positions), scored in zip(groups, self._fan_out(sends)):
-            for position, result in zip(positions, scored):
-                results[position] = result
+        code_of = [index_of.setdefault(code, len(index_of))
+                   for code in raw_codes]
+        results = self._dispatch({
+            "addresses": list(addresses),
+            "code_of": code_of,
+            "inline_codes": [code.hex() for code in index_of],
+        })
 
         elapsed = time.perf_counter() - started
-        flagged = [r for r in results if r and r["is_phishing"]]
+        flagged = [r for r in results if r["is_phishing"]]
         with self._lock:
             self.counters["batches"] += 1
             self.counters["scanned"] += len(addresses)
@@ -415,32 +369,7 @@ class FleetCoordinator:
             self._latencies.append(elapsed)
         self._emit_alerts(flagged, batch_id=batch_id, elapsed=elapsed,
                           block_number=block_number, timestamp=timestamp)
-        return [dict(r) for r in results]
-
-    def _fan_out(self, sends) -> list[list[dict]]:
-        """``_dispatch`` every shard group at once; results in order.
-
-        The first group runs on the calling thread and the rest on the
-        fan-out pool (one thread per other worker, created on first
-        use). Every group finishes before this returns or raises, so
-        no send outlives its batch.
-        """
-        first, *rest = sends
-        futures = []
-        if rest:
-            with self._lock:
-                if self._fanout is None:
-                    self._fanout = ThreadPoolExecutor(
-                        max_workers=len(self.workers) - 1,
-                        thread_name_prefix="fleet-fanout",
-                    )
-                pool = self._fanout
-            futures = [pool.submit(self._dispatch, *send) for send in rest]
-        try:
-            scored = [self._dispatch(*first)]
-        finally:
-            wait(futures)
-        return scored + [future.result() for future in futures]
+        return results
 
     def _emit_alerts(self, flagged, *, batch_id: int, elapsed: float,
                      block_number: int, timestamp: int | None) -> None:
@@ -547,10 +476,11 @@ class FleetCoordinator:
         Returns whether everything drained within ``timeout``.
         """
         self._draining = True
+        with self._routing:
+            self._routing.notify_all()
         deadline = time.monotonic() + timeout
         for worker in self.workers:
             with worker.capacity:
-                worker.capacity.notify_all()
                 while worker.inflight > 0:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -563,11 +493,7 @@ class FleetCoordinator:
         return self._draining
 
     def close(self) -> None:
-        """Stop the fan-out pool and close every worker session."""
-        with self._lock:
-            pool, self._fanout = self._fanout, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Close every worker session."""
         for worker in self.workers:
             worker.session.close()
 

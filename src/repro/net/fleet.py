@@ -134,6 +134,7 @@ class FleetManager:
         self._respawn_failures: dict[int, int] = {}
         self._probe_failures: dict[int, int] = {}
         self._stopped = False
+        self._stop_lock = threading.Lock()
         self._url = ""
 
     # ------------------------------------------------------------------ #
@@ -404,38 +405,44 @@ class FleetManager:
                 process.join(timeout=2)
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Drain, stop workers gracefully, tear everything down."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._supervisor_wake.set()
-        if self._supervisor_thread is not None:
-            self._supervisor_thread.join(timeout=10)
-        if self.coordinator is not None and drain:
-            self.coordinator.drain(timeout=timeout)
-        if self.coordinator is not None:
-            from repro.net.client import TransportError, http_json
+        """Drain, stop workers gracefully, tear everything down.
 
-            # Closing the worker sessions first lets each worker's
-            # handler threads see their connections end, so a worker's
-            # server closes without waiting on them.
-            self.coordinator.close()
-            for worker in self.coordinator.workers:
-                if not worker.alive:
-                    continue
-                try:
-                    http_json("POST", f"{worker.url}/shutdown", {},
-                              timeout=2.0)
-                except TransportError:
-                    pass
-        self._kill_all()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            if self._server_thread is not None:
-                self._server_thread.join(timeout=5)
-        for sink in self.sinks:
-            sink.close()
+        A call made while another thread is stopping (the CLI loop
+        after ``POST /shutdown`` started a stop) waits for that stop to
+        finish, so no caller returns while the sinks are still open.
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            self._supervisor_wake.set()
+            if self._supervisor_thread is not None:
+                self._supervisor_thread.join(timeout=10)
+            if self.coordinator is not None and drain:
+                self.coordinator.drain(timeout=timeout)
+            if self.coordinator is not None:
+                from repro.net.client import TransportError, http_json
+
+                # Closing the worker sessions first lets each worker's
+                # handler threads see their connections end, so a worker's
+                # server closes without waiting on them.
+                self.coordinator.close()
+                for worker in self.coordinator.workers:
+                    if not worker.alive:
+                        continue
+                    try:
+                        http_json("POST", f"{worker.url}/shutdown", {},
+                                  timeout=2.0)
+                    except TransportError:
+                        pass
+            self._kill_all()
+            if self._server is not None:
+                self._server.shutdown()
+                self._server.server_close()
+                if self._server_thread is not None:
+                    self._server_thread.join(timeout=5)
+            for sink in self.sinks:
+                sink.close()
 
     def __enter__(self) -> "FleetManager":
         return self.start()

@@ -8,7 +8,7 @@ as the streaming scanner, and answers ``POST /scan`` over keep-alive
 HTTP/1.1 (:mod:`repro.net.server`) on a loopback port it binds itself
 (port 0 → the kernel picks; the bound port travels back to the
 coordinator over a pipe). All fleet intelligence —
-sharding, admission control, rerouting — lives in the coordinator; a
+routing, admission control, rerouting — lives in the coordinator; a
 worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
 

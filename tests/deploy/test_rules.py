@@ -125,11 +125,6 @@ FIXTURES = {
         dict(store={"url": "memory://x"}, fleet={"workers": 3}),
         dict(store={"url": "./phook-models"}, fleet={"workers": 3}),
     ),
-    # workers and shards share a factor: crc32 residue classes alias
-    "D018": (
-        dict(fleet={"workers": 4}, stream={"shards": 2}),
-        dict(fleet={"workers": 4}, stream={"shards": 3}),
-    ),
     # shed overflow silently drops alerts from a lossless topology
     "D019": (
         dict(fleet={"workers": 3, "overflow": "shed"},

@@ -2,12 +2,14 @@
 
 Each stub is an in-thread HTTP server standing in for a worker at a
 :class:`~repro.net.coordinator.WorkerHandle`'s URL, so a test can make a
-worker refuse a batch or drop its kept-alive connection on cue and
-check how the coordinator treats it.
+worker refuse a batch, drop its kept-alive connection or hold a batch
+on cue and check how the coordinator treats it and where it routes the
+next one.
 """
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -17,19 +19,26 @@ from repro.net.server import JsonHandler, KeepAliveServer
 
 
 class _StubWorker(JsonHandler):
-    """Scores every address 0.1 and records each request's client port.
+    """Scores every address 0.1 and records each request's client port
+    and body.
 
     ``reject`` answers every batch with HTTP 400 instead; ``hangup``
-    closes the connection after each answer without announcing it.
+    closes the connection after each answer without announcing it;
+    ``gate``, when given, holds every answer until the event is set.
     """
 
     reject = False
     hangup = False
+    gate = None
     ports: list
+    requests: list
 
     def do_POST(self):  # noqa: N802
         request = json.loads(self._read_body())
         type(self).ports.append(self.client_address[1])
+        type(self).requests.append(request)
+        if self.gate is not None:
+            self.gate.wait(timeout=30)
         if self.reject:
             self._reply(400, {"error": "stub refuses this batch"})
             return
@@ -43,7 +52,7 @@ class _StubWorker(JsonHandler):
 
 
 def _serve(handler, **attrs):
-    stub = type("Stub", (handler,), {"ports": [], **attrs})
+    stub = type("Stub", (handler,), {"ports": [], "requests": [], **attrs})
     server = KeepAliveServer(("127.0.0.1", 0), stub)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -52,19 +61,25 @@ def _serve(handler, **attrs):
 
 
 @pytest.fixture()
-def stub_fleet():
-    """Factory: ``(coordinator, stub)`` over one stub worker whose class
-    attributes are the keyword arguments."""
+def stub_fleets():
+    """Factory: ``(coordinator, stubs)`` over ``workers`` stub workers
+    (coordinator-side ``handle`` class) whose class attributes are the
+    other keyword arguments."""
     servers, coordinators = [], []
 
-    def make(**attrs):
-        server, stub = _serve(_StubWorker, **attrs)
-        handle = WorkerHandle(0, "127.0.0.1", server.server_address[1])
-        coordinator = FleetCoordinator([handle], queue_depth=2,
+    def make(workers=2, queue_depth=2, handle=WorkerHandle, **attrs):
+        stubs, handles = [], []
+        for index in range(workers):
+            server, stub = _serve(_StubWorker, **attrs)
+            servers.append(server)
+            stubs.append(stub)
+            handles.append(
+                handle(index, "127.0.0.1", server.server_address[1])
+            )
+        coordinator = FleetCoordinator(handles, queue_depth=queue_depth,
                                        overflow="block", timeout=5.0)
-        servers.append(server)
         coordinators.append(coordinator)
-        return coordinator, stub
+        return coordinator, stubs
 
     yield make
     for coordinator in coordinators:
@@ -72,6 +87,17 @@ def stub_fleet():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def stub_fleet(stub_fleets):
+    """Factory: ``(coordinator, stub)`` over one stub worker."""
+
+    def make(**attrs):
+        coordinator, (stub,) = stub_fleets(workers=1, **attrs)
+        return coordinator, stub
+
+    return make
 
 
 def _scan(coordinator):
@@ -135,3 +161,110 @@ def test_idle_connections_are_bounded_by_queue_depth(stub_fleet):
     handle = coordinator.workers[0]
     assert handle.completed == 8
     assert 1 <= len(handle.session._idle) <= coordinator.queue_depth
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class _YieldingHandle(WorkerHandle):
+    """A handle whose ``inflight`` read sleeps briefly, handing the GIL
+    to any other thread that is routing a batch."""
+
+    @property
+    def inflight(self):
+        time.sleep(0.001)
+        return self._inflight
+
+    @inflight.setter
+    def inflight(self, value):
+        self._inflight = value
+
+
+#: Addresses whose crc32 falls in both residues of a 2-worker fleet,
+#: with one bytecode deployed twice.
+ADDRESSES = [f"0x{i:040x}" for i in range(8)]
+CODES = ["6080", "6080", "6001", "6002", "6003", "6004", "6005", "6006"]
+
+
+class TestRouting:
+    def test_batch_reaches_one_stub_as_one_request(self, stub_fleets):
+        from repro.stream.scanner import shard_of
+
+        assert {shard_of(a, 2) for a in ADDRESSES} == {0, 1}
+        coordinator, stubs = stub_fleets()
+        results = coordinator.scan(ADDRESSES, CODES)
+        assert [r["address"] for r in results] == ADDRESSES
+        assert {r["worker"] for r in results} == {0}
+        (request,) = stubs[0].requests
+        assert stubs[1].requests == []
+        assert request["addresses"] == ADDRESSES
+        assert [request["inline_codes"][i] for i in request["code_of"]] == (
+            CODES
+        )
+        assert len(request["inline_codes"]) == len(set(CODES))
+
+    def test_ties_go_to_the_lowest_index(self, stub_fleets):
+        coordinator, stubs = stub_fleets(workers=3)
+        for _ in range(3):
+            coordinator.scan(ADDRESSES, CODES)
+        assert [len(stub.requests) for stub in stubs] == [3, 0, 0]
+
+    def test_busy_worker_is_passed_over(self, stub_fleets):
+        coordinator, stubs = stub_fleets()
+        gate = threading.Event()
+        stubs[0].gate = gate
+        held = threading.Thread(target=coordinator.scan,
+                                args=(ADDRESSES, CODES))
+        held.start()
+        try:
+            _wait_for(lambda: stubs[0].requests)
+            results = coordinator.scan(ADDRESSES, CODES)
+            assert {r["worker"] for r in results} == {1}
+        finally:
+            gate.set()
+            held.join(timeout=10)
+        assert [len(stub.requests) for stub in stubs] == [1, 1]
+
+    def test_dead_worker_is_skipped(self, stub_fleets):
+        coordinator, stubs = stub_fleets()
+        coordinator.mark_dead(coordinator.workers[0])
+        results = coordinator.scan(ADDRESSES, CODES)
+        assert {r["worker"] for r in results} == {1}
+        assert stubs[0].requests == []
+        assert coordinator.counters["rerouted"] == 0
+
+    def test_racing_scans_split_evenly_at_queue_depth(self, stub_fleets):
+        # Reading a handle's in-flight count yields the GIL, so racing
+        # threads interleave inside the pick: a pick that read the
+        # counts and reserved a slot in separate steps would put a fifth
+        # batch on one worker, or leave it waiting there while the other
+        # has room.
+        coordinator, stubs = stub_fleets(queue_depth=4,
+                                         handle=_YieldingHandle)
+        for _ in range(3):
+            gate = threading.Event()
+            for stub in stubs:
+                stub.gate = gate
+                stub.requests.clear()
+            start = threading.Barrier(8)
+
+            def scan():
+                start.wait()
+                coordinator.scan(ADDRESSES, CODES)
+
+            threads = [threading.Thread(target=scan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            try:
+                _wait_for(lambda: sum(len(s.requests) for s in stubs) == 8,
+                          timeout=5.0)
+                assert [len(stub.requests) for stub in stubs] == [4, 4]
+            finally:
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+        assert [w.completed for w in coordinator.workers] == [12, 12]

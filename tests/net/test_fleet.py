@@ -202,17 +202,72 @@ class TestKeepAlive:
         assert session._idle == []
         session.close()
 
-    def test_shard_groups_are_sent_concurrently(
+
+def _scan_concurrently(manager, addresses, codes, batches=2):
+    """Send ``batches`` copies of one batch at once; return the results
+    of each, in submission order."""
+    outcomes: list = [None] * batches
+
+    def run(slot):
+        outcomes[slot] = manager.scan(addresses, codes)
+
+    threads = [threading.Thread(target=run, args=(slot,))
+               for slot in range(batches)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert all(outcome is not None for outcome in outcomes), (
+        "a concurrent scan never completed"
+    )
+    return outcomes
+
+
+def _populate_both_workers(manager, addresses, codes):
+    """Scan the batch once on each worker of a 2-worker fleet whose
+    scans are delayed: two concurrent batches take one worker each."""
+    outcomes = _scan_concurrently(manager, addresses, codes)
+    assert sorted(
+        {r["worker"] for r in results} for results in outcomes
+    ) == [{0}, {1}]
+    return [result for results in outcomes for result in results]
+
+
+class TestRouting:
+    """Each batch goes whole to the least-loaded worker."""
+
+    def test_concurrent_batches_go_to_different_workers(
             self, store_root, probe_batch, monkeypatch):
         monkeypatch.setenv(SCAN_DELAY_ENV, "1.0")
         addresses, codes = probe_batch
         with _manager(store_root) as manager:
             started = time.perf_counter()
-            results = manager.scan(addresses, codes)
+            outcomes = _scan_concurrently(manager, addresses, codes)
             elapsed = time.perf_counter() - started
-        assert {r["worker"] for r in results} == {0, 1}
-        # One delayed batch per worker: sequential sends take 2 s.
-        assert elapsed < 1.8, f"shard groups took {elapsed:.2f}s"
+        assert sorted(
+            {r["worker"] for r in results} for results in outcomes
+        ) == [{0}, {1}]
+        # One delayed batch per worker: both on one worker take 2 s.
+        assert elapsed < 1.8, f"two concurrent batches took {elapsed:.2f}s"
+
+    def test_one_batch_reaches_every_shard_view_of_its_worker(
+            self, store_root, probe_batch):
+        from repro.stream.scanner import shard_of
+
+        addresses, codes = probe_batch
+        assert {shard_of(a, 2) for a in addresses} == {0, 1}
+        with _manager(store_root, worker_shards=2) as manager:
+            results = manager.scan(addresses, codes)
+            (index,) = {r["worker"] for r in results}
+            status = http_json(
+                "GET", f"{manager.coordinator.workers[index].url}/status",
+                timeout=5.0,
+            ).json()
+        scanned = [view["scanned"] for view in status["shards"]]
+        assert len(scanned) == 2 and all(count > 0 for count in scanned), (
+            f"worker {index} shard views scanned {scanned}"
+        )
+        assert sum(scanned) == len(addresses)
 
 
 class TestTransportFailures:
@@ -230,7 +285,7 @@ class TestTransportFailures:
 
             scanner = threading.Thread(target=run)
             scanner.start()
-            time.sleep(0.3)  # first shard group is now in flight
+            time.sleep(0.3)  # the batch is now in flight on worker 0
             manager.kill_worker(0)
             scanner.join(timeout=30)
             assert "results" in outcome, "scan never completed"
@@ -262,7 +317,7 @@ class TestTransportFailures:
             assert [r["probability"] for r in results] == [
                 r.probability for r in reference_results
             ]
-            # Every sub-batch was scored by the surviving worker.
+            # The batch was scored by the surviving worker.
             assert {r["worker"] for r in results} == {0}
 
     def test_shed_under_sustained_overload(
@@ -392,6 +447,30 @@ class TestLifecycle:
             FleetManager(workers=1, model_path="m.npz",
                          store_url=str(store_root), model_ref="production")
 
+    def test_stop_waits_for_the_stop_a_shutdown_started(
+            self, store_root, probe_batch, reference_results, tmp_path):
+        """``POST /shutdown`` stops the fleet on a server thread. A
+        ``stop()`` racing it (the CLI loop that saw ``stopped`` flip)
+        must not return before the sinks are flushed and closed."""
+        from repro.stream import JsonlSink
+
+        expected = {r.address for r in reference_results if r.is_phishing}
+        assert expected
+        path = tmp_path / "alerts.jsonl"
+        manager = _manager(store_root, sinks=(JsonlSink(path),)).start()
+        try:
+            manager.scan(*probe_batch)
+            assert FleetClient(manager.url).shutdown()
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and not manager.stopped:
+                time.sleep(0.01)
+            manager.stop()
+            delivered = {json.loads(line)["address"]
+                         for line in path.read_text().splitlines()}
+            assert delivered == expected
+        finally:
+            manager.stop()
+
     def test_http_shutdown_stops_the_manager(self, store_root):
         manager = _manager(store_root).start()
         try:
@@ -465,14 +544,20 @@ class TestNamespaceInvalidation:
         return out
 
     def test_prediction_namespace_evicted_fleet_wide(
-            self, store_root, probe_batch):
+            self, store_root, probe_batch, monkeypatch):
         from repro.artifacts import ModelStore
 
+        monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
         digest = ModelStore.from_url(str(store_root)).resolve("production")
         namespace = f"pred:artifact:{digest}"
-        addresses, codes = probe_batch
+        # One address per bytecode: a repeat inside a batch is served by
+        # the batch's own dedup (from_cache) and would mask a stale hit.
+        first_of = {}
+        for address, code in zip(*probe_batch):
+            first_of.setdefault(code, address)
+        codes, addresses = list(first_of), list(first_of.values())
         with _manager(store_root) as manager:
-            manager.scan(addresses, codes)
+            _populate_both_workers(manager, addresses, codes)
             before = self._per_worker_entries(manager, namespace)
             assert all(count > 0 for count in before.values()), (
                 "every worker should hold prediction rows after a scan"
@@ -494,16 +579,17 @@ class TestNamespaceInvalidation:
 
             # The fleet still serves: the rescan recomputes predictions
             # (no stale hit can exist) and repopulates the namespace.
-            again = manager.scan(addresses, codes)
+            again = _populate_both_workers(manager, addresses, codes)
             assert not any(r["from_cache"] for r in again)
             repopulated = self._per_worker_entries(manager, namespace)
             assert all(count > 0 for count in repopulated.values())
 
     def test_invalidate_rpc_reaches_every_worker(
-            self, store_root, probe_batch):
+            self, store_root, probe_batch, monkeypatch):
+        monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
         addresses, codes = probe_batch
         with _manager(store_root) as manager:
-            manager.scan(addresses, codes)
+            _populate_both_workers(manager, addresses, codes)
             client = FleetClient(manager.url)
             report = client.invalidate("ids")
             assert report["namespace"] == "ids"
