@@ -1017,10 +1017,16 @@ def _fleet_start(args) -> int:
     return 1
 
 
+#: How long ``fleet stop`` waits for the daemon to finish draining.
+_FLEET_STOP_WAIT_SECONDS = 60.0
+
+
 def _cmd_fleet(args) -> int:
     import json
+    import pathlib
+    import time
 
-    from repro.net import FleetRpcError
+    from repro.net import FleetRpcError, load_fleet_state
     from repro.net.client import TransportError
 
     if args.fleet_command == "serve":
@@ -1106,7 +1112,24 @@ def _cmd_fleet(args) -> int:
             return 0
         client.shutdown()
         print(f"fleet at {client.base_url} stopping "
-              f"({alive} worker(s) draining)")
+              f"({alive} worker(s) draining)", flush=True)
+        try:
+            watched = load_fleet_state(args.state)["url"].rstrip("/")
+        except (FileNotFoundError, ValueError):
+            watched = None
+        if watched != client.base_url:
+            return 0  # no state file of this fleet: the stop is not awaited
+        # The daemon removes its state file once it has drained and
+        # closed its sinks, so the alert files are complete after this.
+        deadline = time.monotonic() + _FLEET_STOP_WAIT_SECONDS
+        while pathlib.Path(args.state).exists():
+            if time.monotonic() > deadline:
+                print(f"error: fleet did not stop within "
+                      f"{_FLEET_STOP_WAIT_SECONDS:.0f}s (state file "
+                      f"{args.state} remains)", file=sys.stderr)
+                return 1
+            time.sleep(0.05)
+        print("fleet stopped")
         return 0
 
     raise AssertionError(  # pragma: no cover - argparse enforces choices
@@ -1425,7 +1448,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_fleet_locator(fleet_scan)
 
     fleet_stop = fleet_sub.add_parser(
-        "stop", help="drain and shut down a running fleet"
+        "stop",
+        help="drain and shut down a running fleet, and wait until the "
+             "daemon has closed its sinks and removed its state file "
+             "(with --url and no state file of that fleet, the stop is "
+             "requested, not awaited)",
     )
     add_fleet_locator(fleet_stop)
     fleet.set_defaults(func=_cmd_fleet)

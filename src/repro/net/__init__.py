@@ -6,12 +6,14 @@ artifact cold starts (:mod:`repro.artifacts`). This package is the first
 layer that crosses a process boundary — the ROADMAP's "millions of
 users" north star needs real processes and a real wire:
 
-* :mod:`repro.net.client` — stdlib ``http.client`` helpers (timeouts,
-  typed transport errors, keep-alive :class:`HttpSession`\\ s) shared by
-  every HTTP consumer in the repo (fleet dispatch, ``HttpStoreBackend``,
-  the promoted ``WebhookSink``),
+* :mod:`repro.net.framing` — the strict, bounded HTTP/1.1 head parser
+  both ends share, in place of the stdlib's ``email.parser``-based one,
+* :mod:`repro.net.client` — the socket-level HTTP/1.1 client (timeouts,
+  typed transport errors, keep-alive :class:`HttpSession`\\ s, one send
+  per request) shared by every HTTP consumer in the repo (fleet
+  dispatch, ``HttpStoreBackend``, the promoted ``WebhookSink``),
 * :mod:`repro.net.server` — the keep-alive HTTP/1.1 JSON handler and
-  server the coordinator and workers share,
+  server the coordinator and workers share (one send per reply),
 * :mod:`repro.net.worker` — the worker process: one
   :class:`~repro.serve.service.ScanService` cold-started from the
   ModelStore behind a private HTTP port, fed bytecode inline as hex,

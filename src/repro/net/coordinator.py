@@ -556,7 +556,7 @@ def _make_handler(coordinator: FleetCoordinator, on_shutdown):
                 self._reply(404, {"error": f"no route {self.path}"})
                 return
             try:
-                request = json.loads(body) if body is not None else None
+                request = json.loads(body)
             except ValueError:
                 request = None
             if not isinstance(request, dict):

@@ -4,28 +4,55 @@ Both fleet servers keep their connections open between requests, so the
 coordinator's :class:`~repro.net.client.HttpSession`\\ s (and a
 :class:`~repro.net.fleet.FleetClient`'s) reuse one TCP connection and
 one server thread per concurrent caller instead of paying both per
-exchange. Keep-alive puts three obligations on a handler, met here once:
+exchange. :class:`JsonHandler` reads each request head with the bounded
+parser in :mod:`repro.net.framing`, not ``http.server``'s
+``email.parser``-based one. Keep-alive puts three obligations on a
+handler, met here once:
 
-* **No Nagle.** ``http.server`` writes a response's headers and body in
-  separate sends; with Nagle on, the body waits for the client's delayed
-  ACK (~40 ms on loopback) on every kept-alive exchange.
-* **Every request body is read,** on every route, before replying:
-  unread bytes would be parsed as the next request on the connection.
-  A body whose length cannot be known closes the connection instead.
+* **One send per message.** A reply's status line, headers and body go
+  out in one ``sendall``, and Nagle is off: a head and body sent
+  separately would make the body wait for the client's delayed ACK
+  (~40 ms on loopback) on every kept-alive exchange.
+* **Every request body is read,** on every route, before the handler
+  runs: unread bytes would be parsed as the next request on the
+  connection. A request whose body length cannot be known (a
+  ``Content-Length`` that is not one plain decimal, or any
+  ``Transfer-Encoding``) is answered 400 or 411 and the connection
+  closes.
 * **Closing the server hangs up idle connections.** A handler thread
   waits on its idle connection for the client's next request, and
   ``ThreadingHTTPServer.server_close`` joins those threads; without the
   hang-up, stopping a server would wait for every client to go away.
+
+A malformed head is answered 400, an over-long request line 414, an
+over-long header line or more than 100 headers 431, an unknown method
+501 and an HTTP version other than 1.x 505, each with
+``Connection: close``. An HTTP/1.0 request is answered and closed;
+``Expect: 100-continue`` gets its interim ``100 Continue``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+
+from repro.net.framing import (
+    FramingError,
+    content_length,
+    read_exact,
+    read_headers,
+    read_line,
+    tokens,
+)
 
 __all__ = ["JsonHandler", "KeepAliveServer", "list_of"]
+
+_VERSION = re.compile(r"HTTP/(\d)\.(\d)")
 
 
 def list_of(request: dict, key: str, kind: type) -> list:
@@ -41,38 +68,85 @@ def list_of(request: dict, key: str, kind: type) -> list:
     return value
 
 
-class JsonHandler(BaseHTTPRequestHandler):
-    """Keep-alive request handler answering JSON (see module docs)."""
+class JsonHandler(socketserver.StreamRequestHandler):
+    """Keep-alive request handler answering JSON (see module docs).
 
-    protocol_version = "HTTP/1.1"
+    Subclasses define ``do_GET``/``do_POST``; each sees ``self.path``,
+    ``self.headers`` (keyed by lower-cased name) and the request body
+    through :meth:`_read_body`, and answers with :meth:`_reply`. Setting
+    ``self.close_connection`` closes the connection after the request.
+    """
+
     disable_nagle_algorithm = True
 
-    # Servers answer one coordinator or client on loopback; access logs
-    # would just interleave with test output.
-    def log_message(self, *args):  # noqa: D102
-        pass
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            try:
+                route = self._read_request()
+            except FramingError as error:
+                self.close_connection = True
+                try:
+                    self._reply(error.status, {"error": str(error)})
+                except OSError:
+                    pass  # the client is gone
+                return
+            except OSError:
+                return  # reset, or hung up by server_close
+            if route is None:
+                return  # the client closed its end
+            route()
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` (and the connection closes
-        after the reply) when ``Content-Length`` is not a valid length."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self.close_connection = True
+    def _read_request(self):
+        """Read one request head and body; return the ``do_*`` method
+        that answers it, or ``None`` at end of stream."""
+        line = read_line(self.rfile, too_long_status=414)
+        if not line:
             return None
-        return self.rfile.read(length)
+        parts = line.split()
+        if len(parts) != 3 or not line.endswith(b"\n"):
+            raise FramingError("malformed request line")
+        method, self.path, version = (part.decode("latin-1")
+                                      for part in parts)
+        self.headers = headers = read_headers(self.rfile)
+        match = _VERSION.fullmatch(version)
+        if match is None:
+            raise FramingError(f"malformed HTTP version {version[:20]!r}")
+        if match[1] != "1":
+            raise FramingError(f"{version[:20]} is not supported", 505)
+        route = getattr(self, f"do_{method}", None)
+        if route is None:
+            raise FramingError(f"method {method[:20]!r} not implemented",
+                               501)
+        http10 = match[2] == "0"
+        self.close_connection = http10 or "close" in tokens(headers,
+                                                             "connection")
+        if "transfer-encoding" in headers:
+            raise FramingError("send the body with a Content-Length", 411)
+        length = content_length(headers) or 0
+        expect = headers.get("expect")
+        if expect is not None:
+            if expect.lower() != "100-continue":
+                raise FramingError(f"cannot meet Expect {expect[:40]!r}",
+                                   417)
+            if length and not http10:
+                self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self._body = read_exact(self.rfile, length)
+        return route
+
+    def _read_body(self) -> bytes:
+        """The request body (read in full before the handler ran)."""
+        return self._body
 
     def _reply(self, status: int, payload) -> None:
+        """Send ``payload`` as a JSON response in one write."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                + ("Connection: close\r\n" if self.close_connection else "")
+                + "\r\n")
+        self.connection.sendall(head.encode("latin-1") + body)
 
 
 class KeepAliveServer(ThreadingHTTPServer):

@@ -243,9 +243,7 @@ def _make_handler(state: _WorkerState, server_box: dict):
                                            f"{error}"})
 
         @staticmethod
-        def _parse_json(body: bytes | None):
-            if body is None:
-                raise BadRequest("malformed Content-Length")
+        def _parse_json(body: bytes):
             try:
                 return json.loads(body)
             except ValueError as error:

@@ -5,7 +5,11 @@ a session-scoped ``file://`` store under the ``production`` tag — the
 exact cold-start path fleet workers take. ``probe_batch`` carries real
 (address, bytecode) pairs from the same corpus so fleet results can be
 compared bit-for-bit against a single-process reference service.
+``live_servers`` runs a real coordinator and worker handler in threads,
+for tests that speak raw HTTP to them.
 """
+
+import threading
 
 import pytest
 
@@ -66,3 +70,37 @@ def reference_results(store_root, probe_batch):
     )
     addresses, codes = probe_batch
     return service.scan_bytecodes(codes, addresses=addresses)
+
+
+def _serve_in_thread(server):
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    return server
+
+
+@pytest.fixture(scope="module")
+def live_servers(store_root):
+    """``{"coordinator": server, "worker": server}``: a real worker
+    handler over the session store and a coordinator routing to it, both
+    serving in threads of this process (no fork)."""
+    from repro.net.coordinator import FleetCoordinator, WorkerHandle
+    from repro.net.server import KeepAliveServer
+    from repro.net.worker import WorkerSpec, _make_handler, _WorkerState
+
+    state = _WorkerState(WorkerSpec(index=0, store_url=str(store_root),
+                                    model_ref="production"))
+    box: dict = {}
+    worker = KeepAliveServer(("127.0.0.1", 0), _make_handler(state, box))
+    box["server"] = worker
+    _serve_in_thread(worker)
+    coordinator = FleetCoordinator(
+        [WorkerHandle(0, "127.0.0.1", worker.server_address[1])],
+        overflow="block", timeout=5.0,
+    )
+    front = _serve_in_thread(coordinator.serve("127.0.0.1", 0))
+    yield {"coordinator": front, "worker": worker}
+    for server in (front, worker):
+        server.shutdown()
+        server.server_close()
+    coordinator.close()

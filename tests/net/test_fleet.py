@@ -227,9 +227,11 @@ def _populate_both_workers(manager, addresses, codes):
     """Scan the batch once on each worker of a 2-worker fleet whose
     scans are delayed: two concurrent batches take one worker each."""
     outcomes = _scan_concurrently(manager, addresses, codes)
+    # Lists, not sets: sets compare by inclusion, so ``sorted`` leaves
+    # [{1}, {0}] as it is.
     assert sorted(
-        {r["worker"] for r in results} for results in outcomes
-    ) == [{0}, {1}]
+        sorted({r["worker"] for r in results}) for results in outcomes
+    ) == [[0], [1]]
     return [result for results in outcomes for result in results]
 
 
@@ -245,8 +247,8 @@ class TestRouting:
             outcomes = _scan_concurrently(manager, addresses, codes)
             elapsed = time.perf_counter() - started
         assert sorted(
-            {r["worker"] for r in results} for results in outcomes
-        ) == [{0}, {1}]
+            sorted({r["worker"] for r in results}) for results in outcomes
+        ) == [[0], [1]]
         # One delayed batch per worker: both on one worker take 2 s.
         assert elapsed < 1.8, f"two concurrent batches took {elapsed:.2f}s"
 
@@ -679,3 +681,67 @@ class TestFleetStateFile:
                                str(state)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
+
+
+class TestFleetStop:
+    """``fleet stop`` returns once the daemon has drained: the daemon
+    removes its state file after its sinks are closed, so alert files
+    are complete when the command returns."""
+
+    @staticmethod
+    def _stub_daemon(state, linger: float):
+        """A coordinator stand-in whose ``/shutdown`` removes ``state``
+        after ``linger`` seconds, as a draining daemon does."""
+        from repro.net.server import JsonHandler, KeepAliveServer
+
+        class Daemon(JsonHandler):
+            shutdowns = 0
+
+            def do_GET(self):  # noqa: N802
+                self._reply(200, {"ok": True, "alive_workers": 2})
+
+            def do_POST(self):  # noqa: N802
+                type(self).shutdowns += 1
+                self._reply(200, {"ok": True})
+                threading.Timer(linger, state.unlink,
+                                kwargs={"missing_ok": True}).start()
+
+        server = KeepAliveServer(("127.0.0.1", 0), Daemon)
+        threading.Thread(target=server.serve_forever,
+                         kwargs={"poll_interval": 0.05}, daemon=True).start()
+        return server, Daemon, f"http://127.0.0.1:{server.server_address[1]}"
+
+    def test_stop_waits_until_the_daemon_removed_its_state(
+            self, tmp_path, capsys):
+        import repro.cli
+        from repro.net import save_fleet_state
+
+        state = tmp_path / "fleet.json"
+        server, daemon, url = self._stub_daemon(state, linger=0.5)
+        save_fleet_state(state, url=url)
+        try:
+            assert repro.cli.main(["fleet", "stop", "--state",
+                                   str(state)]) == 0
+            assert not state.exists()
+            assert daemon.shutdowns == 1
+            out = capsys.readouterr().out.splitlines()
+            assert out[-1] == "fleet stopped"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_stop_by_url_without_a_state_file_does_not_wait(
+            self, tmp_path, capsys):
+        import repro.cli
+
+        state = tmp_path / "fleet.json"
+        server, daemon, url = self._stub_daemon(state, linger=0.0)
+        try:
+            assert repro.cli.main(["fleet", "stop", "--url", url, "--state",
+                                   str(tmp_path / "absent.json")]) == 0
+            assert daemon.shutdowns == 1
+            out = capsys.readouterr().out.splitlines()
+            assert out == [f"fleet at {url} stopping (2 worker(s) draining)"]
+        finally:
+            server.shutdown()
+            server.server_close()
