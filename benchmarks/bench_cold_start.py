@@ -42,8 +42,10 @@ SMOKE = bool(int(os.environ.get("PHOOK_BENCH_SMOKE", "0")))
 N_TREES = env_int("PHOOK_BENCH_COLD_TREES", 24 if SMOKE else 120)
 MIN_SPEEDUP = 10.0
 #: Stored-layout mmap load vs full read+verify of the same file. The
-#: map defers both the copy and the per-array hashing to first touch,
-#: so even smoke-scale artifacts clear 2x.
+#: map defers both the copy and the per-array hashing to first touch.
+#: Smoke-scale artifacts are small enough that zip and manifest parsing,
+#: which both loads pay, is most of the time, so smoke mode only asks
+#: that the map is not slower.
 MIN_MMAP_SPEEDUP = 1.0 if SMOKE else 2.0
 
 

@@ -11,7 +11,7 @@ every worker on the host. The claim measured here:
   serving-scale artifact and answers one batch is strictly smaller
   under mmap than under the copying load, by at least 2× around the
   load itself. Smoke mode only asserts bit-identity: a tiny artifact's
-  node arrays are smaller than the memmap objects that map them, so
+  node arrays are smaller than the array objects that view them, so
   RSS deltas at that scale measure allocator noise, not the claim.
 
 Each measurement runs in its own subprocess (interpreter + numpy RSS

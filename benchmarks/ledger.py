@@ -64,7 +64,7 @@ TRACKED = (
     Metric("PREDICT_THROUGHPUT", "speedup", "higher"),
     Metric("COLD_START", "speedup", "higher"),
     # Stored-layout mmap load vs full read+verify of the same cached
-    # file. Crosses the page cache and per-array memmap setup, so the
+    # file. Crosses the page cache and the map setup, so the
     # band is wide: the gate catches the map degenerating into a copy.
     Metric("COLD_START", "mmap", "higher", tolerance=0.50),
     Metric("SHADOW_ROLLOUT", "overhead", "lower"),

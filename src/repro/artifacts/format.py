@@ -52,12 +52,16 @@ per-array digests here.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
+import mmap
 import os
 import pathlib
 import struct
 import tempfile
 import time
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -102,6 +106,25 @@ _ZIP_METHODS = {
 }
 #: Fixed portion of a zip local file header (PKZIP appnote 4.3.7).
 _LOCAL_HEADER = struct.Struct("<IHHHHHIIIHH")
+#: Longest ``.npy`` header numpy's readers accept by default.
+_NPY_HEADER_MAX = 10_000
+#: What zipfile and numpy raise on damaged bytes: a bad directory or
+#: header, an unsupported zip version or method, an "encrypted" flag
+#: (RuntimeError), or an npy header numpy's parser chokes on (its
+#: literal and dtype parsing can raise SyntaxError, TokenError or
+#: TypeError, not only ValueError).
+_DAMAGE = (
+    zipfile.BadZipFile,
+    zlib.error,
+    OSError,
+    ValueError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+    SyntaxError,
+    TypeError,
+    tokenize.TokenError,
+)
 
 
 @dataclass(frozen=True)
@@ -264,7 +287,7 @@ def _open_archive(path: pathlib.Path) -> np.lib.npyio.NpzFile:
         return np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as error:
+    except _DAMAGE as error:
         raise CorruptArtifactError(
             f"{path} is not a readable artifact: {error}"
         ) from error
@@ -277,7 +300,7 @@ def _read_member(archive, path, name) -> np.ndarray:
         raise CorruptArtifactError(
             f"{path} is missing artifact member {name!r}"
         ) from error
-    except (zipfile.BadZipFile, zlib.error, OSError, ValueError, EOFError) as error:
+    except _DAMAGE as error:
         raise CorruptArtifactError(
             f"{path}: artifact member {name!r} is unreadable: {error}"
         ) from error
@@ -333,60 +356,78 @@ def _check_array_name(path, name: str) -> None:
         )
 
 
+def _npy_header(mapped: mmap.mmap, start: int) -> tuple:
+    """``(shape, fortran_order, dtype, data_offset)`` of the ``.npy`` at
+    ``start``, read by numpy's own header readers from a bounded window
+    of the map (numpy refuses headers longer than ``_NPY_HEADER_MAX``)."""
+    stream = io.BytesIO(
+        mapped[start:start + np.lib.format.MAGIC_LEN + 4 + _NPY_HEADER_MAX]
+    )
+    version = np.lib.format.read_magic(stream)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(stream)
+    else:
+        raise ValueError(f"npy format version {version}")
+    return shape, fortran, dtype, start + stream.tell()
+
+
 def _map_stored_member(
-    path: pathlib.Path, info: zipfile.ZipInfo, mmap_mode: str
+    path: pathlib.Path, mapped: mmap.mmap, info: zipfile.ZipInfo, meta
 ) -> np.ndarray:
-    """Map one uncompressed ``.npy`` zip member without copying it.
+    """A read-only view of one uncompressed ``.npy`` member of ``mapped``.
 
     ``np.load`` ignores ``mmap_mode`` for zip archives, so this parses
     the member's local file header (its name/extra lengths may differ
     from the central directory's) to find the embedded ``.npy``, reads
-    that header, and maps the raw array bytes in place.
+    that header, and views the raw array bytes in place. The header's
+    dtype and shape must equal the manifest's ``arrays`` entry (covered
+    by the manifest digest), and the array's bytes must lie inside the
+    member, so an edited header cannot read past its member or the file.
     """
-    with open(path, "rb") as stream:
-        stream.seek(info.header_offset)
-        header = stream.read(_LOCAL_HEADER.size)
-        if len(header) != _LOCAL_HEADER.size or header[:4] != b"PK\x03\x04":
-            raise CorruptArtifactError(
-                f"{path}: damaged local header for member {info.filename!r}"
-            )
-        name_len, extra_len = _LOCAL_HEADER.unpack(header)[9:11]
-        stream.seek(info.header_offset + _LOCAL_HEADER.size
-                    + name_len + extra_len)
-        try:
-            version = np.lib.format.read_magic(stream)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                    stream
-                )
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                    stream
-                )
-            else:
-                raise ValueError(f"npy format version {version}")
-        except ValueError as error:
-            raise CorruptArtifactError(
-                f"{path}: member {info.filename!r} is not a mappable npy "
-                f"array: {error}"
-            ) from error
-        offset = stream.tell()
+    header = mapped[info.header_offset:info.header_offset + _LOCAL_HEADER.size]
+    if len(header) != _LOCAL_HEADER.size or header[:4] != b"PK\x03\x04":
+        raise CorruptArtifactError(
+            f"{path}: damaged local header for member {info.filename!r}"
+        )
+    name_len, extra_len = _LOCAL_HEADER.unpack(header)[9:11]
+    member_start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+    try:
+        shape, fortran, dtype, offset = _npy_header(mapped, member_start)
+    except _DAMAGE as error:
+        raise CorruptArtifactError(
+            f"{path}: member {info.filename!r} is not a mappable npy "
+            f"array: {error}"
+        ) from error
     if dtype.hasobject:
         raise CorruptArtifactError(
             f"{path}: member {info.filename!r} holds objects, refusing"
         )
-    if int(np.prod(shape)) == 0:
-        return np.empty(shape, dtype=dtype)
-    return np.memmap(
-        path, dtype=dtype, mode=mmap_mode, offset=offset, shape=shape,
-        order="F" if fortran else "C",
+    if not isinstance(meta, dict) or (
+        meta.get("dtype"), meta.get("shape")
+    ) != (dtype.str, list(shape)):
+        raise CorruptArtifactError(
+            f"{path}: member {info.filename!r} header ({dtype.str}, "
+            f"{list(shape)}) disagrees with the manifest"
+        )
+    count = math.prod(shape)
+    end = offset + count * dtype.itemsize
+    if end > min(member_start + info.compress_size, len(mapped)):
+        raise CorruptArtifactError(
+            f"{path}: member {info.filename!r} array overruns its member"
+        )
+    return np.frombuffer(mapped, dtype=dtype, count=count, offset=offset).reshape(
+        shape, order="F" if fortran else "C"
     )
 
 
-def _mapped_arrays(
-    archive, path: pathlib.Path, declared, mmap_mode: str
-) -> dict[int, np.ndarray]:
+def _mapped_arrays(archive, path: pathlib.Path, declared) -> dict[int, np.ndarray]:
     """Zero-copy array views for stored members; copy-read the rest.
+
+    The file is mapped once, through the descriptor ``np.load`` opened,
+    and its zip directory is the one ``np.load`` already parsed; each
+    stored member becomes a view into that one map.
 
     Per-array SHA-256 checks are deliberately skipped here — hashing
     would page every byte in and erase the zero-copy win. Mapped loads
@@ -397,19 +438,23 @@ def _mapped_arrays(
     verification.
     """
     arrays: dict[int, np.ndarray] = {}
-    with zipfile.ZipFile(path) as zf:
-        members = {info.filename: info for info in zf.infolist()}
-        for name in declared:
-            _check_array_name(path, name)
-            info = members.get(f"{name}.npy")
-            if info is not None and info.compress_type == zipfile.ZIP_STORED:
-                arrays[int(name[1:])] = _map_stored_member(
-                    path, info, mmap_mode
+    members = {info.filename: info for info in archive.zip.infolist()}
+    mapped = None
+    for name, meta in declared.items():
+        _check_array_name(path, name)
+        info = members.get(f"{name}.npy")
+        if info is not None and info.compress_type == zipfile.ZIP_STORED:
+            if mapped is None:
+                mapped = mmap.mmap(
+                    archive.zip.fp.fileno(), 0, access=mmap.ACCESS_READ
                 )
-            else:
-                # Deflated member: decompress-copy. The call still works
-                # on compressed artifacts, it just stops being zero-copy.
-                arrays[int(name[1:])] = _read_member(archive, path, name)
+            arrays[int(name[1:])] = _map_stored_member(
+                path, mapped, info, meta
+            )
+        else:
+            # Deflated member: decompress-copy. The call still works
+            # on compressed artifacts, it just stops being zero-copy.
+            arrays[int(name[1:])] = _read_member(archive, path, name)
     return arrays
 
 
@@ -529,7 +574,7 @@ def load_artifact(
         if mmap_mode is None:
             arrays = _verified_arrays(archive, path, declared)
         else:
-            arrays = _mapped_arrays(archive, path, declared, mmap_mode)
+            arrays = _mapped_arrays(archive, path, declared)
         if artifact_digest(manifest) != manifest.get("digest"):
             raise IntegrityError(
                 f"{path}: manifest digest mismatch (artifact altered "

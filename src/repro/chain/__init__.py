@@ -22,7 +22,12 @@ from repro.chain.blockchain import (
     Transaction,
 )
 from repro.chain.explorer import Explorer, PHISH_HACK_LABEL
-from repro.chain.rpc import JsonRpcClient, JsonRpcError, JsonRpcServer
+from repro.chain.rpc import (
+    JsonRpcClient,
+    JsonRpcError,
+    JsonRpcServer,
+    NoCodeError,
+)
 from repro.chain.timeline import (
     MONTHS,
     month_index,
@@ -45,6 +50,7 @@ __all__ = [
     "JsonRpcClient",
     "JsonRpcError",
     "JsonRpcServer",
+    "NoCodeError",
     "MONTHS",
     "month_index",
     "month_label",

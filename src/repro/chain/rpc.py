@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.chain.blockchain import Blockchain, ChainError, DeployEvent
 
-__all__ = ["JsonRpcServer", "JsonRpcClient", "JsonRpcError"]
+__all__ = ["JsonRpcServer", "JsonRpcClient", "JsonRpcError", "NoCodeError"]
 
 _PARSE_ERROR = -32700
 _INVALID_REQUEST = -32600
@@ -74,6 +74,14 @@ class JsonRpcError(Exception):
         super().__init__(f"[{code}] {message}")
         self.code = code
         self.message = message
+
+
+class NoCodeError(ValueError):
+    """An address holds no deployed code, so there is nothing to scan."""
+
+    def __init__(self, address: str):
+        super().__init__(f"no deployed code at {address}")
+        self.address = address
 
 
 class JsonRpcServer:

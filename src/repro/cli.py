@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.artifacts.errors import ArtifactError
 from repro.artifacts.store import STORE_ENV
+from repro.chain.rpc import JsonRpcError, NoCodeError
 from repro.chain.timeline import MONTHS
 from repro.core.pipeline import PhishingHook, PipelineConfig
 from repro.datagen.corpus import CorpusConfig, build_corpus
@@ -1504,9 +1505,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EVMError, ArtifactError) as error:
+    except (EVMError, ArtifactError, NoCodeError, JsonRpcError) as error:
         # Bad user input (undecodable hex, unknown store ref, damaged
-        # artifact) is one line on stderr, not a traceback.
+        # artifact, an address with no code or one the node rejects) is
+        # one line on stderr, not a traceback.
         message = error.args[0] if isinstance(error, KeyError) else error
         print(f"error: {message}", file=sys.stderr)
         return 2

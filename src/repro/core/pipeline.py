@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chain.bigquery import BigQueryClient
-from repro.chain.rpc import JsonRpcClient, JsonRpcServer
+from repro.chain.rpc import JsonRpcClient, JsonRpcServer, NoCodeError
 from repro.core.bdm import BytecodeDisassemblerModule
 from repro.core.bem import BytecodeExtractionModule, ExtractedContract
 from repro.core.mem import EvaluationResult, ModelEvaluationModule
@@ -174,6 +174,9 @@ class PhishingHook:
         repeated calls (the seed version retrained from scratch every
         time); pass a pre-fitted ``model`` to skip training entirely, or
         ``reuse_model=False`` to force the old retrain-per-call behavior.
+
+        Raises:
+            NoCodeError: If the address has no deployed code.
         """
         if model is None:
             model = self.fitted_model(
@@ -181,7 +184,7 @@ class PhishingHook:
             )
         code = self.bem.rpc.get_code(address)
         if not code:
-            raise ValueError(f"no deployed code at {address}")
+            raise NoCodeError(address)
         probability = float(model.predict_proba([code])[0, 1])
         return probability >= 0.5, probability
 

@@ -24,7 +24,7 @@ Classifiers; none are available offline, so this package reimplements them:
 """
 
 from repro.ml.base import Classifier, clone
-from repro.ml.flat import FlatEnsemble, level_descent, precompile
+from repro.ml.flat import FlatEnsemble, precompile
 from repro.ml.curves import (
     average_precision_score,
     precision_recall_curve,
@@ -54,7 +54,6 @@ __all__ = [
     "Classifier",
     "clone",
     "FlatEnsemble",
-    "level_descent",
     "precompile",
     "DecisionTreeClassifier",
     "RandomForestClassifier",

@@ -1,14 +1,20 @@
 """Flat-array vectorized ensemble inference engine.
 
-Any fitted tree ensemble — a :class:`~repro.ml.forest.RandomForestClassifier`,
-the XGBoost/LightGBM-style boosted trees in :mod:`repro.ml.gbdt`, or a single
-:class:`~repro.ml.tree.DecisionTreeClassifier` — compiles into one set of
-contiguous stacked node arrays (``children_left`` / ``children_right`` /
-``feature`` / ``threshold`` / ``value`` plus per-tree root offsets). Inference
-then runs as **level-synchronous descent**: one :func:`np.where` step advances
-*every* (sample, tree) pair a level at once, so a batched ``predict_proba``
-costs O(max_depth) numpy operations instead of O(rows × trees × depth) Python
-loop iterations.
+Any fitted tree ensemble — a :class:`~repro.ml.forest.RandomForestClassifier`
+or the XGBoost/LightGBM-style boosted trees in :mod:`repro.ml.gbdt` —
+compiles into one set of contiguous stacked node arrays (``children_left`` /
+``children_right`` / ``feature`` / ``threshold`` / ``value`` plus per-tree
+root offsets). Inference then runs as **level-synchronous descent**: one
+numpy step advances *every* (sample, tree) pair a level at once, so a
+batched ``predict_proba`` costs O(max_depth) numpy operations instead of
+O(rows × trees × depth) Python loop iterations.
+
+A single tree descends the same way, as a one-tree :class:`FlatEnsemble`
+built with :meth:`FlatEnsemble.from_arrays`: that is how
+:meth:`~repro.ml.tree.DecisionTreeClassifier.apply` finds its leaves and
+how each boosting round scores the training set with the tree it just
+fitted. The leaf-parked loop of :meth:`FlatEnsemble.apply` is the one
+descent kernel in the package.
 
 Numerical contract: the engine is **bit-identical** to the per-row reference
 traversal. Descent uses the same ``x[feature] <= threshold`` comparison on the
@@ -37,7 +43,6 @@ import numpy as np
 __all__ = [
     "LEAF",
     "FlatEnsemble",
-    "level_descent",
     "max_leaf_depth",
     "reference_apply",
     "precompile",
@@ -51,99 +56,6 @@ LEAF = -1
 #: (chunk × (trees + 1) × outputs) arrays during accumulation — ~16 MB each
 #: for a 120-tree two-class forest.
 DESCENT_CHUNK_ROWS = 8192
-
-
-def level_descent(
-    X: np.ndarray,
-    children_left: np.ndarray,
-    children_right: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    roots: np.ndarray,
-    chunk_rows: int = DESCENT_CHUNK_ROWS,
-    consecutive_children: bool | None = None,
-) -> np.ndarray:
-    """Vectorized root→leaf descent over every (sample, tree) pair.
-
-    Args:
-        X: ``(n_samples, n_features)`` feature matrix (float or binned
-            int; must be NaN-free — every classifier validates upstream).
-        children_left / children_right / feature / threshold: Stacked node
-            arrays; child ids are *global* (already offset per tree) and
-            ``LEAF`` marks leaves in ``feature`` and both child arrays.
-        roots: ``(n_trees,)`` global root node id per tree.
-        chunk_rows: Sample-chunk size bounding temporary memory.
-        consecutive_children: Whether ``right == left + 1`` for every
-            internal node (the CART and leaf-wise builders allocate
-            children adjacently), enabling a one-gather child step.
-            ``None`` detects it with one O(nodes) pass.
-
-    Returns:
-        ``(n_samples, n_trees)`` global node id of the leaf each sample
-        reaches in each tree.
-    """
-    X = np.asarray(X)
-    if consecutive_children is None:
-        internal = feature != LEAF
-        consecutive_children = bool(
-            np.array_equal(children_right[internal], children_left[internal] + 1)
-        )
-    n_samples = len(X)
-    if n_samples <= chunk_rows:
-        return _descend(
-            X, children_left, children_right, feature, threshold, roots,
-            consecutive_children,
-        )
-    out = np.empty((n_samples, len(roots)), dtype=np.int64)
-    for start in range(0, n_samples, chunk_rows):
-        stop = start + chunk_rows
-        out[start:stop] = _descend(
-            X[start:stop], children_left, children_right, feature, threshold,
-            roots, consecutive_children,
-        )
-    return out
-
-
-def _descend(X, children_left, children_right, feature, threshold, roots,
-             consecutive_children):
-    n_samples = len(X)
-    n_trees = len(roots)
-    leaves = np.repeat(roots[None, :], n_samples, axis=0).ravel()
-    # Active-set descent: each level only touches (sample, tree) pairs
-    # still at internal nodes, so total work is the sum of root→leaf path
-    # lengths rather than n_samples × n_trees × max_depth. Pairs scatter
-    # into the output exactly once, when they settle on a leaf; the split
-    # feature of the next level is carried over from the settledness probe
-    # so each level costs one gather into X and one into each node array.
-    index = np.nonzero(feature[leaves] != LEAF)[0]
-    samples = np.repeat(np.arange(n_samples), n_trees)[index]
-    current = leaves[index]
-    split_feature = feature[current]
-    while index.size:
-        if consecutive_children:
-            # right child = left child + 1, and x > t ⟺ ¬(x ≤ t) on the
-            # NaN-free inputs the classifiers validate — bit-identical to
-            # the reference ``<=`` branch at one gather instead of two.
-            go_right = X[samples, split_feature] > threshold[current]
-            advanced = children_left[current] + go_right
-        else:
-            go_left = X[samples, split_feature] <= threshold[current]
-            advanced = np.where(
-                go_left, children_left[current], children_right[current]
-            )
-        next_feature = feature[advanced]
-        settled = next_feature == LEAF
-        if settled.any():
-            leaves[index[settled]] = advanced[settled]
-            alive = ~settled
-            index = index[alive]
-            samples = samples[alive]
-            current = advanced[alive]
-            split_feature = next_feature[alive]
-        else:
-            current = advanced
-            split_feature = next_feature
-    return leaves.reshape(n_samples, n_trees)
 
 
 def max_leaf_depth(
@@ -398,20 +310,20 @@ class FlatEnsemble:
         self.__dict__["_tables"] = (left, right, feat, thr, consecutive, depth)
         return self.__dict__["_tables"]
 
-    def apply(self, X, chunk_rows: int = DESCENT_CHUNK_ROWS) -> np.ndarray:
+    def apply(self, X) -> np.ndarray:
         """``(n_samples, n_trees)`` global leaf ids (level-synchronous).
 
         Runs the leaf-parked full-set descent: ``max_depth`` branch-free
         numpy iterations over every (sample, tree) pair, chunked over
-        samples to bound temporaries.
+        samples by ``DESCENT_CHUNK_ROWS`` to bound temporaries.
         """
         X = np.asarray(X)
         n_samples = len(X)
-        if n_samples <= chunk_rows:
+        if n_samples <= DESCENT_CHUNK_ROWS:
             return self._parked_descent(X)
         out = np.empty((n_samples, self.n_trees), dtype=np.int64)
-        for start in range(0, n_samples, chunk_rows):
-            stop = start + chunk_rows
+        for start in range(0, n_samples, DESCENT_CHUNK_ROWS):
+            stop = start + DESCENT_CHUNK_ROWS
             out[start:stop] = self._parked_descent(X[start:stop])
         return out
 

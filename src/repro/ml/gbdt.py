@@ -14,12 +14,12 @@ each library the paper benchmarks:
   at a level shares one (feature, threshold) condition.
 
 Inference is vectorized end to end: each fitted tree finalizes its node
-lists into flat numpy arrays and predicts through the level-synchronous
-descent of :mod:`repro.ml.flat`; ``decision_function`` stacks the whole
+lists into flat numpy arrays, and ``decision_function`` stacks the whole
 booster into one :class:`~repro.ml.flat.FlatEnsemble` so a batch costs
 O(max_depth) numpy steps for *all* trees at once (oblivious trees are
-index-arithmetic already). The boosting fit itself benefits too — every
-round scores the training set through the same engine.
+index-arithmetic already). The boosting fit uses the same engine: every
+round scores the training set with its fresh tree compiled as a one-tree
+:class:`~repro.ml.flat.FlatEnsemble`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import heapq
 import numpy as np
 
 from repro.ml.base import Classifier, check_array, check_X_y
-from repro.ml.flat import FlatEnsemble, level_descent
-
-_SINGLE_ROOT = np.zeros(1, dtype=np.int64)
+from repro.ml.flat import FlatEnsemble
 
 __all__ = ["XGBoostClassifier", "LightGBMClassifier", "CatBoostClassifier"]
 
@@ -142,11 +140,8 @@ class _ExactTree:
         return self
 
     def predict(self, X) -> np.ndarray:
-        leaves = level_descent(
-            X, self.lefts, self.rights, self.features, self.thresholds,
-            _SINGLE_ROOT,
-        )[:, 0]
-        return self.weights[leaves]
+        flat = FlatEnsemble.from_regression_trees([self], X.shape[1])
+        return self.weights[flat.apply(X)[:, 0]]
 
     def to_state(self) -> dict:
         return {
@@ -311,11 +306,10 @@ class _LeafwiseTree:
         return self
 
     def predict_binned(self, binned) -> np.ndarray:
-        leaves = level_descent(
-            binned, self.lefts, self.rights, self.features, self.bins,
-            _SINGLE_ROOT,
-        )[:, 0]
-        return self.weights[leaves]
+        flat = FlatEnsemble.from_regression_trees(
+            [self], binned.shape[1], threshold_attr="bins"
+        )
+        return self.weights[flat.apply(binned)[:, 0]]
 
     def to_state(self) -> dict:
         return {

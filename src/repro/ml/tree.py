@@ -3,10 +3,11 @@
 The fitted tree is exposed as flat parallel arrays (``children_left_`` …)
 — the representation both the exact TreeSHAP implementation in
 :mod:`repro.analysis.shap_values` and the vectorized inference engine in
-:mod:`repro.ml.flat` consume. Single-tree inference (:meth:`apply`) runs
-through the engine's level-synchronous descent; the seed per-row traversal
-is retained as :func:`apply_per_row` — the bit-identical reference the
-equivalence tests and throughput benchmark compare against.
+:mod:`repro.ml.flat` consume. Single-tree inference (:meth:`apply`)
+descends the tree as a one-tree :class:`~repro.ml.flat.FlatEnsemble`, the
+same kernel every forest and booster scores through; the seed per-row
+traversal is retained as :func:`apply_per_row` — the bit-identical
+reference the equivalence tests and throughput benchmark compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Classifier, check_array, check_X_y
-from repro.ml.flat import LEAF, level_descent, max_leaf_depth, reference_apply
+from repro.ml.flat import LEAF, FlatEnsemble, max_leaf_depth, reference_apply
 
 __all__ = ["DecisionTreeClassifier", "best_gini_split", "apply_per_row"]
 
@@ -235,16 +236,19 @@ class DecisionTreeClassifier(Classifier):
         )
 
     def apply(self, X) -> np.ndarray:
-        """Leaf index reached by each sample (level-synchronous descent)."""
+        """Leaf index reached by each sample (one-tree flat descent)."""
         X = check_array(X)
-        return level_descent(
-            X,
-            self.children_left_,
-            self.children_right_,
-            self.feature_,
-            self.threshold_,
-            _SINGLE_ROOT,
-        )[:, 0]
+        flat = FlatEnsemble.from_arrays(
+            [(
+                self.children_left_,
+                self.children_right_,
+                self.feature_,
+                self.threshold_,
+                self.value_,
+            )],
+            n_features=self.n_features_,
+        )
+        return flat.apply(X)[:, 0]
 
     def predict_proba(self, X) -> np.ndarray:
         return self.value_[self.apply(X)]

@@ -44,6 +44,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.chain.rpc import NoCodeError
 from repro.net.client import HttpSession, TransportError
 from repro.net.server import JsonHandler, KeepAliveServer, list_of
 
@@ -326,8 +327,9 @@ class FleetCoordinator:
         """Scan a batch of ``(address, bytecode)`` pairs on one worker.
 
         ``codes`` entries may be ``bytes`` or hex strings. Returns one
-        result dict per input, in input order. Raises ``ValueError`` for
-        an empty bytecode (nothing deployed to score), and
+        result dict per input, in input order. Raises
+        :class:`~repro.chain.rpc.NoCodeError` (a ``ValueError``) for an
+        empty bytecode (nothing deployed to score), and
         :class:`ShuttingDownError` / :class:`OverloadedError` /
         :class:`NoWorkersError` as described in the module docstring.
         """
@@ -344,7 +346,7 @@ class FleetCoordinator:
         ]
         for address, code in zip(addresses, raw_codes):
             if not code:
-                raise ValueError(f"no deployed code at {address}")
+                raise NoCodeError(address)
         with self._lock:
             self._batch_counter += 1
             batch_id = self._batch_counter

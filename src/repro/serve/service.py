@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chain.rpc import NoCodeError
 from repro.evm.disassembler import normalize_bytecode
 from repro.ml.flat import precompile
 from repro.serve.cache import FeatureCache, bytecode_digest
@@ -430,7 +431,7 @@ class ScanService:
 
         Raises:
             RuntimeError: If the service has no RPC client.
-            ValueError: If an address has no deployed code.
+            NoCodeError: If an address has no deployed code.
         """
         if self.rpc is None:
             raise RuntimeError("ScanService was built without an rpc client")
@@ -438,7 +439,7 @@ class ScanService:
         for address in addresses:
             code = self.rpc.get_code(address)
             if not code:
-                raise ValueError(f"no deployed code at {address}")
+                raise NoCodeError(address)
             bytecodes.append(code)
         return self.scan_bytecodes(bytecodes, addresses=addresses)
 

@@ -124,20 +124,44 @@ class TestPipeline:
             assert result.is_phishing == flagged
 
 
+#: ``scan`` served from a stored production model, and an address that
+#: holds no code.
+_SCAN_STORE = ["scan", "--contracts", "60", "--store", "{store}",
+               "--model-tag", "production"]
+_NO_CODE = "0x" + "00" * 16 + "deadbeef"
+
+
 class TestCLI:
     def test_disasm(self, capsys):
         assert main(["disasm", "0x6080604052"]) == 0
         out = capsys.readouterr().out
         assert "PUSH1" in out and "MSTORE" in out
 
+    @pytest.fixture(scope="class")
+    def production_store(self, tmp_path_factory):
+        store = str(tmp_path_factory.mktemp("scan-errors") / "store")
+        assert main([
+            "train", "--model", "Logistic Regression", "--contracts", "60",
+            "--store", store, "--tag", "production",
+        ]) == 0
+        return store
+
     @pytest.mark.parametrize("argv", [
         ["disasm", "abc"],
         ["disasm", "zz"],
         ["models", "--store", "{tmp}/store", "export", "nosuchref",
          "{tmp}/out.npz"],
-    ], ids=["odd-hex", "non-hex", "unknown-ref"])
-    def test_bad_input_is_one_line_error(self, argv, capsys, tmp_path):
-        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        [*_SCAN_STORE, _NO_CODE],
+        [*_SCAN_STORE, "--batch", _NO_CODE],
+        [*_SCAN_STORE, "0xnothex"],
+        [*_SCAN_STORE, "--batch", "0xnothex"],
+    ], ids=["odd-hex", "non-hex", "unknown-ref", "scan-no-code",
+            "scan-batch-no-code", "scan-malformed", "scan-batch-malformed"])
+    def test_bad_input_is_one_line_error(self, argv, capsys, tmp_path,
+                                         production_store):
+        code = main([
+            arg.format(tmp=tmp_path, store=production_store) for arg in argv
+        ])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -7,6 +7,8 @@ that a parallel forest fit reproduces the serial fit exactly under the
 same master seed.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from repro.ml.flat import (
     DESCENT_CHUNK_ROWS,
     LEAF,
     FlatEnsemble,
-    level_descent,
     precompile,
     reference_apply,
 )
@@ -57,6 +58,12 @@ class TestTreeEquivalence:
         probe = np.random.default_rng(3).normal(size=(57, X.shape[1]))
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
         assert np.array_equal(tree.apply(probe), apply_per_row(tree, probe))
+
+    def test_apply_on_input_narrower_than_fitted_width_rejected(self):
+        X, y = _make_problem(7)
+        tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="fitted on 6"):
+            tree.apply(X[:, :5])
 
     def test_single_node_tree_root_is_leaf(self):
         tree = DecisionTreeClassifier().fit(np.eye(4), [1, 1, 1, 1])
@@ -328,6 +335,74 @@ class TestGBDTEquivalence:
             model.decision_function(probe), self._reference_decision(model, probe)
         )
 
+    @staticmethod
+    def _round_leaves(tree, X):
+        """Leaf ids through the boosting round's own predict path.
+
+        A copy of the tree whose leaf weights are its node ids turns the
+        round's weight lookup into the leaf id each row reached.
+        """
+        probe = copy.copy(tree)
+        probe.weights = np.arange(len(tree.weights), dtype=np.float64)
+        if hasattr(tree, "bins"):
+            return probe.predict_binned(X).astype(np.int64)
+        return probe.predict(X).astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: XGBoostClassifier(n_estimators=6, max_depth=4),
+            lambda: XGBoostClassifier(n_estimators=2, max_depth=0),
+            lambda: LightGBMClassifier(n_estimators=6, num_leaves=9),
+            lambda: LightGBMClassifier(n_estimators=2, num_leaves=1),
+        ],
+        ids=["xgboost", "xgboost-root-only", "lightgbm", "lightgbm-root-only"],
+    )
+    def test_round_leaves_match_reference_per_tree(self, make):
+        # The per-round path decides which trees get fit: each round
+        # scores the training set with its fresh tree, and the next
+        # round's gradients come from those scores.
+        X, y = _make_problem(27)
+        model = make().fit(X, y)
+        prepared = model._prepare(X)
+        for tree in model.trees_:
+            thresholds = getattr(tree, "thresholds", getattr(tree, "bins", None))
+            reference = reference_apply(
+                prepared, tree.lefts, tree.rights, tree.features, thresholds
+            )
+            assert np.array_equal(self._round_leaves(tree, prepared), reference)
+            predict = (
+                tree.predict_binned if hasattr(tree, "bins") else tree.predict
+            )
+            assert np.array_equal(
+                predict(prepared), tree.weights[reference]
+            )
+
+    def test_round_trees_cover_both_child_layouts(self):
+        # XGBoost builds depth-first, so a right child is not always its
+        # left sibling + 1; LightGBM allocates siblings adjacently. Both
+        # layouts reach the reference leaves, also on uint8 bin ids.
+        X, y = _make_problem(28)
+        xgb = XGBoostClassifier(n_estimators=4, max_depth=4).fit(X, y)
+        internal = xgb.trees_[0].features != LEAF
+        tree = xgb.trees_[0]
+        assert not np.array_equal(
+            tree.rights[internal], tree.lefts[internal] + 1
+        )
+        lgbm = LightGBMClassifier(n_estimators=4, num_leaves=9).fit(X, y)
+        binned = lgbm._prepare(X).astype(np.uint8)
+        for tree in lgbm.trees_:
+            internal = tree.features != LEAF
+            assert np.array_equal(
+                tree.rights[internal], tree.lefts[internal] + 1
+            )
+            assert np.array_equal(
+                self._round_leaves(tree, binned),
+                reference_apply(
+                    binned, tree.lefts, tree.rights, tree.features, tree.bins
+                ),
+            )
+
     def test_catboost_has_no_flat_compilation(self):
         X, y = _make_problem(22)
         model = CatBoostClassifier(n_estimators=4, depth=2).fit(X, y)
@@ -363,27 +438,20 @@ class TestGBDTEquivalence:
 
 
 class TestLevelDescentChunking:
-    def test_chunked_descent_matches_unchunked(self):
-        X, y = _make_problem(30, n=300)
-        forest = RandomForestClassifier(n_estimators=6, random_state=0).fit(X, y)
-        flat = forest.compile_flat()
-        whole = level_descent(
-            X, flat.children_left, flat.children_right, flat.feature,
-            flat.threshold, flat.roots,
-        )
-        chunked = level_descent(
-            X, flat.children_left, flat.children_right, flat.feature,
-            flat.threshold, flat.roots, chunk_rows=64,
-        )
-        assert np.array_equal(whole, chunked)
-
     def test_chunked_apply_matches_unchunked(self):
+        # A batch longer than one descent chunk: rows are independent, so
+        # each part descended on its own (a single chunk) must reach the
+        # same leaves as the chunked whole, row for row.
         X, y = _make_problem(31, n=300)
         forest = RandomForestClassifier(n_estimators=12, random_state=0).fit(X, y)
         flat = forest.compile_flat()
-        big = np.random.default_rng(3).normal(size=(900, X.shape[1]))
+        big = np.random.default_rng(3).normal(
+            size=(DESCENT_CHUNK_ROWS + 300, X.shape[1])
+        )
+        head, tail = big[:DESCENT_CHUNK_ROWS], big[DESCENT_CHUNK_ROWS:]
         assert np.array_equal(
-            flat.apply(big, chunk_rows=128), flat.apply(big)
+            flat.apply(big),
+            np.concatenate([flat.apply(head), flat.apply(tail)]),
         )
 
     def test_chunked_accumulation_matches_single_chunk(self):
