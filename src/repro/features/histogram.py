@@ -5,8 +5,11 @@ created. It builds a vector of length equal to the number of unique opcodes
 inside the training set. The vector is directly served as input (i.e.,
 without normalized nor standardized steps)."
 
-The extractor works on the disassembler's compact mnemonic-ID arrays: one
-``np.bincount`` per contract replaces the per-opcode dict lookups, and a
+The extractor works on the disassembler's compact mnemonic-ID arrays. A
+batch's rows come from one ``np.bincount`` over the concatenated IDs, each
+offset by its row times the mnemonic count, so the whole matrix is one
+numpy call instead of one per contract; the fitted column index is built
+once, by ``fit`` or ``load_state``, not on every ``transform``. A
 pluggable ``decoder`` lets the serve layer substitute a content-addressed
 cache (see :mod:`repro.serve.cache`) so each unique bytecode is decoded at
 most once per process.
@@ -27,6 +30,10 @@ from repro.evm.disassembler import (
 
 __all__ = ["OpcodeHistogramExtractor"]
 
+#: Rows counted per offset ``np.bincount``: bounds its index array (one
+#: ``intp`` per instruction) when a large training corpus is counted.
+_BLOCK_ROWS = 256
+
 
 class OpcodeHistogramExtractor:
     """Count opcode mnemonics against a training-set vocabulary.
@@ -45,6 +52,7 @@ class OpcodeHistogramExtractor:
         decoder: Callable[[bytes], np.ndarray] | None = None,
     ):
         self.vocabulary_: dict[str, int] | None = None
+        self._columns: np.ndarray | None = None
         self._decoder = decoder
 
     def set_decoder(
@@ -70,12 +78,6 @@ class OpcodeHistogramExtractor:
         ordered = sorted(self.vocabulary_, key=self.vocabulary_.get)
         return ordered
 
-    def _column_ids(self) -> np.ndarray:
-        """Global mnemonic ids in column order (vocabulary gather index)."""
-        return np.array(
-            [MNEMONIC_IDS[name] for name in self.feature_names], dtype=np.intp
-        )
-
     def _set_vocabulary(self, present_ids: np.ndarray) -> None:
         # Global ids are assigned over the sorted mnemonic table, so
         # ascending-id order *is* the sorted-mnemonic column order the
@@ -84,26 +86,43 @@ class OpcodeHistogramExtractor:
             MNEMONIC_TABLE[gid]: column
             for column, gid in enumerate(present_ids)
         }
+        self._columns = np.asarray(present_ids, dtype=np.intp)
+
+    def _counts(self, bytecodes: list[bytes]) -> np.ndarray:
+        """Per-contract mnemonic counts, shape ``(n, MNEMONIC_COUNT)``.
+
+        Bytecodes are decoded once each, in order. Each block of rows is
+        one ``np.bincount`` over its concatenated IDs, the IDs of row
+        ``r`` shifted by ``r * MNEMONIC_COUNT``.
+        """
+        ids = [self._decode(bytecode) for bytecode in bytecodes]
+        counts = np.empty((len(ids), MNEMONIC_COUNT), dtype=np.int64)
+        for start in range(0, len(ids), _BLOCK_ROWS):
+            block = ids[start:start + _BLOCK_ROWS]
+            rows = len(block)
+            flat = np.concatenate(block).astype(np.intp)
+            flat += np.repeat(
+                np.arange(0, rows * MNEMONIC_COUNT, MNEMONIC_COUNT),
+                [len(row) for row in block],
+            )
+            counts[start:start + rows] = np.bincount(
+                flat, minlength=rows * MNEMONIC_COUNT
+            ).reshape(rows, MNEMONIC_COUNT)
+        return counts
 
     def fit(self, bytecodes: list[bytes]) -> "OpcodeHistogramExtractor":
         """Learn the vocabulary: unique opcodes in the training set."""
-        present = np.zeros(MNEMONIC_COUNT, dtype=bool)
-        for bytecode in bytecodes:
-            present[self._decode(bytecode)] = True
-        self._set_vocabulary(np.flatnonzero(present))
+        self._set_vocabulary(np.flatnonzero(self._counts(bytecodes).any(axis=0)))
         return self
 
     def transform(self, bytecodes: list[bytes]) -> np.ndarray:
         """Histogram matrix of shape ``(n_samples, vocabulary size)``."""
         self._check_fitted()
-        columns = self._column_ids()
-        matrix = np.zeros((len(bytecodes), len(columns)), dtype=np.float64)
-        for row, bytecode in enumerate(bytecodes):
-            counts = np.bincount(
-                self._decode(bytecode), minlength=MNEMONIC_COUNT
-            )
-            matrix[row] = counts[columns]
-        return matrix
+        # ``take`` keeps the rows C-ordered (a fancy column index would
+        # return them F-ordered), and the BLAS-backed classifiers round
+        # the two layouts differently.
+        counts = self._counts(bytecodes).take(self._columns, axis=1)
+        return counts.astype(np.float64)
 
     def fit_transform(self, bytecodes: list[bytes]) -> np.ndarray:
         """Learn the vocabulary and build the matrix in one decode pass.
@@ -112,13 +131,11 @@ class OpcodeHistogramExtractor:
         disassembled everything twice: once in ``fit``, once in
         ``transform``).
         """
-        counts = np.zeros((len(bytecodes), MNEMONIC_COUNT), dtype=np.int64)
-        for row, bytecode in enumerate(bytecodes):
-            counts[row] = np.bincount(
-                self._decode(bytecode), minlength=MNEMONIC_COUNT
-            )
+        counts = self._counts(bytecodes)
         self._set_vocabulary(np.flatnonzero(counts.any(axis=0)))
-        return counts[:, self._column_ids()].astype(np.float64)
+        # F-ordered, the layout the classifiers have always been fitted
+        # on: switching to ``take`` would move LR and SVM artifacts.
+        return counts[:, self._columns].astype(np.float64)
 
     def _check_fitted(self) -> None:
         if self.vocabulary_ is None:
@@ -138,4 +155,7 @@ class OpcodeHistogramExtractor:
             str(name): int(column)
             for name, column in state["vocabulary"].items()
         }
+        self._columns = np.array(
+            [MNEMONIC_IDS[name] for name in self.feature_names], dtype=np.intp
+        )
         return self

@@ -2,6 +2,15 @@
 
 Opcode-occurrence histograms (vocabulary learned on the training set, raw
 counts, no normalization) fed to a classical classifier.
+
+The classifier sees only the histogram row, so two contracts with the same
+row get the same probabilities. For the tree ensembles, ``predict_proba``
+scores each distinct row of a batch once and copies the result to its
+repeats: EIP-1167 clones that differ only in their delegate address share
+one row. This needs no cache, because the repeats sit inside one batch.
+The other variants score the whole matrix: their BLAS products round a
+row differently depending on how many rows the batch holds, so only the
+whole batch reproduces the per-row reference bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +67,13 @@ HSC_VARIANTS: dict[str, callable] = {
         n_estimators=80, learning_rate=0.15, depth=4
     ),
 }
+
+
+#: Variants whose classifier scores each row on its own (tree descent), so
+#: scoring only a batch's distinct rows is bit-identical to scoring all.
+_ROW_WISE_VARIANTS = frozenset(
+    {"Random Forest", "XGBoost", "LightGBM", "CatBoost"}
+)
 
 
 class HSCDetector(PhishingDetector):
@@ -128,7 +144,24 @@ class HSCDetector(PhishingDetector):
         return self
 
     def predict_proba(self, bytecodes) -> np.ndarray:
+        """Class probabilities, one descent per distinct histogram row.
+
+        Rows are keyed by their exact bytes in first-occurrence order, so
+        the result is bit-identical to scoring every row; a batch without
+        a repeated row, or a variant outside :data:`_ROW_WISE_VARIANTS`,
+        goes to the classifier whole.
+        """
         features = self.extractor_.transform(bytecodes)
+        if self.variant in _ROW_WISE_VARIANTS:
+            first: dict[bytes, int] = {}
+            owners = [
+                first.setdefault(row.tobytes(), position)
+                for position, row in enumerate(features)
+            ]
+            if len(first) < len(owners):
+                unique = np.fromiter(first.values(), dtype=np.intp)
+                proba = self.classifier_.predict_proba(features[unique])
+                return proba[np.searchsorted(unique, owners)]
         return self.classifier_.predict_proba(features)
 
     # ------------------------------------------------------------------ #

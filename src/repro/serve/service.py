@@ -3,7 +3,7 @@
 The seed facade (`PhishingHook.classify_address`) retrained a model from
 scratch on every call — fine for a demo, fatal for a service. ``ScanService``
 holds one fitted model and answers ``scan_bytecodes`` / ``scan_many``
-against it, with three layers of work-sharing:
+against it, with four layers of work-sharing:
 
 1. **in-batch dedup** — each distinct bytecode in a request is classified
    once (the §III dedup step applied at serve time),
@@ -12,9 +12,14 @@ against it, with three layers of work-sharing:
    any earlier request costs one SHA-256 and a dict hit,
 3. **feature cache** — on a prediction miss, the model's extractors decode
    through the same cache, so even novel bytecodes reuse decoded
-   mnemonic-ID / token-code arrays across models sharing the cache.
+   mnemonic-ID / token-code arrays across models sharing the cache,
+4. **row dedup** — inside the model, an HSC tree ensemble scores each
+   distinct opcode-histogram row of the missed bytecodes once
+   (:meth:`~repro.models.hsc.HSCDetector.predict_proba`), so EIP-1167
+   clones that differ only in their delegate share one descent. The
+   service takes no part in it: it sees one ``predict_proba`` call.
 
-Below all three sits the flat inference engine (:mod:`repro.ml.flat`):
+Below all four sits the flat inference engine (:mod:`repro.ml.flat`):
 ensemble models are compiled to stacked node arrays at fit/attach time
 (``stats()["flat_compiled"]``), so the cold path — a genuinely novel
 batch missing every cache — is vectorized level-synchronous descent, not

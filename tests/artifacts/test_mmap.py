@@ -177,13 +177,12 @@ class TestMappedHeaderChecks:
         )
 
 
-@pytest.fixture(scope="module")
-def stored_bytes(fitted_forest, tmp_path_factory):
-    """The bytes of a stored-layout artifact and where to write a copy,
-    plus the offsets of its structure: each member's local zip header
-    and the start of its ``.npy`` header, and the central directory."""
-    path = tmp_path_factory.mktemp("mutations") / "m.npz"
-    save_artifact(fitted_forest, path, compression="stored")
+def _mutation_target(model, directory, compression):
+    """The bytes of an artifact and where to write a copy, plus the
+    offsets of its structure: each member's local zip header and the
+    start of its ``.npy`` header, and the central directory."""
+    path = directory / "m.npz"
+    save_artifact(model, path, compression=compression)
     original = path.read_bytes()
     with zipfile.ZipFile(path) as zf:
         infos = zf.infolist()
@@ -192,22 +191,29 @@ def stored_bytes(fitted_forest, tmp_path_factory):
         for info in infos
         for offset in range(info.header_offset, info.header_offset + 200)
     ]
-    directory = original.index(b"PK\x01\x02")
-    structure += range(directory, len(original))
+    directory_start = original.index(b"PK\x01\x02")
+    structure += range(directory_start, len(original))
     return original, sorted(set(structure)), path.with_name("mutated.npz")
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_mutated_stored_artifact_fails_typed_or_matches_manifest(
-    stored_bytes, data
-):
-    # ROADMAP 6(b) for the mapped path: a few changed bytes in a
-    # stored-layout artifact either raise an ArtifactError subclass or
-    # load arrays whose dtype and shape are the manifest's. Most edits
-    # land on zip and npy structure, where the parsers are; the rest
-    # anywhere in the file.
-    original, structure, path = stored_bytes
+@pytest.fixture(scope="module")
+def stored_bytes(fitted_forest, tmp_path_factory):
+    return _mutation_target(
+        fitted_forest, tmp_path_factory.mktemp("mutations"), "stored"
+    )
+
+
+@pytest.fixture(scope="module")
+def deflated_bytes(fitted_forest, tmp_path_factory):
+    return _mutation_target(
+        fitted_forest, tmp_path_factory.mktemp("mutations"), "deflate"
+    )
+
+
+def _mutate(target, data):
+    """Write ``target``'s bytes with 1–4 of them changed; most edits land
+    on zip and npy structure, where the parsers are, the rest anywhere."""
+    original, structure, path = target
     mutated = bytearray(original)
     position = st.sampled_from(structure) | st.integers(0, len(original) - 1)
     edits = data.draw(st.lists(
@@ -216,6 +222,18 @@ def test_mutated_stored_artifact_fails_typed_or_matches_manifest(
     for offset, value in edits:
         mutated[offset] = value
     path.write_bytes(bytes(mutated))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_stored_artifact_fails_typed_or_matches_manifest(
+    stored_bytes, data
+):
+    # A few changed bytes in a stored-layout artifact either raise an
+    # ArtifactError subclass or load arrays whose dtype and shape are the
+    # manifest's.
+    path = _mutate(stored_bytes, data)
     try:
         load_artifact(path, mmap_mode="r")
     except ArtifactError:
@@ -225,6 +243,29 @@ def test_mutated_stored_artifact_fails_typed_or_matches_manifest(
         declared = manifest["arrays"]
         for index, array in _mapped_arrays(archive, path, declared).items():
             meta = declared[f"a{index}"]
+            assert (array.dtype.str, list(array.shape)) == (
+                meta["dtype"], meta["shape"]
+            )
+
+
+@pytest.mark.parametrize("layout", ["stored_bytes", "deflated_bytes"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_artifact_copy_load_fails_typed_or_matches_manifest(
+    request, layout, data
+):
+    # The copying load reads every member through numpy's zip reader and
+    # checks its SHA-256, which covers dtype and shape; for a deflated
+    # artifact the edits also land inside compressed streams.
+    path = _mutate(request.getfixturevalue(layout), data)
+    try:
+        load_artifact(path)
+    except ArtifactError:
+        return
+    with np.load(path) as archive:
+        declared = json.loads(archive["__manifest__"].tobytes())["arrays"]
+        for name, meta in declared.items():
+            array = archive[name]
             assert (array.dtype.str, list(array.shape)) == (
                 meta["dtype"], meta["shape"]
             )

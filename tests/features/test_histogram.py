@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.evm.disassembler import (
+    MNEMONIC_COUNT,
+    MNEMONIC_IDS,
+    decode_mnemonic_ids,
+)
 from repro.features.histogram import OpcodeHistogramExtractor
 
 PROLOGUE = bytes.fromhex("6080604052")  # PUSH1 PUSH1 MSTORE
@@ -97,6 +102,19 @@ class TestSingleDecode:
         assert np.array_equal(cached_extractor.transform(codes), plain)
         assert cache.stats.hits > 0
 
+    def test_transform_decodes_each_bytecode_once_in_order(self):
+        # More rows than one offset bincount counts, so the blocks must
+        # not decode anything twice or out of order either.
+        decoder, calls = self._counting_decoder()
+        extractor = OpcodeHistogramExtractor().fit([PROLOGUE])
+        extractor.set_decoder(decoder)
+        codes = [PROLOGUE * (index % 7) for index in range(600)]
+        matrix = extractor.transform(codes)
+        assert calls == codes
+        assert matrix[:, extractor.vocabulary_["PUSH1"]].tolist() == [
+            2.0 * (index % 7) for index in range(600)
+        ]
+
     def test_set_decoder_is_clearable(self):
         decoder, calls = self._counting_decoder()
         extractor = OpcodeHistogramExtractor()
@@ -124,3 +142,82 @@ class TestProperties:
         extractor = OpcodeHistogramExtractor().fit(codes)
         matrix = extractor.transform(codes)
         assert np.all(matrix.sum(axis=1) > 0)
+
+
+def _reference_transform(extractor, codes):
+    """One decode and one ``np.bincount`` per contract, gathered to the
+    fitted columns."""
+    columns = [MNEMONIC_IDS[name] for name in extractor.feature_names]
+    matrix = np.zeros((len(codes), len(columns)), dtype=np.float64)
+    for row, code in enumerate(codes):
+        counts = np.bincount(decode_mnemonic_ids(code), minlength=MNEMONIC_COUNT)
+        matrix[row] = counts[columns]
+    return matrix
+
+
+_VOCABULARY_CORPUS = [PROLOGUE, bytes(range(0, 256, 3)), bytes.fromhex("5b5b56")]
+
+_BYTECODE = st.binary(max_size=96) | st.binary(max_size=96).map(
+    lambda raw: "0x" + raw.hex()
+) | st.binary(max_size=96).map(bytes.hex)
+
+
+class TestBatchedTransform:
+    @given(st.lists(_BYTECODE, max_size=12))
+    def test_equals_per_row_reference(self, codes):
+        extractor = OpcodeHistogramExtractor().fit(_VOCABULARY_CORPUS)
+        matrix = extractor.transform(codes)
+        expected = _reference_transform(extractor, codes)
+        assert matrix.dtype == expected.dtype
+        assert matrix.flags.c_contiguous
+        assert np.array_equal(matrix, expected)
+
+    def test_more_rows_than_one_block(self):
+        codes = [bytes(range(index % 256)) for index in range(700)]
+        extractor = OpcodeHistogramExtractor().fit(codes[:300])
+        assert np.array_equal(
+            extractor.transform(codes), _reference_transform(extractor, codes)
+        )
+        assert np.array_equal(
+            OpcodeHistogramExtractor().fit_transform(codes),
+            OpcodeHistogramExtractor().fit(codes).transform(codes),
+        )
+
+    def test_column_index_follows_refit(self):
+        # A stale column index would still count the first vocabulary's
+        # opcodes; a 144-mnemonic vocabulary would hide that.
+        other = [STOP_ONLY, bytes.fromhex("5b01")]  # STOP, JUMPDEST, ADD
+        extractor = OpcodeHistogramExtractor().fit([PROLOGUE])
+        extractor.transform([PROLOGUE])
+        extractor.fit(other)
+        assert extractor.feature_names == ["ADD", "JUMPDEST", "STOP"]
+        codes = [PROLOGUE, STOP_ONLY, bytes.fromhex("5b0101")]
+        assert np.array_equal(
+            extractor.transform(codes), _reference_transform(extractor, codes)
+        )
+        assert extractor.transform(codes).tolist() == [
+            [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0],
+        ]
+
+    def test_column_index_follows_fit_transform(self):
+        extractor = OpcodeHistogramExtractor().fit([PROLOGUE])
+        assert extractor.fit_transform([STOP_ONLY]).tolist() == [[1.0]]
+        assert extractor.transform([PROLOGUE, STOP_ONLY]).tolist() == [
+            [0.0], [1.0],
+        ]
+
+    def test_column_index_follows_load_state(self):
+        source = OpcodeHistogramExtractor().fit([STOP_ONLY, bytes.fromhex("5b01")])
+        extractor = OpcodeHistogramExtractor().fit([PROLOGUE])
+        extractor.transform([PROLOGUE])
+        extractor.load_state(source.state_dict())
+        codes = [PROLOGUE, STOP_ONLY, bytes.fromhex("5b0101")]
+        assert np.array_equal(extractor.transform(codes), source.transform(codes))
+        assert np.array_equal(
+            extractor.transform(codes), _reference_transform(extractor, codes)
+        )
+
+    def test_empty_batch(self):
+        extractor = OpcodeHistogramExtractor().fit([PROLOGUE])
+        assert extractor.transform([]).shape == (0, 2)
+        assert extractor.transform([b""]).tolist() == [[0.0, 0.0]]
