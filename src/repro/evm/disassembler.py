@@ -82,10 +82,18 @@ def normalize_bytecode(bytecode: bytes | bytearray | str) -> bytes:
 
 
 class Disassembler:
-    """Streaming disassembler over a single bytecode blob."""
+    """Streaming disassembler over a single bytecode blob.
+
+    ``bytes`` input is already raw bytecode and is kept as is, without a
+    copy; hex strings and ``bytearray`` go through
+    :func:`normalize_bytecode`.
+    """
 
     def __init__(self, bytecode: bytes | bytearray | str):
-        self._code = normalize_bytecode(bytecode)
+        if isinstance(bytecode, bytes):
+            self._code = bytecode
+        else:
+            self._code = normalize_bytecode(bytecode)
 
     @property
     def code(self) -> bytes:

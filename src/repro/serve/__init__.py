@@ -8,11 +8,18 @@ phishing?" queries as fast as the hardware allows.
 Components
 ----------
 
+* :class:`~repro.serve.cache.Code` — one contract's normalized bytecode
+  (a ``bytes`` subclass) carrying its SHA-256 as ``code.digest``. Built
+  once where bytecode enters serving; the prediction lookup, the cached
+  decoder and the disassembler read it without normalizing or hashing
+  again, and any detector taking ``bytes`` takes it.
 * :class:`~repro.serve.cache.FeatureCache` — bounded LRU keyed by SHA-256
   of the normalized bytecode. Stores the disassembler's single-pass
   ``uint8`` mnemonic-ID arrays, per-extractor rows (hex-ngram token
   codes), and per-model probability rows. Exposes
-  hit/miss/eviction counters (``cache.stats``).
+  hit/miss/eviction counters (``cache.stats``); residency (entries and
+  estimated bytes per namespace) is counted from the store when read,
+  not kept up per entry.
 * :class:`~repro.serve.service.ScanService` — one fitted model +
   ``scan_bytecodes`` / ``scan_many`` batch entry points with in-batch
   dedup and cache-served repeat queries.
@@ -23,7 +30,8 @@ Design notes
 Deployed bytecode is heavily duplicated (§III: the study corpus shrinks
 ~57% under dedup), so keying work by *content* rather than by address or
 request makes the steady-state cost of a scan one hash plus one dict
-probe. The same cache slots under the evaluation campaign:
+probe, and the hash is taken once per contract, into its ``Code``. The
+same cache slots under the evaluation campaign:
 ``ModelEvaluationModule(cache=...)`` decodes each unique bytecode once
 per campaign instead of once per model × fold × run, because every
 HSC model's extractor pulls ID arrays through the shared cache.
@@ -66,11 +74,12 @@ Entry points
 or, from a built pipeline facade: ``PhishingHook.scan_service()``.
 """
 
-from repro.serve.cache import CacheStats, FeatureCache, bytecode_digest
+from repro.serve.cache import CacheStats, Code, FeatureCache, bytecode_digest
 from repro.serve.service import ScanResult, ScanService
 
 __all__ = [
     "CacheStats",
+    "Code",
     "FeatureCache",
     "bytecode_digest",
     "ScanResult",

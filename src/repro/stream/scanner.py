@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.evm.errors import DisassemblyError
+from repro.serve.cache import Code
 from repro.serve.service import ScanService
 from repro.stream.events import TOPIC_CONTRACTS, ContractEvent, shed
 
@@ -94,6 +96,7 @@ class StreamStats:
     events_in: int = 0
     deduped: int = 0
     skipped_empty: int = 0
+    skipped_malformed: int = 0
     dropped: int = 0
     scanned: int = 0
     flagged: int = 0
@@ -129,6 +132,7 @@ class StreamStats:
             "events_in": self.events_in,
             "deduped": self.deduped,
             "skipped_empty": self.skipped_empty,
+            "skipped_malformed": self.skipped_malformed,
             "dropped": self.dropped,
             "scanned": self.scanned,
             "flagged": self.flagged,
@@ -219,7 +223,8 @@ class StreamScanner:
         self.shard_stats = [ShardStats(shard=i) for i in range(shards)]
         self.alerts: list[StreamAlert] = []
         self.rollouts = 0
-        self._queue: deque[ContractEvent] = deque()
+        # Admitted events, each with the Code its bytecode became.
+        self._queue: deque[tuple[ContractEvent, Code]] = deque()
         self._seen: set[str] = set()
         self._rng = np.random.default_rng(seed)
         self._batch_id = 0
@@ -375,9 +380,15 @@ class StreamScanner:
     def on_event(self, event: ContractEvent) -> bool:
         """Admit one deployment event; returns False when shed/skipped.
 
+        An admitted event's code becomes a :class:`~repro.serve.cache.Code`
+        here, normalized and hashed once, and is queued beside the event
+        for its shard service. A code that does not normalize (malformed
+        hex) is skipped and counted (``stats.skipped_malformed``) before
+        it can enter, and fail, a micro-batch of valid events.
+
         A *shed* event is not marked seen — an at-least-once producer can
-        redeliver it and have it scanned; only consumed (queued or
-        empty-skipped) addresses dedup.
+        redeliver it and have it scanned; only consumed (queued, empty- or
+        malformed-skipped) addresses dedup.
         """
         self.stats.events_in += 1
         if self.dedup_addresses and event.address in self._seen:
@@ -388,6 +399,13 @@ class StreamScanner:
                 self._seen.add(event.address)
             self.stats.skipped_empty += 1
             return False
+        try:
+            code = Code(event.code)
+        except DisassemblyError:
+            if self.dedup_addresses:
+                self._seen.add(event.address)
+            self.stats.skipped_malformed += 1
+            return False
         if len(self._queue) >= self.max_queue and self.policy == "block":
             self.flush_batch()
         admit, evicted = shed(
@@ -397,10 +415,10 @@ class StreamScanner:
         if not admit:
             return False
         if evicted is not None and self.dedup_addresses:
-            self._seen.discard(evicted.address)
+            self._seen.discard(evicted[0].address)
         if self.dedup_addresses:
             self._seen.add(event.address)
-        self._queue.append(event)
+        self._queue.append((event, code))
         if self.auto_flush and len(self._queue) >= self.max_batch:
             self.flush_batch()
         return True
@@ -418,7 +436,7 @@ class StreamScanner:
         if not self._queue or self.flush_deadline_seconds is None:
             return []
         now = time.perf_counter() if now is None else now
-        if now - self._queue[0].enqueued_at >= self.flush_deadline_seconds:
+        if now - self._queue[0][0].enqueued_at >= self.flush_deadline_seconds:
             return self.flush_batch()
         return []
 
@@ -437,21 +455,27 @@ class StreamScanner:
             alerts.extend(self.flush_batch())
         return alerts
 
-    def _score(self, batch: list[ContractEvent]) -> list[StreamAlert]:
+    def _score(
+        self, batch: list[tuple[ContractEvent, Code]]
+    ) -> list[StreamAlert]:
         batch_id = self._batch_id
         self._batch_id += 1
         self.stats.batches += 1
 
-        by_shard: dict[int, list[ContractEvent]] = {}
-        for event in batch:
-            by_shard.setdefault(shard_of(event.address, self.shards), []).append(event)
+        by_shard: dict[int, list[tuple[ContractEvent, Code]]] = {}
+        for entry in batch:
+            by_shard.setdefault(
+                shard_of(entry[0].address, self.shards), []
+            ).append(entry)
 
         alerts: list[StreamAlert] = []
-        for shard, events in sorted(by_shard.items()):
+        for shard, entries in sorted(by_shard.items()):
             worker = self.workers[shard]
+            events = [event for event, _code in entries]
             shard_started = time.perf_counter()
             results = worker.scan_bytecodes(
-                [e.code for e in events], addresses=[e.address for e in events]
+                [code for _event, code in entries],
+                addresses=[e.address for e in events],
             )
             scored_at = time.perf_counter()
             stats = self.shard_stats[shard]

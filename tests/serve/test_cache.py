@@ -1,7 +1,12 @@
 """Tests for the content-addressed FeatureCache."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.evm.disassembler import decode_mnemonic_ids
 from repro.serve.cache import FeatureCache, bytecode_digest
@@ -105,6 +110,102 @@ class TestResidency:
         cache.clear()
         assert cache.stats.resident_bytes == 0
         assert cache.stats.resident_by_namespace == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["put", "put", "put", "resize", "invalidate", "clear"]
+                ),
+                st.sampled_from(["ids", "pred:a", "pred:b"]),
+                st.integers(0, 7),
+                st.sampled_from(["array", "float", "bytes"]),
+                st.integers(1, 9),
+            ),
+            max_size=60,
+        )
+    )
+    def test_residency_read_equals_recount(self, operations):
+        """Whatever put, replace, eviction, resize, invalidation and
+        clear did, residency read off the cache equals a brute-force
+        recount of its store."""
+        cache = FeatureCache(max_entries=6)
+        for op, namespace, key, kind, size in operations:
+            if op == "put":
+                value = {
+                    "array": np.zeros(size, dtype=np.uint8),
+                    "float": float(size),
+                    "bytes": bytes(size),
+                }[kind]
+                cache.put(namespace, bytes([key]), value)
+            elif op == "resize":
+                cache.resize(size)
+            elif op == "invalidate":
+                cache.invalidate_namespace(namespace)
+            else:
+                cache.clear()
+            recount: dict[str, tuple[int, int]] = {}
+            for (ns, _digest), value in cache._store.items():
+                n, total = recount.get(ns, (0, 0))
+                size_of = (
+                    value.nbytes if isinstance(value, np.ndarray)
+                    else len(value) if isinstance(value, bytes) else 64
+                )
+                recount[ns] = (n + 1, total + size_of)
+            assert len(cache) <= cache.max_entries
+            assert cache.stats.resident_by_namespace == recount
+            assert cache.stats.resident_bytes == sum(
+                total for _n, total in recount.values()
+            )
+            summary = cache.stats.as_dict()
+            assert summary["resident_bytes"] == cache.stats.resident_bytes
+
+    def test_residency_read_races_puts(self):
+        """Residency is counted under the cache lock, so a read racing
+        concurrent puts and evictions never sees the store mid-mutation
+        and never reports more entries than the bound."""
+        cache = FeatureCache(max_entries=64)
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def writer(worker: int) -> None:
+            try:
+                for i in range(1500):
+                    cache.put("ids", bytes([worker, i % 251, i // 251]),
+                              np.zeros(4, dtype=np.uint8))
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def reader() -> None:
+            try:
+                while not stop.is_set():
+                    entries, total = cache.stats.resident_by_namespace.get(
+                        "ids", (0, 0)
+                    )
+                    assert entries <= 64 and total == 4 * entries
+            except BaseException as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [
+                threading.Thread(target=writer, args=(w,)) for w in range(4)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert errors == []
+        assert cache.stats.resident_by_namespace == {"ids": (64, 256)}
 
 
 class TestCorrectness:

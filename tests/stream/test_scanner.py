@@ -90,6 +90,47 @@ class TestMicroBatching:
         assert scanner.stats.skipped_empty == 1
         assert scanner.pending == 1
 
+    def test_malformed_code_is_skipped_not_batched(
+        self, service, stream_corpus
+    ):
+        """A code that does not normalize is counted at admission and
+        never reaches a micro-batch, so the valid events sharing its
+        batch are all scored and ``flush`` does not raise."""
+        from repro.stream.events import EventBus
+
+        scanner = StreamScanner(service, shards=2)
+        bus = EventBus()
+        scanner.attach(bus)
+        valid = events_for(stream_corpus, 15)
+        for event in valid[:7]:
+            bus.publish(event)
+        bus.publish(make_event(999, code="0xzz"))
+        for event in valid[7:]:
+            bus.publish(event)
+        scanner.flush()
+        assert scanner.stats.skipped_malformed == 1
+        assert scanner.stats.scanned == 15
+        assert scanner.pending == 0
+        assert scanner.summary()["skipped_malformed"] == 1
+        # A redelivered malformed event is deduped, not retried.
+        bus.publish(make_event(999, code="0xzz"))
+        assert scanner.stats.deduped == 1
+        assert scanner.stats.skipped_malformed == 1
+
+    def test_admitted_hex_code_scores_like_bytes(
+        self, service, stream_corpus
+    ):
+        (record,) = stream_corpus.records[:1]
+        hexed = make_event(1, code="0x" + record.bytecode.hex())
+        scanner = StreamScanner(service)
+        assert scanner.on_event(hexed)
+        scanner.flush()
+        (expected,) = service.scan_bytecodes([record.bytecode])
+        assert scanner.stats.scanned == 1
+        assert scanner.stats.flagged == int(
+            expected.probability >= scanner.threshold
+        )
+
 
 class TestBackpressure:
     def test_block_policy_flushes_inline(self, service, stream_corpus):
