@@ -10,11 +10,11 @@ stream (:mod:`repro.rollout`, docs/operations.md):
   how many models score it, so the candidate adds roughly one
   ``predict_proba`` — not a second feature pipeline.
 * **zero-drop promotion** — a parity candidate promoted mid-stream
-  swaps every shard with nothing dropped and nothing mis-scored: every
-  event is scored exactly once, by whichever version was production at
-  that moment (never a mixture, never neither), and traffic after the
-  promotion scores bit-identically to the candidate model's own
-  ``predict_proba``.
+  swaps the scanner's service with nothing dropped and nothing
+  mis-scored: every event is scored exactly once, by whichever version
+  was production at that moment (never a mixture, never neither), and
+  traffic after the promotion scores bit-identically to the candidate
+  model's own ``predict_proba``.
 
 Prints one machine-readable JSON summary line (``SHADOW_ROLLOUT {...}``).
 

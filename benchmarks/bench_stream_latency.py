@@ -10,7 +10,7 @@ scored three ways:
   call, and (as the seed did) find each alert's creation transaction by
   scanning the transaction list,
 * **stream cold** — `TimelineReplayer` → `StreamScanner` (micro-batches,
-  sharded workers) with an empty prediction cache,
+  shard groups) with an empty prediction cache,
 * **stream warm** — the same replay again through fresh scanner state but
   a warm content-addressed cache (steady-state monitoring).
 
@@ -72,7 +72,7 @@ def percentiles(latencies):
 
 def stream_pass(service, chain):
     scanner = StreamScanner(
-        service.sharded(1)[0],
+        service,
         shards=SHARDS,
         max_batch=MAX_BATCH,
         max_queue=max(MAX_BATCH * 4, 256),

@@ -12,8 +12,8 @@ process on the synthetic stream:
    agreement / divergence / disagreement-class / latency-overhead
    evidence,
 4. let the ``MetricParityPolicy`` promote mid-stream — the store's
-   ``production`` tag repoints atomically and every shard hot-swaps with
-   zero dropped batches,
+   ``production`` tag repoints atomically and the scanner's service
+   hot-swaps with zero dropped batches,
 5. then do it again with a broken candidate (a simulated label-flip
    training bug) and watch the policy abort with production untouched.
 

@@ -21,8 +21,8 @@ Commands:
 * ``disasm`` — disassemble a hex bytecode string to the BDM's CSV rows,
 * ``dataset`` — build a corpus and print Fig. 2-style monthly counts,
 * ``monitor`` — replay a synthetic campaign through the event-driven
-  streaming pipeline (micro-batches, sharded workers, alert sinks; see
-  :mod:`repro.stream`), cold-starting every shard from one artifact,
+  streaming pipeline (micro-batches, shard groups, alert sinks; see
+  :mod:`repro.stream`), cold-starting one scan service from one artifact,
 * ``loop`` — close the learning loop over a config-declared topology:
   drift on live scores triggers a warm-start retrain, the candidate
   shadows production and the rollout policy promotes or aborts, every
@@ -497,7 +497,7 @@ def _cmd_rollout(args) -> int:
         _print_rollout_record(record)
         if rollout.state == "promoted":
             print(f"promoted: tag '{production}' -> "
-                  f"{rollout.candidate_version[:16]}; every shard swapped "
+                  f"{rollout.candidate_version[:16]}; serving model swapped "
                   f"with zero dropped batches")
         elif rollout.state == "aborted":
             print("aborted: production serving untouched")
@@ -651,7 +651,7 @@ def _cmd_monitor(args) -> int:
             seed=seed, threshold=config.serve.threshold,
         )
     else:
-        # The production shape: every shard cold-starts from one
+        # The production shape: one service cold-starts from one
         # persisted artifact — no training inside the monitor.
         service = build_service(config)
     scanner = build_scanner(config, service)
@@ -1102,7 +1102,7 @@ def _cmd_fleet(args) -> int:
             via = "cache" if result["from_cache"] else "model"
             print(f"{result['address']}: {verdict} "
                   f"(p={result['probability']:.3f}, "
-                  f"shard={result['shard']}, via={via})")
+                  f"worker={result['worker']}, via={via})")
         return 0
 
     if args.fleet_command == "stop":

@@ -198,7 +198,7 @@ class StoreConfig(_Table):
         nonempty=True,
     )
     #: Local spool directory for object-store backends (``bucket://``);
-    #: multi-shard monitors without one re-pull every cold start (D006).
+    #: fleet workers without one each re-pull the artifact (D006).
     cache_dir: str = _knob(
         "", "host-local directory for artifact spooling (remote backends)"
     )

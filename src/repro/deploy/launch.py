@@ -187,8 +187,8 @@ def build_fleet(config: DeployConfig, *, sinks=None):
 
     Requires a ``[fleet]`` section; the caller (the ``fleet`` CLI)
     starts it (``manager.start()``) and owns the teardown. ``[stream]``
-    knobs map onto the fleet's per-worker topology: ``stream.shards``
-    becomes each worker's in-process shard count.
+    configures only the in-process scanner (:func:`build_scanner`): a
+    fleet worker scores each batch whole.
     """
     if config.fleet is None:
         raise ValueError(
@@ -215,7 +215,6 @@ def build_fleet(config: DeployConfig, *, sinks=None):
         model_path=config.model.path,
         cache_dir=config.store.cache_dir,
         threshold=config.serve.threshold,
-        worker_shards=config.stream.shards,
         cache_entries=config.serve.cache_entries,
         queue_depth=fleet.queue_depth,
         overflow=fleet.overflow,

@@ -181,18 +181,13 @@ def _noop_rollout(c: DeployConfig):
 
 def _redundant_pulls(c: DeployConfig):
     remote = c.store.scheme in ("bucket", "http", "https")
-    many_cold_starts = c.stream.shards > 1 or c.fleet is not None
-    if remote and many_cold_starts and not c.store.cache_dir:
-        what = (
-            f"fleet.workers={c.fleet.workers} worker processes"
-            if c.fleet is not None
-            else f"stream.shards={c.stream.shards}"
-        )
+    if remote and c.fleet is not None and not c.store.cache_dir:
         return (
             f"store.url={c.store.url!r} is a remote backend serving "
-            f"{what}, but store.cache_dir is unset: every process cold "
-            f"start re-pulls the artifact into a throwaway spool instead "
-            f"of a shared local cache"
+            f"fleet.workers={c.fleet.workers} worker processes, but "
+            f"store.cache_dir is unset: every worker cold start re-pulls "
+            f"the artifact into a throwaway spool instead of a shared "
+            f"local cache"
         )
     return None
 
@@ -321,7 +316,7 @@ def _degenerate_batching(c: DeployConfig):
     if c.stream.batch_size == 1 and c.stream.shards > 1:
         return (
             f"stream.batch_size=1 with stream.shards={c.stream.shards}: "
-            f"every event is its own micro-batch, so the sharded workers "
+            f"every event is its own micro-batch, so the shard groups "
             f"pay per-event dispatch overhead while the vectorized "
             f"inference engine gets batches of one"
         )
@@ -557,12 +552,13 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "D006", WARN, "redundant-pulls",
-        "A remote store (bucket:// or http(s)://) serving a multi-shard "
-        "monitor or a worker fleet without a local cache_dir re-pulls "
-        "the artifact on every process cold start.",
+        "A remote store (bucket:// or http(s)://) serving a worker fleet "
+        "without a local cache_dir re-pulls the artifact on every worker "
+        "process cold start (an in-process monitor loads it once, "
+        "however many shards it has).",
         "set store.cache_dir to a host-local directory",
         _redundant_pulls,
-        ("store.url", "store.cache_dir", "stream.shards", "fleet"),
+        ("store.url", "store.cache_dir", "fleet"),
     ),
     Rule(
         "D007", ERROR, "nondeterministic-replay",

@@ -1,7 +1,7 @@
 """Distributed serving fleet over HTTP (``repro.net``).
 
 Everything below one roof scaled *inside* a process: flat kernels
-(:mod:`repro.ml.flat`), thread-sharded streaming (:mod:`repro.stream`),
+(:mod:`repro.ml.flat`), micro-batched streaming (:mod:`repro.stream`),
 artifact cold starts (:mod:`repro.artifacts`). This package is the first
 layer that crosses a process boundary — the ROADMAP's "millions of
 users" north star needs real processes and a real wire:

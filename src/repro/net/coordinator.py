@@ -7,8 +7,7 @@ The coordinator is the only public face of a fleet. It owns:
   on ties. The pick and the reservation of that worker's in-flight slot
   are one step under a routing lock, so batches that arrive together
   spread across workers. Worker caches are keyed by bytecode content,
-  so no address affinity is lost; a worker shards each batch over its
-  own in-process views.
+  so no address affinity is lost; a worker scores each batch whole.
 * **Admission control.** Per-worker in-flight batches are bounded by
   ``queue_depth``. When every alive worker is full the ``overflow``
   policy either *sheds* (:class:`OverloadedError`, surfaced as HTTP
@@ -27,7 +26,9 @@ The coordinator is the only public face of a fleet. It owns:
   rotation.
 * **Inline bytecode.** Each worker request carries the batch's unique
   bytecodes as hex (``inline_codes``) plus an index per address
-  (``code_of``); the worker decodes and caches them itself.
+  (``code_of``). The coordinator dedups on the hex strings and never
+  decodes them: the worker's ``bytes.fromhex`` is the one decode, and
+  it answers malformed hex with HTTP 400.
 * **The monitor plane.** Flagged results become real
   :class:`~repro.stream.scanner.StreamAlert` objects fanned out to the
   configured sinks after the batch returns, and
@@ -329,7 +330,9 @@ class FleetCoordinator:
         ``codes`` entries may be ``bytes`` or hex strings. Returns one
         result dict per input, in input order. Raises
         :class:`~repro.chain.rpc.NoCodeError` (a ``ValueError``) for an
-        empty bytecode (nothing deployed to score), and
+        empty or whitespace-only bytecode (nothing deployed to score),
+        :class:`WorkerRejectedError` (a ``ValueError``) when the worker
+        refuses malformed hex, and
         :class:`ShuttingDownError` / :class:`OverloadedError` /
         :class:`NoWorkersError` as described in the module docstring.
         """
@@ -340,12 +343,11 @@ class FleetCoordinator:
         if len(addresses) != len(codes):
             raise ValueError("addresses and codes must be parallel lists")
         started = time.perf_counter()
-        raw_codes = [
-            bytes.fromhex(c) if isinstance(c, str) else bytes(c)
-            for c in codes
+        hex_codes = [
+            c if isinstance(c, str) else bytes(c).hex() for c in codes
         ]
-        for address, code in zip(addresses, raw_codes):
-            if not code:
+        for address, code in zip(addresses, hex_codes):
+            if not code.strip():
                 raise NoCodeError(address)
         with self._lock:
             self._batch_counter += 1
@@ -353,13 +355,13 @@ class FleetCoordinator:
 
         # Host-level dedup: each unique bytecode is shipped once no
         # matter how many addresses deploy it.
-        index_of: dict[bytes, int] = {}
+        index_of: dict[str, int] = {}
         code_of = [index_of.setdefault(code, len(index_of))
-                   for code in raw_codes]
+                   for code in hex_codes]
         results = self._dispatch({
             "addresses": list(addresses),
             "code_of": code_of,
-            "inline_codes": [code.hex() for code in index_of],
+            "inline_codes": list(index_of),
         })
 
         elapsed = time.perf_counter() - started

@@ -72,7 +72,6 @@ class FleetManager:
         model_path: str = "",
         cache_dir: str = "",
         threshold: float = 0.5,
-        worker_shards: int = 1,
         cache_entries: int = 8192,
         queue_depth: int = 4,
         overflow: str = "shed",
@@ -106,7 +105,6 @@ class FleetManager:
         self.model_path = model_path
         self.cache_dir = cache_dir
         self.threshold = threshold
-        self.worker_shards = worker_shards
         self.cache_entries = cache_entries
         self.queue_depth = queue_depth
         self.overflow = overflow
@@ -149,7 +147,6 @@ class FleetManager:
             model_path=self.model_path,
             cache_dir=self.cache_dir,
             threshold=self.threshold,
-            shards=self.worker_shards,
             cache_entries=self.cache_entries,
             mmap=self.mmap,
             host=self.host,

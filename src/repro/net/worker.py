@@ -2,12 +2,11 @@
 
 A worker is deliberately boring: it cold-starts a
 :class:`~repro.serve.service.ScanService` from the ModelStore (exactly
-the artifact path every other serving surface uses), splits it into
-``shards`` in-process views partitioned by the same crc32 address hash
-as the streaming scanner, and answers ``POST /scan`` over keep-alive
-HTTP/1.1 (:mod:`repro.net.server`) on a loopback port it binds itself
-(port 0 → the kernel picks; the bound port travels back to the
-coordinator over a pipe). All fleet intelligence —
+the artifact path every other serving surface uses), scores each batch
+whole with one ``scan_bytecodes`` call, and answers ``POST /scan`` over
+keep-alive HTTP/1.1 (:mod:`repro.net.server`) on a loopback port it
+binds itself (port 0 → the kernel picks; the bound port travels back to
+the coordinator over a pipe). All fleet intelligence —
 routing, admission control, rerouting — lives in the coordinator; a
 worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
@@ -67,7 +66,6 @@ class WorkerSpec:
     model_path: str = ""
     cache_dir: str = ""
     threshold: float = 0.5
-    shards: int = 1
     cache_entries: int = 8192
     mmap: bool = False
     host: str = "127.0.0.1"
@@ -101,7 +99,6 @@ class _WorkerState:
                 spec.model_ref, store=self.store, cache=self.cache,
                 threshold=spec.threshold, mmap_mode=mmap_mode,
             )
-        self.shards = self.service.sharded(spec.shards)
         self._lock = threading.Lock()
         self.batches = 0
         self.scanned = 0
@@ -143,8 +140,6 @@ class _WorkerState:
 
     def scan(self, request: dict) -> dict:
         """Score one batch; the response preserves request order."""
-        from repro.stream.scanner import shard_of
-
         # Fault point: a chaos plan can kill this worker on exactly its
         # Nth batch (SIGKILL-equivalent — no cleanup, no response; the
         # coordinator sees a TransportError mid-flight) or slow it down.
@@ -156,27 +151,19 @@ class _WorkerState:
         if self.scan_delay > 0:
             time.sleep(self.scan_delay)
 
-        by_shard: dict[int, list[int]] = {}
-        for position, address in enumerate(addresses):
-            shard = shard_of(address, self.spec.shards)
-            by_shard.setdefault(shard, []).append(position)
-        results: list[dict | None] = [None] * len(addresses)
-        flagged = 0
-        for shard, positions in sorted(by_shard.items()):
-            worker = self.shards[shard]
-            scored = worker.scan_bytecodes(
-                [codes[code_of[p]] for p in positions],
-                addresses=[addresses[p] for p in positions],
-            )
-            for position, result in zip(positions, scored):
-                flagged += int(result.is_phishing)
-                results[position] = {
-                    "address": result.address,
-                    "probability": result.probability,
-                    "is_phishing": result.is_phishing,
-                    "from_cache": result.from_cache,
-                    "shard": shard_of(result.address, self.spec.shards),
-                }
+        scored = self.service.scan_bytecodes(
+            [codes[index] for index in code_of], addresses=addresses
+        )
+        results = [
+            {
+                "address": result.address,
+                "probability": result.probability,
+                "is_phishing": result.is_phishing,
+                "from_cache": result.from_cache,
+            }
+            for result in scored
+        ]
+        flagged = sum(result.is_phishing for result in scored)
         with self._lock:
             self.batches += 1
             self.scanned += len(addresses)
@@ -199,10 +186,6 @@ class _WorkerState:
             "pid": self.pid,
             "degraded": self.degraded,
             **counters,
-            "shards": [
-                {"shard": i, "scanned": view.scanned}
-                for i, view in enumerate(self.shards)
-            ],
             "service": self.service.stats(),
         }
 

@@ -7,11 +7,11 @@ promote on metric parity". Promotion stops being a human running
 ``phishinghook models tag production <version>`` on faith and becomes a
 measured, reversible, written-down rule:
 
-* :mod:`repro.rollout.shadow` — :class:`ShadowRollout`: per-shard shadow
-  scorers over the scanner's live micro-batches, sharing the
+* :mod:`repro.rollout.shadow` — :class:`ShadowRollout`: one candidate
+  scan service shadow-scoring the scanner's live micro-batches, sharing the
   :class:`~repro.serve.cache.FeatureCache` so features are extracted
   once for both models; promotion atomically retags the store and
-  hot-swaps every shard with zero dropped batches.
+  hot-swaps the scanner's service with zero dropped batches.
 * :mod:`repro.rollout.compare` — :class:`ShadowComparison`: online
   agreement rate, score divergence, per-class disagreement and latency
   overhead.

@@ -2,10 +2,9 @@
 
 ``ShadowRollout`` attaches to a running
 :class:`~repro.stream.scanner.StreamScanner` as a scored-batch observer.
-For every shard micro-batch the production model scores, the matching
-shadow scorer — one candidate :class:`~repro.serve.service.ScanService`
-view per shard, all sharing the scanner's
-:class:`~repro.serve.cache.FeatureCache` — scores the *identical*
+For every shard micro-batch the production model scores, one candidate
+:class:`~repro.serve.service.ScanService`, sharing the scanner's
+:class:`~repro.serve.cache.FeatureCache`, scores the *identical*
 bytecodes. Features are therefore extracted once per bytecode no matter
 how many models shadow the stream; the candidate pays only its own
 ``predict_proba`` (plus prediction-cache hits under its own
@@ -19,12 +18,12 @@ batch the :class:`~repro.rollout.policy.RolloutPolicy` is consulted
 
 * **promote** — the ``production`` tag is atomically repointed at the
   candidate version in the :class:`~repro.artifacts.store.ModelStore`
-  (when one is attached) and every shard worker is hot-swapped through
-  :meth:`StreamScanner.rollout` using the candidate model this rollout
-  already loaded — one artifact read total, zero dropped or mis-scored
-  batches (the shard batch that produced the deciding evidence was fully
-  scored and delivered before the observer ran).
-* **abort** — the shadow scorers detach and the production model keeps
+  (when one is attached) and the scanner's service is hot-swapped
+  through :meth:`StreamScanner.rollout` using the candidate model this
+  rollout already loaded — one artifact read total, zero dropped or
+  mis-scored batches (the shard batch that produced the deciding
+  evidence was fully scored and delivered before the observer ran).
+* **abort** — the shadow scorer detaches and the production model keeps
   serving untouched; the comparison and reason are retained for the
   post-mortem.
 * **hold** — keep shadowing.
@@ -147,7 +146,7 @@ class ShadowRollout:
             self.candidate_version = None
             self.candidate_name = getattr(model, "name", type(model).__name__)
             namespace = None
-        # One candidate service fans out to a view per shard. Sharing the
+        # One candidate service scores every shard batch. Sharing the
         # scanner's cache is the whole point: decoded features are
         # extracted once and reused by production and shadow alike, while
         # prediction rows stay separated by namespace.
@@ -159,7 +158,6 @@ class ShadowRollout:
             namespace=namespace,
         )
         self._candidate_service.artifact_digest = self.candidate_version
-        self._workers = self._candidate_service.sharded(scanner.shards)
         scanner.add_observer(self)
 
     # ------------------------------------------------------------------ #
@@ -172,7 +170,7 @@ class ShadowRollout:
             return
         started = time.perf_counter()
         try:
-            shadow = self._workers[shard].scan_bytecodes(
+            shadow = self._candidate_service.scan_bytecodes(
                 [e.code for e in events],
                 addresses=[e.address for e in events],
             )
@@ -207,12 +205,12 @@ class ShadowRollout:
     # ------------------------------------------------------------------ #
 
     def promote(self, reason: str = "operator promotion") -> None:
-        """Retag ``production`` at the candidate and swap every shard.
+        """Retag ``production`` at the candidate and swap the scanner.
 
         The store retag happens first (new processes resolving the tag
         already get the candidate), then the live scanner rolls over via
         :meth:`StreamScanner.rollout` with the model this rollout already
-        holds — no second artifact read, per-worker atomic swaps, and the
+        holds — no second artifact read, one atomic swap, and the
         outgoing prediction namespace invalidated exactly once.
         """
         self._require_shadowing("promote")

@@ -109,15 +109,20 @@ def _value_bytes(value) -> int:
 
 
 def _residency(store, lock) -> dict[str, tuple[int, int]]:
-    """``{namespace: (entries, estimated bytes)}``, one pass over ``store``."""
-    rows: dict[str, list[int]] = {}
+    """``{namespace: (entries, estimated bytes)}`` over ``store``.
+
+    Only the copy of the items holds the lock; sizing them runs outside
+    it, so lookups and puts wait for the copy, not for the count.
+    """
     with lock:
-        for (namespace, _digest), value in store.items():
-            row = rows.get(namespace)
-            if row is None:
-                row = rows[namespace] = [0, 0]
-            row[0] += 1
-            row[1] += _value_bytes(value)
+        items = list(store.items())
+    rows: dict[str, list[int]] = {}
+    for (namespace, _digest), value in items:
+        row = rows.get(namespace)
+        if row is None:
+            row = rows[namespace] = [0, 0]
+        row[0] += 1
+        row[1] += _value_bytes(value)
     return {namespace: (n, total) for namespace, (n, total) in rows.items()}
 
 
@@ -192,7 +197,7 @@ class FeatureCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._store: "OrderedDict[tuple[str, bytes], object]" = OrderedDict()
-        # Serving is concurrent (sharded scan workers, hot swaps); every
+        # Serving is concurrent (fleet handler threads, hot swaps); every
         # store mutation and probe holds this lock. Feature computation
         # itself stays outside the lock.
         self._lock = threading.RLock()

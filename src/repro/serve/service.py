@@ -42,10 +42,12 @@ Thread-safety: ``scan_bytecodes`` may run concurrently with
 ``swap_model`` / ``swap_from_artifact`` (the single-tuple snapshot is
 the synchronization point, and the shared :class:`FeatureCache` locks
 internally); per-service counters (``scanned``, ``swaps``) are
-best-effort under concurrency — use :meth:`sharded` views for per-worker
-accounting. The shadow-rollout subsystem (:mod:`repro.rollout`) builds
-directly on these semantics: candidate services share the cache, and a
-promotion is one more atomic swap per shard.
+best-effort under concurrency. A serving process holds one service:
+the stream scanner scores every shard group through it and keeps its
+per-shard counts itself (:class:`~repro.stream.scanner.ShardStats`),
+and a fleet worker scores each batch whole. The shadow-rollout
+subsystem (:mod:`repro.rollout`) builds directly on these semantics: a
+candidate service shares the cache, and a promotion is one atomic swap.
 """
 
 from __future__ import annotations
@@ -287,7 +289,6 @@ class ScanService:
         namespace: str | None = None,
         model_name: str | None = None,
         artifact_digest: str | None = None,
-        invalidate: bool = True,
     ) -> "ScanService":
         """Atomically replace the served model under live traffic.
 
@@ -295,11 +296,9 @@ class ScanService:
         assignment; batches already in flight finish on the snapshot they
         took — scored by the old model, cached under the old namespace —
         so nothing is dropped or mis-scored. Afterwards the *old* model's
-        prediction namespace is invalidated in the shared cache
-        (``invalidate=False`` for callers coordinating several shard
-        views that share one namespace, who invalidate once themselves).
-        Feature namespaces (decoded IDs, token codes) survive: the new
-        version reuses them immediately.
+        prediction namespace is invalidated in the shared cache. Feature
+        namespaces (decoded IDs, token codes) survive: the new version
+        reuses them immediately.
         """
         if model is None:
             raise ValueError("swap_model needs a fitted model")
@@ -319,11 +318,7 @@ class ScanService:
         if model_name is not None:
             self.model_name = model_name
         self.swaps += 1
-        if (
-            invalidate
-            and previous is not None
-            and previous[1] != resolved
-        ):
+        if previous is not None and previous[1] != resolved:
             self.cache.invalidate_namespace(previous[1])
         return self
 
@@ -333,7 +328,6 @@ class ScanService:
         *,
         store=None,
         expected_fingerprint: str | None = None,
-        invalidate: bool = True,
     ) -> "ScanService":
         """Hot-swap to a persisted version (path or store tag/version)."""
         model, manifest = _load_artifact_source(
@@ -344,39 +338,7 @@ class ScanService:
             namespace=_artifact_namespace(manifest),
             model_name=manifest.get("model_name"),
             artifact_digest=manifest["digest"],
-            invalidate=invalidate,
         )
-
-    def sharded(self, n: int) -> list["ScanService"]:
-        """``n`` shard views of this service for partitioned workers.
-
-        Each view wraps the *same* fitted model, feature cache and
-        prediction-cache namespace — predictions stay bit-identical and
-        any shard's cache fill serves every other shard — but keeps its
-        own ``scanned`` counter, so per-worker load is observable. Fitting
-        happens here (once) if it hasn't already.
-
-        ``sharded(1)`` still returns a fresh view, so a caller embedding
-        the shards (e.g. ``repro.stream.StreamScanner``) gets counters
-        isolated from direct use of the parent service.
-        """
-        if n < 1:
-            raise ValueError("shard count must be positive")
-        self.ensure_fitted()
-        model, namespace = self._serving
-        return [
-            ScanService(
-                self.model_name,
-                model=model,
-                rpc=self.rpc,
-                cache=self.cache,
-                seed=self.seed,
-                threshold=self.threshold,
-                namespace=namespace,
-                attach_cache=self._attach_cache,
-            )
-            for _ in range(n)
-        ]
 
     # ------------------------------------------------------------------ #
 

@@ -29,7 +29,7 @@ sign within seconds:
 Scored shard micro-batches additionally fan out to registered
 *observers* (:meth:`StreamScanner.add_observer`) — the hook
 :mod:`repro.rollout` uses to shadow-score a candidate model on identical
-live traffic and hot-swap every shard on promotion.
+live traffic and hot-swap the serving model on promotion.
 
 Entry points: ``phishinghook monitor`` (CLI),
 :class:`repro.core.live.LiveDetector` (the poll-API adapter over this

@@ -4,14 +4,16 @@ The seed ``LiveDetector`` rescanned the whole account set per poll and
 scored bytecodes one ``predict_proba`` call at a time. ``StreamScanner``
 inverts the shape: deployment events are *pushed* into a bounded intake
 queue, grouped into micro-batches (flushed on size or deadline — the
-classic latency/throughput dial), partitioned across N shard workers by
-address hash, and each shard scores its slice through the fit-once
+classic latency/throughput dial), split into N shard groups by address
+hash, and each group is scored through the scanner's one fit-once
 :class:`~repro.serve.service.ScanService` hot path (in-batch dedup +
-content-addressed prediction cache). Cold starts are covered too: the
-service precompiles ensemble models into the flat inference engine
-(:mod:`repro.ml.flat`) when it fits or wraps them, so the very first
-micro-batch after a stream spin-up is scored by vectorized descent rather
-than per-row tree walks (``summary()["flat_compiled"]``). Flagged deployments become
+content-addressed prediction cache); shards partition the accounting
+(:class:`ShardStats`, ``StreamAlert.shard``), not the model. Cold
+starts are covered too: the service precompiles ensemble models into
+the flat inference engine (:mod:`repro.ml.flat`) when it fits or wraps
+them, so the very first micro-batch after a stream spin-up is scored by
+vectorized descent rather than per-row tree walks
+(``summary()["flat_compiled"]``). Flagged deployments become
 :class:`StreamAlert` objects fanned out to the registered sinks.
 
 Backpressure is explicit: the intake queue is bounded, and the ``policy``
@@ -35,9 +37,9 @@ validation on identical live traffic.
 
 Thread-safety: one flusher at a time. ``on_event`` / ``tick`` / ``flush``
 mutate the intake queue without locking and must not race each other;
-concurrency lives *below* the scanner (shard workers share one
-internally-locked :class:`~repro.serve.cache.FeatureCache`, and
-:meth:`rollout` swaps are per-worker atomic against in-flight batches).
+concurrency lives *below* the scanner (the service's
+:class:`~repro.serve.cache.FeatureCache` locks internally, and a
+:meth:`rollout` swap is atomic against an in-flight shard batch).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class StreamAlert:
 
 @dataclass
 class ShardStats:
-    """Per-worker accounting."""
+    """Per-shard accounting."""
 
     shard: int
     scanned: int = 0
@@ -144,7 +146,7 @@ class StreamStats:
 
 
 def shard_of(address: str, shards: int) -> int:
-    """Deterministic address → worker assignment (CRC32 partitioning)."""
+    """Deterministic address → shard assignment (CRC32 partitioning)."""
     return zlib.crc32(address.encode()) % shards
 
 
@@ -152,11 +154,11 @@ class StreamScanner:
     """Consume :class:`ContractEvent` streams into scored micro-batches.
 
     Args:
-        service: A :class:`ScanService` (fitted or lazily fitted); its
-            model, cache and prediction namespace are shared across all
-            shard workers via :meth:`ScanService.sharded`, so predictions
-            are bit-identical to a direct ``scan_bytecodes`` call.
-        shards: Worker count; events partition by ``crc32(address)``.
+        service: A :class:`ScanService` (fitted or lazily fitted, and
+            fitted here); every shard group is one ``scan_bytecodes``
+            call on it, so predictions are bit-identical to a direct
+            ``scan_bytecodes`` call.
+        shards: Shard count; events group by ``crc32(address)``.
         max_batch: Micro-batch flush threshold (events per flush).
         max_queue: Intake bound; must be ≥ ``max_batch`` when
             ``auto_flush`` is on (so a batch can form before overflow).
@@ -207,8 +209,7 @@ class StreamScanner:
             raise ValueError(
                 f"unknown policy {policy!r}; supported: {SCANNER_POLICIES}"
             )
-        self.service = service
-        self.workers = service.sharded(shards)
+        self.service = service.ensure_fitted()
         self.shards = shards
         self.max_batch = max_batch
         self.max_queue = max_queue
@@ -241,12 +242,11 @@ class StreamScanner:
         expected_fingerprint: str | None = None,
         **scanner_kwargs,
     ) -> "StreamScanner":
-        """Cold-start a whole sharded stream pipeline from one artifact.
+        """Cold-start a whole stream pipeline from one artifact.
 
-        One :meth:`ScanService.from_artifact` load fans out to every
-        shard worker (they share the loaded model, feature cache and
-        digest-derived prediction namespace), so spinning up an N-shard
-        scanner costs a single artifact read — no training anywhere.
+        One :meth:`ScanService.from_artifact` load serves every shard,
+        so spinning up an N-shard scanner costs a single artifact read —
+        no training anywhere.
         ``source``/``store``/``expected_fingerprint`` as in
         :meth:`ScanService.from_artifact`; remaining keyword arguments go
         to the scanner constructor.
@@ -272,58 +272,28 @@ class StreamScanner:
         expected_fingerprint: str | None = None,
         artifact_digest: str | None = None,
     ) -> "StreamScanner":
-        """Live-roll a new model version across every shard worker.
+        """Live-roll a new model version onto the scanner's service.
 
-        Loads the new version once (``source`` + ``store`` as in
-        :meth:`from_artifact`, or pass a fitted ``model`` directly —
-        ``artifact_digest`` then records which version it is, e.g. a
-        shadow rollout promoting a candidate it already loaded), then
-        swaps the parent service and each shard. Swaps are per-worker
-        atomic — a shard's in-flight micro-batch finishes on the version
-        it snapshotted, nothing is dropped — and the outgoing prediction
-        namespaces are invalidated exactly once after every shard is on
-        the new version.
+        Pass an artifact ``source`` (+ ``store``, as in
+        :meth:`from_artifact`) or a fitted ``model`` — ``artifact_digest``
+        then records which version it is, e.g. a shadow rollout promoting
+        a candidate it already loaded. The swap is one
+        :meth:`ScanService.swap_from_artifact` or
+        :meth:`ScanService.swap_model` call: a shard batch in flight
+        finishes on the version it snapshotted, nothing is dropped, and
+        the outgoing prediction namespace is invalidated once.
         """
         if (source is None) == (model is None):
             raise ValueError("rollout needs an artifact source or a model")
-        digest = artifact_digest
         if source is not None:
-            from repro.serve.service import (
-                _artifact_namespace,
-                _load_artifact_source,
-            )
-
-            model, manifest = _load_artifact_source(
+            self.service.swap_from_artifact(
                 source, store=store, expected_fingerprint=expected_fingerprint
             )
-            namespace = _artifact_namespace(manifest)
-            model_name = manifest.get("model_name")
-            digest = manifest["digest"]
-        if namespace is None:
-            from repro.serve.service import _PREFIT_TOKENS
-
-            # One namespace minted up front: every shard must keep
-            # sharing prediction-cache hits after the roll.
-            namespace = (
-                f"pred:{model_name or self.service.model_name}:"
-                f"rollout{next(_PREFIT_TOKENS)}"
-            )
-        targets = [self.service, *self.workers]
-        outgoing = {
-            target._serving[1]
-            for target in targets
-            if target._serving is not None
-        }
-        for target in targets:
-            target.swap_model(
+        else:
+            self.service.swap_model(
                 model, namespace=namespace, model_name=model_name,
-                artifact_digest=digest, invalidate=False,
+                artifact_digest=artifact_digest,
             )
-        incoming = self.service._serving[1]
-        # All shards share one cache; drop each outgoing prediction
-        # namespace once (shared feature namespaces stay warm).
-        for stale in outgoing - {incoming}:
-            self.service.cache.invalidate_namespace(stale)
         self.rollouts += 1
         return self
 
@@ -346,7 +316,7 @@ class StreamScanner:
         may swap the serving model from inside the callback (promotion):
         the shard batch that triggered it is already fully scored and
         delivered, and later shards of the same flush score on the new
-        version — exactly the per-worker-atomic semantics of
+        version — exactly the per-batch-atomic semantics of
         :meth:`rollout`. Observers get the same failure isolation as
         sinks: an exception from ``observe`` is swallowed and counted
         (``stats.observer_errors``) — production detection never dies
@@ -382,7 +352,7 @@ class StreamScanner:
 
         An admitted event's code becomes a :class:`~repro.serve.cache.Code`
         here, normalized and hashed once, and is queued beside the event
-        for its shard service. A code that does not normalize (malformed
+        for its shard batch. A code that does not normalize (malformed
         hex) is skipped and counted (``stats.skipped_malformed``) before
         it can enter, and fail, a micro-batch of valid events.
 
@@ -470,10 +440,9 @@ class StreamScanner:
 
         alerts: list[StreamAlert] = []
         for shard, entries in sorted(by_shard.items()):
-            worker = self.workers[shard]
             events = [event for event, _code in entries]
             shard_started = time.perf_counter()
-            results = worker.scan_bytecodes(
+            results = self.service.scan_bytecodes(
                 [code for _event, code in entries],
                 addresses=[e.address for e in events],
             )

@@ -15,6 +15,7 @@ import pytest
 import repro.cli
 from repro.deploy import (
     DeploymentBlockedError,
+    check_config,
     ensure_launchable,
     load_config,
     parse_config,
@@ -115,6 +116,47 @@ class TestMonitorConfig:
         assert rule in captured.err
         assert "refusing to launch" in captured.err
         assert not (tmp_path / "alerts.jsonl").exists()
+
+    def test_sharded_monitor_pulls_its_artifact_once(
+        self, tmp_path, trained_store, monkeypatch, capsys
+    ):
+        """Why rule D006 needs a [fleet]: a monitor is one process with
+        one scan service, so four shards on a bucket:// store without a
+        cache_dir still pull the artifact exactly once."""
+        from repro.artifacts import ModelStore
+        from repro.artifacts.backends import ObjectStoreBackend
+
+        model, manifest = ModelStore.from_url(str(trained_store)).load(
+            "production")
+        bucket = f"bucket://{tmp_path / 'bucket'}"
+        version = ModelStore.from_url(bucket).put(
+            model, model_name=manifest["model_name"], tags=("production",))
+        monkeypatch.chdir(tmp_path)
+        config = write_config(
+            tmp_path,
+            store={"url": bucket},
+            stream={"shards": 4},
+            source={"contracts": 80},
+        )
+        assert "D006" not in {
+            v.rule_id for v in check_config(load_config(config)).violations
+        }
+
+        pulls = []
+        get = ObjectStoreBackend.get
+
+        def spy(backend, key):
+            pulls.append(key)
+            return get(backend, key)
+
+        monkeypatch.setattr(ObjectStoreBackend, "get", spy)
+        exit_code = repro.cli.main(["monitor", "--config", str(config)])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert "4 shard(s)" in out
+        assert [key for key in pulls if key.endswith(".npz")] == [
+            f"objects/{version}.npz"
+        ]
 
     def test_monitor_reports_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "broken.toml"

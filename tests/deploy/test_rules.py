@@ -56,12 +56,12 @@ FIXTURES = {
         dict(rollout=rollout(candidate="production")),
         dict(rollout=rollout()),
     ),
-    # bucket:// store, multi-shard, no local artifact cache
+    # bucket:// store, worker fleet, no local artifact cache
     "D006": (
-        dict(store={"url": "bucket://phook-prod"}, stream={"shards": 4}),
+        dict(store={"url": "bucket://phook-prod"}, fleet={"workers": 3}),
         dict(store={"url": "bucket://phook-prod",
                     "cache_dir": "./phook-cache"},
-             stream={"shards": 4}),
+             fleet={"workers": 3}),
     ),
     # sample backpressure on a replay timeline is nondeterministic
     "D007": (

@@ -117,6 +117,18 @@ def test_worker_4xx_is_a_bad_request_not_a_dead_worker(stub_fleet):
     assert len(stub.ports) == 2 and len(set(stub.ports)) == 1
 
 
+@pytest.mark.parametrize("code", ["", "  ", "\t\n"],
+                         ids=["empty", "spaces", "tab-newline"])
+def test_blank_code_is_no_code_before_anything_is_sent(stub_fleet, code):
+    from repro.chain.rpc import NoCodeError
+
+    coordinator, stub = stub_fleet()
+    with pytest.raises(NoCodeError, match="0xdef"):
+        coordinator.scan(["0xabc", "0xdef"], ["6080", code])
+    assert stub.requests == []
+    assert coordinator.counters["scanned"] == 0
+
+
 def test_worker_4xx_is_a_json_rpc_400_with_its_message(stub_fleet):
     coordinator, _ = stub_fleet(reject=True)
     server = coordinator.serve("127.0.0.1", 0)

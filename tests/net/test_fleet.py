@@ -142,6 +142,22 @@ class TestHttpSurface:
                                 timeout=5.0)
         assert response.status == 400
 
+    @pytest.mark.parametrize("code", ["zz", "0x6080", "608"],
+                             ids=["non-hex", "0x-prefix", "odd-length"])
+    def test_malformed_hex_is_invalid_params(self, fleet, code):
+        # The coordinator ships hex undecoded: the worker's one decode
+        # refuses it with a 400, which must not cost the worker its
+        # place in rotation or count as a scan.
+        client = FleetClient(fleet.url)
+        before = client.status()["counters"]["scanned"]
+        with pytest.raises(FleetRpcError) as excinfo:
+            client.scan(["0xabc"], [code])
+        assert (excinfo.value.status, excinfo.value.code) == (400, -32602)
+        status = client.status()
+        assert status["counters"]["scanned"] == before
+        assert status["alive"] == len(status["workers"]) == 2
+        assert all(w["state"] == "alive" for w in status["workers"])
+
     def test_empty_bytecode_is_invalid_params(self, fleet):
         # Nothing deployed means nothing to score: the fleet refuses the
         # batch instead of alerting on the empty-histogram probability.
@@ -252,24 +268,40 @@ class TestRouting:
         # One delayed batch per worker: both on one worker take 2 s.
         assert elapsed < 1.8, f"two concurrent batches took {elapsed:.2f}s"
 
-    def test_one_batch_reaches_every_shard_view_of_its_worker(
-            self, store_root, probe_batch):
+
+class TestWorkerState:
+    """A worker's scan path, in-process (no fork, no socket)."""
+
+    def test_batch_is_one_service_call_over_both_crc32_halves(
+            self, store_root, probe_batch, reference_results,
+            monkeypatch):
+        from repro.net.worker import WorkerSpec, _WorkerState
         from repro.stream.scanner import shard_of
 
         addresses, codes = probe_batch
         assert {shard_of(a, 2) for a in addresses} == {0, 1}
-        with _manager(store_root, worker_shards=2) as manager:
-            results = manager.scan(addresses, codes)
-            (index,) = {r["worker"] for r in results}
-            status = http_json(
-                "GET", f"{manager.coordinator.workers[index].url}/status",
-                timeout=5.0,
-            ).json()
-        scanned = [view["scanned"] for view in status["shards"]]
-        assert len(scanned) == 2 and all(count > 0 for count in scanned), (
-            f"worker {index} shard views scanned {scanned}"
-        )
-        assert sum(scanned) == len(addresses)
+        state = _WorkerState(WorkerSpec(index=0, store_url=str(store_root),
+                                        model_ref="production"))
+        calls = []
+        scan_bytecodes = state.service.scan_bytecodes
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return scan_bytecodes(*args, **kwargs)
+
+        monkeypatch.setattr(state.service, "scan_bytecodes", spy)
+        unique = list(dict.fromkeys(codes))
+        response = state.scan({
+            "addresses": addresses,
+            "code_of": [unique.index(code) for code in codes],
+            "inline_codes": [code.hex() for code in unique],
+        })
+        assert len(calls) == 1
+        results = response["results"]
+        assert all(set(result) == {"address", "probability", "is_phishing",
+                                   "from_cache"} for result in results)
+        _assert_matches_reference(results, addresses, reference_results)
+        assert "shards" not in state.status()
 
 
 class TestTransportFailures:

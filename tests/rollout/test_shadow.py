@@ -39,10 +39,11 @@ class TestParityPromotion:
         assert rollout.last_decision.action == "promote"
         # The store tag moved atomically …
         assert store.tags()["production"] == cand_version
-        # … and every shard worker serves the candidate now.
+        # … and the scanner's one service serves the candidate now.
         assert scanner.service.artifact_digest == cand_version
-        namespaces = {w._serving[1] for w in scanner.workers}
-        assert namespaces == {f"pred:artifact:{cand_version}"}
+        assert scanner.service._serving[1] == (
+            f"pred:artifact:{cand_version}"
+        )
         # The rollout detached itself once decided.
         assert rollout not in scanner.observers
 
@@ -90,12 +91,8 @@ class TestParityPromotion:
         rollout = ShadowRollout(
             scanner, "candidate", store=store, policy=ManualHoldPolicy(),
         )
-        # Candidate workers share the scanner's FeatureCache object.
+        # The candidate service shares the scanner's FeatureCache object.
         assert rollout._candidate_service.cache is scanner.service.cache
-        assert all(
-            worker.cache is scanner.service.cache
-            for worker in rollout._workers
-        )
         codes = rollout_dataset.bytecodes[:16]
         feed(scanner, codes)
         stats = scanner.service.cache.stats.as_dict()["by_namespace"]

@@ -21,7 +21,7 @@ def stream_dataset(stream_corpus):
 
 @pytest.fixture(scope="session")
 def fitted_service(stream_dataset):
-    """One fitted Random Forest service; tests take sharded views of it."""
+    """One fitted Random Forest service; tests wrap its model per test."""
     service = ScanService(
         "Random Forest", train_dataset=stream_dataset, seed=0
     )
@@ -31,5 +31,11 @@ def fitted_service(stream_dataset):
 
 @pytest.fixture
 def service(fitted_service):
-    """A per-test view: isolated counters, shared fit + cache."""
-    return fitted_service.sharded(1)[0]
+    """A per-test service: isolated counters, shared fit, cache and
+    prediction namespace."""
+    return ScanService(
+        fitted_service.model_name,
+        model=fitted_service.model,
+        cache=fitted_service.cache,
+        namespace=fitted_service._serving[1],
+    )

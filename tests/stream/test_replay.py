@@ -44,15 +44,11 @@ class TestReplay:
         assert again.deduped == again.events
 
     def test_warm_scanner_serves_alerts_from_cache(
-        self, fitted_service, stream_corpus
+        self, service, stream_corpus
     ):
-        cold = StreamScanner(
-            fitted_service.sharded(1)[0], max_batch=16, max_queue=64
-        )
+        cold = StreamScanner(service, max_batch=16, max_queue=64)
         cold_report = TimelineReplayer(cold).replay_chain(stream_corpus.chain)
-        warm = StreamScanner(
-            fitted_service.sharded(1)[0], max_batch=16, max_queue=64
-        )
+        warm = StreamScanner(service, max_batch=16, max_queue=64)
         warm_report = TimelineReplayer(warm).replay_chain(stream_corpus.chain)
         assert {a.address for a in warm_report.alerts} == {
             a.address for a in cold_report.alerts
@@ -79,7 +75,7 @@ class TestReplay:
 
 class TestPollStreamParity:
     def test_live_detector_matches_stream_alerts(
-        self, fitted_service, stream_corpus
+        self, fitted_service, service, stream_corpus
     ):
         """The poll adapter and a direct replay flag the same addresses
         with the same probabilities."""
@@ -89,7 +85,7 @@ class TestPollStreamParity:
         poll_alerts = detector.poll()
 
         scanner = StreamScanner(
-            fitted_service.sharded(1)[0],
+            service,
             shards=3, max_batch=8, max_queue=64, threshold=0.5,
         )
         report = TimelineReplayer(scanner).replay_chain(stream_corpus.chain)
@@ -172,8 +168,8 @@ class TestPollStreamParity:
         model = Recording()
         detector = LiveDetector(stream_corpus.chain, model, threshold=0.5)
         assert model.attached == []
-        # The scanner's shard views inherit the hands-off behavior.
-        assert detector.scanner.workers[0]._attach_cache is False
+        # The scanner's service keeps the hands-off behavior.
+        assert detector.scanner.service._attach_cache is False
 
     def test_alert_block_numbers_use_creation_index(
         self, fitted_service, stream_corpus

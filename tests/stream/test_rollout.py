@@ -40,11 +40,13 @@ class TestColdStart:
         scanner = StreamScanner.from_artifact(
             "production", store=store, shards=3, max_batch=4, threshold=0.0,
         )
-        assert len(scanner.workers) == 3
-        # Every shard serves the same loaded model under the same
-        # digest-derived namespace — no training happened anywhere.
-        namespaces = {w._serving[1] for w in scanner.workers}
-        assert len(namespaces) == 1
+        assert scanner.shards == 3
+        # Every shard scores through the one service, which serves the
+        # loaded model under its digest-derived namespace — no training
+        # happened anywhere.
+        assert scanner.service._serving[1] == (
+            f"pred:artifact:{store.resolve('production')}"
+        )
         assert scanner.service.fit_seconds == 0.0
         codes = stream_dataset.bytecodes[:9]
         for index, code in enumerate(codes):
@@ -89,11 +91,11 @@ class TestRollout:
             index = int(alert.address, 16)
             want = expected_a if index < 8 else expected_b
             assert alert.probability == want[codes[index]], alert.address
-        # After the roll every worker serves the new version under one
-        # shared namespace, and the old prediction namespace is gone.
+        # After the roll the service serves the new version under its
+        # namespace, and the old prediction namespace is gone.
         old_ns = f"pred:artifact:{store.resolve('production')}"
         new_ns = f"pred:artifact:{store.resolve('candidate')}"
-        assert {w._serving[1] for w in scanner.workers} == {new_ns}
+        assert scanner.service._serving[1] == new_ns
         assert not any(
             ns == old_ns for (ns, __) in scanner.service.cache._store
         )
@@ -107,10 +109,12 @@ class TestRollout:
         scanner = StreamScanner.from_artifact(
             "production", store=store, shards=3,
         )
+        old_ns = scanner.service._serving[1]
         scanner.rollout(model=b, model_name="Random Forest")
-        namespaces = {w._serving[1] for w in scanner.workers}
-        namespaces.add(scanner.service._serving[1])
-        assert len(namespaces) == 1  # shards keep sharing predictions
+        # Every shard scores through the one service: one new namespace.
+        model, namespace = scanner.service._serving
+        assert model is b
+        assert namespace != old_ns
 
     def test_rollout_argument_validation(self, stocked_store):
         store, a, __ = stocked_store

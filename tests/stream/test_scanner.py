@@ -147,7 +147,7 @@ class TestBackpressure:
         events = events_for(stream_corpus, 12)
         for policy in ("drop_oldest", "drop_newest", "sample"):
             scanner = StreamScanner(
-                service.sharded(1)[0], max_batch=64, max_queue=4,
+                service, max_batch=64, max_queue=4,
                 policy=policy, seed=5, auto_flush=False,
             )
             # Consumer-paced mode: the bounded queue must shed load.
@@ -177,7 +177,7 @@ class TestBackpressure:
 
         # Evicted resident: redelivery is scanned, not deduped.
         scanner = StreamScanner(
-            service.sharded(1)[0], max_batch=2, max_queue=2,
+            service, max_batch=2, max_queue=2,
             policy="drop_oldest", auto_flush=False,
         )
         for event in events:
@@ -207,12 +207,10 @@ class TestShardingAndParity:
         for alert in scanner.alerts:
             assert alert.shard == shard_of(alert.address, 3)
 
-    def test_alerts_match_direct_batch_scan(
-        self, fitted_service, stream_corpus
-    ):
+    def test_alerts_match_direct_batch_scan(self, service, stream_corpus):
         """Sharded streaming = one big scan_bytecodes call, bit for bit."""
         events = events_for(stream_corpus, 30)
-        direct = fitted_service.sharded(1)[0].scan_bytecodes(
+        direct = service.scan_bytecodes(
             [e.code for e in events], addresses=[e.address for e in events]
         )
         expected = {
@@ -220,7 +218,7 @@ class TestShardingAndParity:
         }
 
         scanner = StreamScanner(
-            fitted_service.sharded(1)[0],
+            service,
             shards=4, max_batch=7, max_queue=64, threshold=0.5,
         )
         for event in events:
