@@ -87,8 +87,9 @@ def _contained_path(root: pathlib.Path, key: str, what: str) -> pathlib.Path:
     keeps ``/data/store-other`` outside ``/data/store``.
     """
     path = (root / key).resolve()
-    if not path.is_relative_to(root.resolve()):
-        raise ValueError(f"key {key!r} escapes the {what} root")
+    base = root.resolve()
+    if path == base or not path.is_relative_to(base):
+        raise ValueError(f"key {key!r} is not inside the {what} root")
     return path
 
 

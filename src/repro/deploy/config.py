@@ -77,10 +77,10 @@ STREAM_POLICIES = ("block", "drop_oldest", "drop_newest", "sample")
 #: Alert sink kinds the launcher can construct.
 SINK_KINDS = ("memory", "jsonl", "webhook")
 
-#: Traffic sources. ``replay`` drives a recorded synthetic campaign
-#: through the scanner (deterministic, benchmarkable); ``live`` attaches
-#: to a chain head via the event bus.
-SOURCE_MODES = ("replay", "live")
+#: Traffic sources the launcher can drive. ``replay`` drives a recorded
+#: synthetic campaign through the scanner (deterministic, benchmarkable);
+#: a live chain attaches through ``repro.stream.EventBus`` in code.
+SOURCE_MODES = ("replay",)
 
 #: Rollout decision policies (mirrors the CLI / ``repro.rollout``).
 #: ``adaptive`` is the learning-loop gate: loss-averse, tolerant of new

@@ -305,12 +305,6 @@ def build_loop(config: DeployConfig, scanner, store, *, label_of,
 
 def build_replay_corpus(config: DeployConfig):
     """The synthetic campaign the ``[source]`` section describes."""
-    if config.source.mode != "replay":
-        raise ValueError(
-            f"source.mode={config.source.mode!r} has no replay corpus; "
-            "config-driven launch currently drives replay topologies "
-            "(attach a live chain through repro.stream.EventBus instead)"
-        )
     from repro.datagen.corpus import CorpusConfig, build_corpus
 
     return build_corpus(

@@ -143,20 +143,21 @@ def _audit_gap(c: DeployConfig):
 
 
 def _cache_thrash(c: DeployConfig):
-    working_set = c.stream.shards * c.stream.batch_size
-    if c.serve.cache_entries < working_set:
+    # One flush scores stream.batch_size events in total, split across
+    # the shards, through the one cache every shard shares.
+    if c.serve.cache_entries < c.stream.batch_size:
         return (
             f"serve.cache_entries={c.serve.cache_entries} is smaller than "
-            f"one flush cycle's working set (stream.shards={c.stream.shards} "
-            f"x stream.batch_size={c.stream.batch_size} = {working_set}): "
-            f"every micro-batch evicts the entries the next one needs — "
-            f"guaranteed thrash, 0% steady-state hit rate"
+            f"one flush cycle's working set (stream.batch_size="
+            f"{c.stream.batch_size}): every micro-batch evicts the entries "
+            f"the next one needs — guaranteed thrash, 0% steady-state hit "
+            f"rate"
         )
     return None
 
 
 def _cache_headroom(c: DeployConfig):
-    working_set = c.stream.shards * c.stream.batch_size
+    working_set = c.stream.batch_size
     if working_set <= c.serve.cache_entries < 2 * working_set:
         return (
             f"serve.cache_entries={c.serve.cache_entries} holds barely one "
@@ -193,11 +194,11 @@ def _redundant_pulls(c: DeployConfig):
 
 
 def _nondeterministic_replay(c: DeployConfig):
-    if c.stream.policy == "sample" and c.source.mode == "replay":
+    if c.stream.policy == "sample":
         return (
-            "stream.policy='sample' sheds by coin-flip, but source.mode="
-            "'replay' exists to produce *reproducible* evaluations — the "
-            "same campaign replayed twice scores different event sets"
+            "stream.policy='sample' sheds by coin-flip, but a replay "
+            "exists to produce *reproducible* evaluations — the same "
+            "campaign replayed twice scores different event sets"
         )
     return None
 
@@ -280,7 +281,6 @@ def _undecidable_parity(c: DeployConfig):
     if (
         r is not None
         and r.policy == "parity"
-        and c.source.mode == "replay"
         and r.min_events > c.source.contracts
     ):
         return (
@@ -313,12 +313,12 @@ def _alerts_unobservable(c: DeployConfig):
 
 
 def _degenerate_batching(c: DeployConfig):
-    if c.stream.batch_size == 1 and c.stream.shards > 1:
+    if c.stream.batch_size == 1:
         return (
-            f"stream.batch_size=1 with stream.shards={c.stream.shards}: "
-            f"every event is its own micro-batch, so the shard groups "
-            f"pay per-event dispatch overhead while the vectorized "
-            f"inference engine gets batches of one"
+            "stream.batch_size=1: every event is its own micro-batch, so "
+            "each pays a whole flush (cache lookup, feature transform, "
+            "forest descent, sink emit) and the vectorized inference "
+            "engine only ever sees batches of one"
         )
     return None
 
@@ -524,22 +524,21 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "D003", ERROR, "cache-thrash",
-        "A feature cache smaller than shards x batch_size is evicted "
-        "wholesale every flush cycle: guaranteed thrash, zero "
-        "steady-state hit rate.",
-        "raise serve.cache_entries to at least stream.shards x "
-        "stream.batch_size (2x for headroom)",
+        "A feature cache smaller than one flush (batch_size events, "
+        "shared by every shard) is evicted wholesale every flush cycle: "
+        "guaranteed thrash, zero steady-state hit rate.",
+        "raise serve.cache_entries to at least stream.batch_size (2x "
+        "for headroom)",
         _cache_thrash,
-        ("serve.cache_entries", "stream.shards", "stream.batch_size"),
+        ("serve.cache_entries", "stream.batch_size"),
     ),
     Rule(
         "D004", WARN, "cache-headroom",
         "A cache holding barely one flush cycle serves redeliveries and "
         "clones mostly from misses.",
-        "raise serve.cache_entries to >= 2x stream.shards x "
-        "stream.batch_size",
+        "raise serve.cache_entries to >= 2x stream.batch_size",
         _cache_headroom,
-        ("serve.cache_entries", "stream.shards", "stream.batch_size"),
+        ("serve.cache_entries", "stream.batch_size"),
     ),
     Rule(
         "D005", ERROR, "noop-rollout",
@@ -564,10 +563,9 @@ RULES: tuple[Rule, ...] = (
         "D007", ERROR, "nondeterministic-replay",
         "sample backpressure on a replay timeline sheds by coin-flip: "
         "the evaluation is not reproducible run to run.",
-        "use a deterministic policy (block/drop_oldest/drop_newest) for "
-        "replay, or switch source.mode to 'live'",
+        "use a deterministic policy (block/drop_oldest/drop_newest)",
         _nondeterministic_replay,
-        ("stream.policy", "source.mode"),
+        ("stream.policy",),
     ),
     Rule(
         "D008", ERROR, "starved-block-queue",
@@ -640,11 +638,12 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "D016", WARN, "degenerate-batching",
-        "batch_size=1 across multiple shards pays sharding overhead "
-        "while denying the inference engine any batch to vectorize.",
+        "batch_size=1 makes every event its own flush, paying per-batch "
+        "overhead per event while denying the inference engine any "
+        "batch to vectorize.",
         "raise stream.batch_size (16-64 is the serving sweet spot)",
         _degenerate_batching,
-        ("stream.batch_size", "stream.shards"),
+        ("stream.batch_size",),
     ),
     Rule(
         "D017", ERROR, "fleet-unreachable-store",

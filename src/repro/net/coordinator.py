@@ -169,8 +169,8 @@ class FleetCoordinator:
 
     Args:
         workers: Worker handles; list order breaks ties in the
-            least-loaded pick, and ``len(workers)`` is the shard space
-            of each alert's ``shard`` field (``crc32(address) % N``).
+            least-loaded pick. Each alert's ``shard`` field is the index
+            of the worker that scored its batch.
         queue_depth: Max in-flight batches per worker.
         overflow: ``"shed"`` (raise :class:`OverloadedError`) or
             ``"block"`` (wait for capacity).
@@ -382,10 +382,9 @@ class FleetCoordinator:
                 with self._lock:
                     self.counters["alerts"] += len(flagged)
             return
-        from repro.stream.scanner import StreamAlert, shard_of
+        from repro.stream.scanner import StreamAlert
 
         stamp = int(time.time()) if timestamp is None else int(timestamp)
-        n = len(self.workers)
         for result in flagged:
             alert = StreamAlert(
                 address=result["address"],
@@ -393,7 +392,7 @@ class FleetCoordinator:
                 block_number=int(block_number),
                 timestamp=stamp,
                 latency_seconds=elapsed,
-                shard=shard_of(result["address"], n),
+                shard=result["worker"],
                 batch_id=batch_id,
                 from_cache=bool(result.get("from_cache", False)),
             )

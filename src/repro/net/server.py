@@ -1,13 +1,12 @@
-"""HTTP/1.1 JSON server plumbing shared by the fleet coordinator and workers.
+"""HTTP/1.1 server plumbing shared by every server in the repo.
 
-Both fleet servers keep their connections open between requests, so the
-coordinator's :class:`~repro.net.client.HttpSession`\\ s (and a
-:class:`~repro.net.fleet.FleetClient`'s) reuse one TCP connection and
-one server thread per concurrent caller instead of paying both per
+The fleet coordinator, its workers and ``store-serve`` keep their
+connections open between requests, so a caller's
+:class:`~repro.net.client.HttpSession` reuses one TCP connection and one
+server thread per concurrent caller instead of paying both per
 exchange. :class:`JsonHandler` reads each request head with the bounded
-parser in :mod:`repro.net.framing`, not ``http.server``'s
-``email.parser``-based one. Keep-alive puts three obligations on a
-handler, met here once:
+parser in :mod:`repro.net.framing`. Keep-alive puts three obligations on
+a handler, met here once:
 
 * **One send per message.** A reply's status line, headers and body go
   out in one ``sendall``, and Nagle is off: a head and body sent
@@ -21,14 +20,15 @@ handler, met here once:
   closes.
 * **Closing the server hangs up idle connections.** A handler thread
   waits on its idle connection for the client's next request, and
-  ``ThreadingHTTPServer.server_close`` joins those threads; without the
+  ``ThreadingTCPServer.server_close`` joins those threads; without the
   hang-up, stopping a server would wait for every client to go away.
 
 A malformed head is answered 400, an over-long request line 414, an
 over-long header line or more than 100 headers 431, an unknown method
 501 and an HTTP version other than 1.x 505, each with
 ``Connection: close``. An HTTP/1.0 request is answered and closed;
-``Expect: 100-continue`` gets its interim ``100 Continue``.
+``Expect: 100-continue`` gets its interim ``100 Continue``, and a reply
+to a HEAD request is its head alone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import socket
 import socketserver
 import threading
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
 
 from repro.net.framing import (
     FramingError,
@@ -69,11 +68,12 @@ def list_of(request: dict, key: str, kind: type) -> list:
 
 
 class JsonHandler(socketserver.StreamRequestHandler):
-    """Keep-alive request handler answering JSON (see module docs).
+    """Keep-alive request handler (see module docs).
 
-    Subclasses define ``do_GET``/``do_POST``; each sees ``self.path``,
-    ``self.headers`` (keyed by lower-cased name) and the request body
-    through :meth:`_read_body`, and answers with :meth:`_reply`. Setting
+    Subclasses define ``do_<METHOD>`` methods; each sees ``self.command``,
+    ``self.path``, ``self.headers`` (keyed by lower-cased name) and the
+    request body through :meth:`_read_body`, and answers with
+    :meth:`_reply` (JSON) or :meth:`_send` (bytes). Setting
     ``self.close_connection`` closes the connection after the request.
     """
 
@@ -100,24 +100,25 @@ class JsonHandler(socketserver.StreamRequestHandler):
     def _read_request(self):
         """Read one request head and body; return the ``do_*`` method
         that answers it, or ``None`` at end of stream."""
+        self.command = None
         line = read_line(self.rfile, too_long_status=414)
         if not line:
             return None
         parts = line.split()
         if len(parts) != 3 or not line.endswith(b"\n"):
             raise FramingError("malformed request line")
-        method, self.path, version = (part.decode("latin-1")
-                                      for part in parts)
+        self.command, self.path, version = (part.decode("latin-1")
+                                            for part in parts)
         self.headers = headers = read_headers(self.rfile)
         match = _VERSION.fullmatch(version)
         if match is None:
             raise FramingError(f"malformed HTTP version {version[:20]!r}")
         if match[1] != "1":
             raise FramingError(f"{version[:20]} is not supported", 505)
-        route = getattr(self, f"do_{method}", None)
+        route = getattr(self, f"do_{self.command}", None)
         if route is None:
-            raise FramingError(f"method {method[:20]!r} not implemented",
-                               501)
+            raise FramingError(
+                f"method {self.command[:20]!r} not implemented", 501)
         http10 = match[2] == "0"
         self.close_connection = http10 or "close" in tokens(headers,
                                                              "connection")
@@ -140,18 +141,29 @@ class JsonHandler(socketserver.StreamRequestHandler):
 
     def _reply(self, status: int, payload) -> None:
         """Send ``payload`` as a JSON response in one write."""
-        body = json.dumps(payload).encode("utf-8")
-        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                + ("Connection: close\r\n" if self.close_connection else "")
-                + "\r\n")
-        self.connection.sendall(head.encode("latin-1") + body)
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json")
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict[str, str] | None = None) -> None:
+        """Send one response in one write; ``headers`` follow (and may
+        override) the type and length. A HEAD request gets the head only."""
+        fields = {"Content-Type": content_type,
+                  "Content-Length": str(len(body)), **(headers or {})}
+        if self.close_connection:
+            fields["Connection"] = "close"
+        head = "".join([f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n",
+                        *(f"{name}: {value}\r\n"
+                          for name, value in fields.items()), "\r\n"])
+        self.connection.sendall(
+            head.encode("latin-1")
+            + (b"" if self.command == "HEAD" else body))
 
 
-class KeepAliveServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` whose close hangs up open connections."""
+class KeepAliveServer(socketserver.ThreadingTCPServer):
+    """``ThreadingTCPServer`` whose close hangs up open connections."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, address, handler):

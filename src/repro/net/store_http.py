@@ -14,44 +14,70 @@ any blob store speaks:
 
 Writes are refused with HTTP 405 unless the server was started
 ``writable`` — the normal deployment is a read-only artifact mirror, and
-a fleet must not be one misconfigured client away from mutating it. The
-client side lives in :class:`~repro.artifacts.backends.HttpStoreBackend`,
-which re-verifies the ``ETag`` against the received bytes so a corrupt
-proxy or truncated body surfaces as ``IntegrityError``, not a bad model.
+a fleet must not be one misconfigured client away from mutating it. A
+missing object is 404, and a key the store cannot hold (outside its
+root, a directory) 400. :class:`~repro.net.server.JsonHandler` frames
+the requests, so a body of unknown length is 400 or 411 before the
+store is touched. The client,
+:class:`~repro.artifacts.backends.HttpStoreBackend`, re-verifies the
+``ETag`` against the received bytes so a corrupt proxy or truncated body
+surfaces as ``IntegrityError``, not a bad model.
 """
 
 from __future__ import annotations
 
-import json
+import errno
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults
+from repro.net.server import JsonHandler, KeepAliveServer
 
 __all__ = ["serve_store"]
 
+#: Errors a key causes: it names a directory, crosses a file, is too long.
+_KEY_ERRNOS = {errno.EISDIR, errno.ENOTDIR, errno.EEXIST, errno.ENAMETOOLONG}
+
 
 def _make_handler(backend, writable: bool):
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args):  # noqa: D102
-            pass
+    class Handler(JsonHandler):
+        def do_GET(self):  # noqa: N802
+            self._answer(self._get)
 
-        def _key(self) -> tuple[str, dict]:
+        def do_HEAD(self):  # noqa: N802
+            self._answer(self._head)
+
+        def do_PUT(self):  # noqa: N802
+            self._answer(lambda key, _query: self._reply(
+                200, {"etag": backend.put(key, self._read_body())}),
+                write=True)
+
+        def do_DELETE(self):  # noqa: N802
+            self._answer(lambda key, _query: self._reply(
+                200, {"deleted": backend.delete(key)}), write=True)
+
+        def _answer(self, operation, *, write: bool = False) -> None:
+            """Run ``operation(key, query)`` for the request's target."""
             parsed = urllib.parse.urlsplit(self.path)
             key = urllib.parse.unquote(parsed.path).lstrip("/")
-            query = dict(urllib.parse.parse_qsl(parsed.query))
-            return key, query
+            if write and not writable:
+                self._reply(405, {"error": "store served read-only"})
+            elif write and not key:
+                self._reply(400, {"error": f"{self.command} needs a key"})
+            else:
+                try:
+                    operation(key,
+                              dict(urllib.parse.parse_qsl(parsed.query)))
+                except KeyError:
+                    self._reply(404, {"error": f"no object {key!r}"})
+                except ValueError as error:  # outside the store root
+                    self._reply(400, {"error": str(error)})
+                except OSError as error:
+                    if error.errno not in _KEY_ERRNOS:
+                        raise
+                    self._reply(400, {"error": f"key {key!r}: "
+                                               f"{error.strerror}"})
 
-        def _json(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self):  # noqa: N802
-            key, query = self._key()
+        def _get(self, key: str, query: dict) -> None:
             # Fault point: a chaos plan can turn any GET into a 5xx
             # storm or a truncated body. Truncation serves half the
             # bytes as a well-formed response that still carries the
@@ -59,74 +85,34 @@ def _make_handler(backend, writable: bool):
             # the client-side digest re-check exists to catch.
             fault = faults.fire("store.get", context=key)
             if fault is not None and fault.action == "error":
-                self._json(fault.status, {"error": "injected fault"})
-                return
-            if not key:
-                keys = backend.list(query.get("prefix", ""))
-                self._json(200, {"keys": keys})
-                return
-            try:
+                self._reply(fault.status, {"error": "injected fault"})
+            elif not key:
+                self._reply(200, {"keys": backend.list(
+                    query.get("prefix", ""))})
+            else:
                 data = backend.get(key)
-            except KeyError:
-                self._json(404, {"error": f"no object {key!r}"})
-                return
-            etag = backend.etag(key)
-            if fault is not None and fault.action == "truncate":
-                data = data[: max(1, len(data) // 2)]
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(data)))
-            if etag:
-                self.send_header("ETag", etag)
-            self.end_headers()
-            self.wfile.write(data)
+                etag = backend.etag(key)
+                if fault is not None and fault.action == "truncate":
+                    data = data[: max(1, len(data) // 2)]
+                self._send(200, data, "application/octet-stream",
+                           {"ETag": etag} if etag else None)
 
-        def do_HEAD(self):  # noqa: N802
-            key, _query = self._key()
+        def _head(self, key: str, _query: dict) -> None:
             etag = backend.etag(key) if key else None
             if etag is None:
-                self.send_response(404)
-                self.end_headers()
-                return
-            self.send_response(200)
-            self.send_header("ETag", etag)
-            self.send_header("Content-Length", str(backend.size(key)))
-            self.end_headers()
-
-        def do_PUT(self):  # noqa: N802
-            key, _query = self._key()
-            if not writable:
-                self._json(405, {"error": "store served read-only"})
-                return
-            if not key:
-                self._json(400, {"error": "PUT needs a key"})
-                return
-            length = int(self.headers.get("Content-Length", "0"))
-            data = self.rfile.read(length)
-            self._json(200, {"etag": backend.put(key, data)})
-
-        def do_DELETE(self):  # noqa: N802
-            key, _query = self._key()
-            if not writable:
-                self._json(405, {"error": "store served read-only"})
-                return
-            if not key:
-                self._json(400, {"error": "DELETE needs a key"})
-                return
-            self._json(200, {"deleted": backend.delete(key)})
+                raise KeyError(key)
+            self._send(200, b"", "application/octet-stream", {
+                "ETag": etag, "Content-Length": str(backend.size(key))})
 
     return Handler
 
 
 def serve_store(backend, host: str = "127.0.0.1", port: int = 0,
-                *, writable: bool = False) -> ThreadingHTTPServer:
+                *, writable: bool = False) -> KeepAliveServer:
     """Build (not start) an HTTP server over ``backend``.
 
     The caller runs ``server.serve_forever()`` (the CLI does so in the
     foreground; tests run it on a daemon thread). ``port=0`` binds an
     ephemeral port — read it back from ``server.server_address``.
     """
-    server = ThreadingHTTPServer((host, port),
-                                 _make_handler(backend, writable))
-    server.daemon_threads = True
-    return server
+    return KeepAliveServer((host, port), _make_handler(backend, writable))

@@ -54,6 +54,8 @@ PINNED = [
     ("unknown-key", {"serve": {"cache_entires": 64}},
      "serve.cache_entires: unknown key"),
     ("unknown-section", {"srvee": {}}, "srvee: unknown section"),
+    ("live-source", {"source": {"mode": "live"}},
+     "source.mode: 'live' is not one of 'replay'"),
     ("non-table-section", {"loop": "yes please"},
      "loop: expected a table/object, got 'yes please'"),
     ("non-array-sinks", {"sinks": {"kind": "memory"}},
@@ -162,6 +164,23 @@ class TestUndecodableFile:
         ) == 2
         report = json.loads(capsys.readouterr().out)
         assert len(report["problems"]) == 1
+
+
+def test_monitor_on_a_live_source_exits_2_with_one_problem(tmp_path,
+                                                            capsys):
+    """No launcher drives ``source.mode = "live"``; it is refused at
+    parse time, not in corpus construction after the checks pass."""
+    path = tmp_path / "deploy.json"
+    path.write_text(json.dumps(base_config(source={"mode": "live"})))
+    for argv in (["check-config", str(path)],
+                 ["monitor", "--config", str(path)]):
+        assert repro.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"invalid deployment config {path}:",
+            "  source.mode: 'live' is not one of 'replay'",
+        ]
 
 
 class TestMirroredConstants:

@@ -85,7 +85,7 @@ class TestMonitorConfig:
         config = write_config(
             tmp_path,
             store={"url": str(trained_store)},
-            serve={"cache_entries": 4},  # D003 vs 2x16 working set
+            serve={"cache_entries": 4},  # D003 vs a 16-event flush
             sinks=[{"kind": "jsonl", "path": "alerts.jsonl"}],
         )
         exit_code = repro.cli.main(["monitor", "--config", str(config)])

@@ -39,14 +39,14 @@ FIXTURES = {
     ),
     # feature cache smaller than one flush cycle's working set
     "D003": (
-        dict(serve={"cache_entries": 16},
+        dict(serve={"cache_entries": 12},
              stream={"shards": 4, "batch_size": 16}),
         dict(serve={"cache_entries": 8192},
              stream={"shards": 4, "batch_size": 16}),
     ),
     # cache holds barely one flush cycle (>= working set, < 2x)
     "D004": (
-        dict(serve={"cache_entries": 40},
+        dict(serve={"cache_entries": 24},
              stream={"shards": 2, "batch_size": 16}),
         dict(serve={"cache_entries": 64},
              stream={"shards": 2, "batch_size": 16}),
@@ -115,7 +115,7 @@ FIXTURES = {
         dict(sinks=[]),
         dict(sinks=[{"kind": "memory"}]),
     ),
-    # batch_size=1 across shards: sharding overhead, no vectorization
+    # batch_size=1: every event its own flush, no vectorization
     "D016": (
         dict(stream={"batch_size": 1, "shards": 2}),
         dict(stream={"batch_size": 16, "shards": 2}),
@@ -226,6 +226,21 @@ def test_rule_triggers_on_its_fixture(rule_id):
 def test_rule_passes_on_its_counter_fixture(rule_id):
     _, passing = FIXTURES[rule_id]
     assert rule_id not in fired(passing)
+
+
+def test_cache_rules_size_one_flush_not_one_per_shard():
+    """A flush scores ``batch_size`` events in total through the one
+    cache every shard shares, so 40 entries hold 2.5 flushes of 16 on
+    any shard count (a steady-state hit rate of 1.0 at 4 shards)."""
+    assert not {"D003", "D004"} & fired(dict(
+        serve={"cache_entries": 40},
+        stream={"shards": 4, "batch_size": 16}))
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_batches_of_one_warn_at_any_shard_count(shards):
+    assert "D016" in fired(dict(stream={"batch_size": 1, "shards": shards,
+                                        "queue": 256}))
 
 
 def test_report_orders_errors_first():

@@ -24,10 +24,12 @@ class _StubWorker(JsonHandler):
 
     ``reject`` answers every batch with HTTP 400 instead; ``hangup``
     closes the connection after each answer without announcing it;
-    ``gate``, when given, holds every answer until the event is set.
+    ``gate``, when given, holds every answer until the event is set;
+    ``flag`` scores every address 0.9, a phishing verdict.
     """
 
     reject = False
+    flag = False
     hangup = False
     gate = None
     ports: list
@@ -43,8 +45,8 @@ class _StubWorker(JsonHandler):
             self._reply(400, {"error": "stub refuses this batch"})
             return
         self._reply(200, {"results": [
-            {"address": address, "probability": 0.1,
-             "is_phishing": False, "from_cache": False}
+            {"address": address, "probability": 0.9 if self.flag else 0.1,
+             "is_phishing": self.flag, "from_cache": False}
             for address in request["addresses"]
         ]})
         if self.hangup:
@@ -240,6 +242,16 @@ class TestRouting:
             gate.set()
             held.join(timeout=10)
         assert [len(stub.requests) for stub in stubs] == [1, 1]
+
+    def test_alert_shard_is_the_scoring_worker(self, stub_fleets):
+        from repro.stream.sinks import MemorySink
+
+        coordinator, _stubs = stub_fleets(flag=True)
+        coordinator.sinks = [sink := MemorySink()]
+        coordinator.mark_dead(coordinator.workers[0])
+        coordinator.scan(ADDRESSES, CODES)
+        assert [alert.address for alert in sink.alerts] == ADDRESSES
+        assert {alert.shard for alert in sink.alerts} == {1}
 
     def test_dead_worker_is_skipped(self, stub_fleets):
         coordinator, stubs = stub_fleets()

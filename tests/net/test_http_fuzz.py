@@ -1,20 +1,24 @@
-"""Generated request heads and bodies against the live fleet servers.
+"""Generated request heads and bodies against the live servers.
 
-Whatever bytes arrive, the coordinator's ``/rpc`` and a worker's
-``/scan`` must answer each request with a 4xx (after at most an interim
-``100 Continue``; an unknown method or HTTP version gets the protocol's
-501 or 505) or close the connection, promptly; never a 500, a hang, or
-a handler thread left behind, and a well-formed request on a fresh
-connection still gets its 200 afterwards. Each example half-closes
-its connection after sending, so a server waiting for more bytes sees
-the end of the stream instead of stalling the test.
+Whatever bytes arrive, the coordinator's ``/rpc``, a worker's ``/scan``
+and the store server (read-only and writable) must answer each request
+with a 4xx (after at most an interim ``100 Continue``; an unknown method
+or HTTP version gets the protocol's 501 or 505) or close the
+connection, promptly; never a 500, a hang, or a handler thread left
+behind, and a well-formed request on a fresh connection still gets its
+200 afterwards. The store also answers well-formed requests (``GET /``,
+a ``PUT`` to a writable store) with a 2xx. Each example half-closes its
+connection after sending, so a server waiting for more bytes sees the
+end of the stream instead of stalling the test.
 """
 
 import json
 import re
 import socket
+import threading
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,12 +59,23 @@ _REQUEST = st.tuples(_structured_head() | st.binary(max_size=200),
 #: unknown method (501) or HTTP version (505), which close the
 #: connection like every framing error. A 500 never passes.
 _ALLOWED = {100, 501, 505}
+#: The store's answers to well-formed requests.
+_STORE_ALLOWED = _ALLOWED | set(range(200, 300))
 _STATUS = re.compile(rb"HTTP/1\.1 (\d{3}) [^\r\n]*\r\n")
 
 
-def _statuses(reply: bytes) -> list[int]:
-    """Every response status in a reply stream (JSON bodies skipped by
-    their ``Content-Length``, which the fleet servers always send)."""
+def _is_head(data: bytes) -> bool:
+    """Whether the first request in ``data`` is a HEAD, read the way the
+    server reads a request line (three fields, ended by a newline)."""
+    line, newline, _ = data.partition(b"\n")
+    parts = line.split()
+    return bool(newline) and len(parts) == 3 and parts[0] == b"HEAD"
+
+
+def _statuses(reply: bytes, to_head: bool = False) -> list[int]:
+    """Every response status in a reply stream. Bodies are skipped by
+    their ``Content-Length``, which the servers always send, except the
+    final answer to a leading HEAD request (``to_head``): it has none."""
     statuses = []
     while reply:
         match = _STATUS.match(reply)
@@ -68,7 +83,11 @@ def _statuses(reply: bytes) -> list[int]:
         head, _, rest = reply.partition(b"\r\n\r\n")
         length = re.search(rb"\r\nContent-Length: (\d+)", head)
         size = int(length[1]) if length else 0
-        statuses.append(int(match[1]))
+        status = int(match[1])
+        if to_head and status >= 200:
+            # Later answers are to the requests that followed the HEAD.
+            size, to_head = 0, False
+        statuses.append(status)
         reply = rest[size:]
     return statuses
 
@@ -105,11 +124,11 @@ def _wait_idle(server, timeout=2.0) -> None:
         time.sleep(0.005)
 
 
-def _check(server, request, probe: bytes) -> None:
-    head, body = request
-    for status in _statuses(_send(server, head + body)):
-        assert status in _ALLOWED or 400 <= status < 500, (
-            f"{status} for {(head + body)[:120]!r}")
+def _check(server, request, probe: bytes, allowed=_ALLOWED) -> None:
+    data = b"".join(request)
+    for status in _statuses(_send(server, data), _is_head(data)):
+        assert status in allowed or 400 <= status < 500, (
+            f"{status} for {data[:120]!r}")
     _wait_idle(server)
     assert _statuses(_send(server, probe))[0] == 200
 
@@ -132,3 +151,27 @@ def test_coordinator_rpc_survives_any_request(live_servers, request):
 def test_worker_scan_survives_any_request(live_servers, request):
     _check(live_servers["worker"], request,
            b"GET /healthz HTTP/1.1\r\n\r\n")
+
+
+@pytest.fixture(scope="module", params=["read-only", "writable"])
+def store_server(request, tmp_path_factory):
+    from repro.artifacts import backend_from_url
+    from repro.net import serve_store
+
+    backend = backend_from_url(str(tmp_path_factory.mktemp("fuzz-store")))
+    backend.put("rpc", b"artifact-bytes")
+    server = serve_store(backend, "127.0.0.1", 0,
+                         writable=request.param == "writable")
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@_FUZZ
+@given(request=_REQUEST)
+def test_store_survives_any_request(store_server, request):
+    _check(store_server, request, b"GET / HTTP/1.1\r\n\r\n",
+           _STORE_ALLOWED)

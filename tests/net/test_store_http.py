@@ -8,6 +8,7 @@ against a tampering server and the full ``ModelStore`` cold-start with
 """
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -278,3 +279,90 @@ class TestInjectedStoreFailures:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# ---------------------------------------------------------------------- #
+# Framing refusals: requests whose body or key cannot be trusted are
+# answered 4xx before the backend stores or reads anything
+# ---------------------------------------------------------------------- #
+
+
+def _raw(server, data: bytes) -> bytes:
+    """Send ``data`` on a fresh connection and read until the server
+    closes it (a read timeout means the server hung on the request)."""
+    chunks = []
+    with socket.create_connection(server.server_address,
+                                  timeout=5.0) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.fixture
+def writable_server(tmp_path):
+    backend = backend_from_url(str(tmp_path / "store"))
+    server, url = _serve(backend, writable=True)
+    yield server, backend, url
+    server.shutdown()
+    server.server_close()
+
+
+class TestFramingRefusals:
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_unusable_content_length_is_400_and_stores_nothing(
+            self, writable_server, capfd, length):
+        server, backend, _url = writable_server
+        reply = _raw(server, b"PUT /objects/x.npz HTTP/1.1\r\n"
+                             b"Content-Length: " + length + b"\r\n\r\nbody")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert backend.list() == []
+        assert capfd.readouterr().err == ""
+
+    def test_chunked_put_is_411_and_stores_nothing(self, writable_server,
+                                                   capfd):
+        server, backend, _url = writable_server
+        reply = _raw(server, b"PUT /objects/x.npz HTTP/1.1\r\n"
+                             b"Transfer-Encoding: chunked\r\n\r\n"
+                             b"4\r\nbody\r\n0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 411 ")
+        assert backend.list() == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", ["GET", "HEAD"])
+    def test_key_escaping_the_root_is_400(self, writable_server, capfd,
+                                          method):
+        from repro.net.client import http_request
+
+        _server, _backend, url = writable_server
+        response = http_request(method, f"{url}/..%2f..%2fetc%2fpasswd",
+                                timeout=5.0)
+        assert response.status == 400
+        if method == "GET":
+            assert "not inside the store root" in response.json()["error"]
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/objects/.."),     # the store root itself
+        ("PUT", "/objects/.."),
+        ("GET", "/objects"),        # a directory
+        ("PUT", "/objects"),
+        ("GET", "/tags.json/x"),    # a path through a file
+        ("PUT", "/tags.json/x"),
+        ("GET", "/" + "y" * 300),   # too long for a file name
+        ("PUT", "/" + "y" * 300),
+    ])
+    def test_key_the_file_system_cannot_hold_is_400(
+            self, writable_server, capfd, method, path):
+        from repro.net.client import http_request
+
+        _server, backend, url = writable_server
+        backend.put("objects/a.npz", b"a")
+        backend.put("tags.json", b"{}")
+        body = b"x" if method == "PUT" else None
+        response = http_request(method, url + path, body=body, timeout=5.0)
+        assert response.status == 400
+        assert backend.list() == ["objects/a.npz", "tags.json"]
+        assert backend.get("tags.json") == b"{}"
+        assert capfd.readouterr().err == ""

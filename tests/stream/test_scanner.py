@@ -237,6 +237,30 @@ class TestShardingAndParity:
         percentiles = stats.latency_percentiles()
         assert 0 < percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
 
+    def test_shards_share_one_flush_of_cache(self, fitted_service,
+                                             stream_corpus):
+        """Check-config's D003/D004 size a flush cycle's working set as
+        ``batch_size``, not ``shards x batch_size``: every shard group of
+        a flush goes through the one cache, so 40 entries hold 16
+        repeating contracts at 4 shards with no miss once warm."""
+        from repro.serve.cache import FeatureCache
+        from repro.serve.service import ScanService
+
+        codes = list(dict.fromkeys(
+            r.bytecode for r in stream_corpus.records if r.bytecode))[:16]
+        service = ScanService(fitted_service.model_name,
+                              model=fitted_service.model,
+                              cache=FeatureCache(40))
+        scanner = StreamScanner(service, shards=4, max_batch=16,
+                                max_queue=256)
+        for sequence in range(16 * 20):
+            if sequence == 16 * 10:
+                warm = service.cache.stats.hits, service.cache.stats.misses
+            scanner.on_event(make_event(sequence, codes[sequence % 16]))
+        scanner.flush()
+        assert service.cache.stats.misses == warm[1]
+        assert service.cache.stats.hits - warm[0] == 16 * 10
+
 
 class TestSinks:
     def test_alerts_fan_out_to_sinks(self, service, stream_corpus):
