@@ -41,7 +41,6 @@ from repro.stream.scanner import StreamScanner
 SMOKE = bool(int(os.environ.get("PHOOK_BENCH_SMOKE", "0")))
 N_TREES = env_int("PHOOK_BENCH_SHADOW_TREES", 60)
 MAX_OVERHEAD = 4.0 if SMOKE else 2.0
-SHARDS = 2
 
 
 def _fit_forest(dataset, seed):
@@ -89,20 +88,20 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
         # Baseline: single-model stream replay against a cold private
         # cache — the fair denominator is features + one predict.
         plain = StreamScanner.from_artifact(
-            "production", store=store, shards=SHARDS, max_batch=16,
+            "production", store=store, max_batch=16,
         )
         plain_seconds = _replay(plain, _events(corpus.chain, start=10 ** 6))
         plain_scanned = plain.stats.scanned
 
         # Shadow mode: same stream against its own cold cache, with the
-        # candidate scoring every shard micro-batch. Because both models
+        # candidate scoring every micro-batch. Because both models
         # share that cache, the numerator is features + two predicts —
         # the ≤ 2× claim is exactly "the candidate adds at most one more
         # model pass, never a second feature pipeline". The evidence
         # floor is set unreachably high so the whole replay stays in
         # shadow.
         shadowed = StreamScanner.from_artifact(
-            "production", store=store, shards=SHARDS, max_batch=16,
+            "production", store=store, max_batch=16,
         )
         rollout = ShadowRollout(
             shadowed, "candidate", store=store,
@@ -117,7 +116,7 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
         # mid-replay. Every event must be scored exactly once, by the
         # model that was production at that moment, with zero drops.
         promoting = StreamScanner.from_artifact(
-            "production", store=store, shards=SHARDS, max_batch=16,
+            "production", store=store, max_batch=16,
             threshold=0.0,  # alert on everything: full score audit
         )
         promotion = ShadowRollout(
@@ -159,7 +158,6 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
             "contracts": len(dataset),
             "campaign_events": len(events),
             "trees": N_TREES,
-            "shards": SHARDS,
             "plain_seconds": plain_seconds,
             "shadow_seconds": shadow_seconds,
             "overhead": shadow_seconds / plain_seconds,

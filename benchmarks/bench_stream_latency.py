@@ -9,8 +9,8 @@ scored three ways:
   walk all accounts, score each with a per-contract `predict_proba`
   call, and (as the seed did) find each alert's creation transaction by
   scanning the transaction list,
-* **stream cold** — `TimelineReplayer` → `StreamScanner` (micro-batches,
-  shard groups) with an empty prediction cache,
+* **stream cold** — `TimelineReplayer` → `StreamScanner` (one
+  `scan_bytecodes` call per micro-batch) with an empty prediction cache,
 * **stream warm** — the same replay again through fresh scanner state but
   a warm content-addressed cache (steady-state monitoring).
 
@@ -29,9 +29,6 @@ from repro.stream import StreamScanner, TimelineReplayer
 
 #: Alert threshold shared by every mode.
 THRESHOLD = 0.5
-
-#: Sharded workers in the streaming modes.
-SHARDS = 4
 
 #: Micro-batch flush threshold.
 MAX_BATCH = 32
@@ -73,7 +70,6 @@ def percentiles(latencies):
 def stream_pass(service, chain):
     scanner = StreamScanner(
         service,
-        shards=SHARDS,
         max_batch=MAX_BATCH,
         max_queue=max(MAX_BATCH * 4, 256),
         threshold=THRESHOLD,

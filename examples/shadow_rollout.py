@@ -6,7 +6,7 @@ process on the synthetic stream:
 
 1. train a production model and a candidate, file both in a
    ``ModelStore`` under their tags,
-2. serve ``production`` through a sharded ``StreamScanner``,
+2. serve ``production`` through a ``StreamScanner``,
 3. attach a ``ShadowRollout``: the candidate scores the identical live
    micro-batches through the shared feature cache, accumulating
    agreement / divergence / disagreement-class / latency-overhead
@@ -34,7 +34,6 @@ from repro.stream.events import ContractEvent
 from repro.stream.scanner import StreamScanner
 
 SEED = 41
-SHARDS = 2
 
 
 def fit_forest(dataset, seed, n_estimators=24):
@@ -89,7 +88,7 @@ def main() -> None:
 
         # --- parity candidate: shadow, then automatic promotion -------- #
         scanner = StreamScanner.from_artifact(
-            "production", store=store, shards=SHARDS, max_batch=16,
+            "production", store=store, max_batch=16,
         )
         rollout = ShadowRollout(
             scanner, "candidate", store=store,
@@ -99,7 +98,7 @@ def main() -> None:
             ),
         )
         print(f"\nshadow-scoring candidate on live traffic "
-              f"({SHARDS} shards, shared feature cache)...")
+              "(shared feature cache)...")
         replay(scanner, corpus.chain)
         report("parity", rollout)
         assert scanner.stats.dropped == 0
@@ -120,7 +119,7 @@ def main() -> None:
         )
         store.put(broken, model_name="Random Forest", tags=("candidate",))
         scanner2 = StreamScanner.from_artifact(
-            "production", store=store, shards=SHARDS, max_batch=16,
+            "production", store=store, max_batch=16,
         )
         rollout2 = ShadowRollout(
             scanner2, "candidate", store=store,

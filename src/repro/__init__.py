@@ -19,8 +19,8 @@ Entry points:
   starts (``from_artifact``) and zero-downtime ``swap_model`` (see
   :mod:`repro.serve` for the design notes and cache knobs),
 * :mod:`repro.stream` — event-driven streaming detection (event bus,
-  micro-batching sharded scanner, alert sinks, timeline replay) with
-  artifact cold starts and live version ``rollout`` across shards, plus
+  micro-batching scanner, alert sinks, timeline replay) with artifact
+  cold starts and live version ``rollout``, plus
   the poll-compatible :class:`repro.core.live.LiveDetector` adapter,
 * ``phishinghook`` (CLI) — demo / train / models / scan (incl.
   ``--batch``) / monitor / disasm / dataset / attack / calibrate

@@ -662,9 +662,15 @@ class HttpStoreBackend(StoreBackend):
     def _request(self, method: str, key: str, *, body: bytes = None):
         from urllib.parse import quote
 
-        return self._fetch(
+        response = self._fetch(
             method, f"{self._url}/{quote(key, safe='/')}", body=body
         )
+        if response.status == 409:
+            raise IntegrityError(
+                f"{self._url}/{key}: the served store cannot verify its "
+                f"own copy of the object (HTTP 409)"
+            )
+        return response
 
     def get(self, key: str) -> bytes:
         response = self._request("GET", key)

@@ -21,7 +21,7 @@ Commands:
 * ``disasm`` — disassemble a hex bytecode string to the BDM's CSV rows,
 * ``dataset`` — build a corpus and print Fig. 2-style monthly counts,
 * ``monitor`` — replay a synthetic campaign through the event-driven
-  streaming pipeline (micro-batches, shard groups, alert sinks; see
+  streaming pipeline (micro-batches, alert sinks; see
   :mod:`repro.stream`), cold-starting one scan service from one artifact,
 * ``loop`` — close the learning loop over a config-declared topology:
   drift on live scores triggers a warm-start retrain, the candidate
@@ -104,7 +104,6 @@ _TOPOLOGY_FLAGS = {
     "monitor": (
         *_SOURCE_FLAGS,
         ("--threshold", "serve.threshold"),
-        ("--shards", "stream.shards"),
         ("--batch-size", "stream.batch_size"),
         ("--queue", "stream.queue"),
         ("--policy", "stream.policy"),
@@ -115,7 +114,6 @@ _TOPOLOGY_FLAGS = {
         ("--candidate", "rollout.candidate"),
         ("--production", "rollout.production"),
         *_SOURCE_FLAGS,
-        ("--shards", "stream.shards"),
         ("--batch-size", "stream.batch_size"),
         ("--threshold", "serve.threshold"),
         ("--policy", "rollout.policy"),
@@ -416,7 +414,7 @@ def _print_rollout_record(record: dict) -> None:
           f"[tag {record.get('production_tag', 'production')}]")
     if comparison.get("events"):
         print(f"evidence   {comparison['events']} events over "
-              f"{comparison['batches']} shard batches: "
+              f"{comparison['batches']} micro-batches: "
               f"agreement {comparison['agreement_rate']:.4f}, "
               f"mean divergence {comparison['mean_divergence']:.4f} "
               f"(max {comparison['max_divergence']:.4f})")
@@ -491,8 +489,7 @@ def _cmd_rollout(args) -> int:
         record = save_rollout_state(store, rollout.status())
         print(f"shadow-scored {report.scanned} deployments in "
               f"{report.duration_seconds:.3f}s "
-              f"({config.stream.shards} shard(s), "
-              f"{report.batches} micro-batches, "
+              f"({report.batches} micro-batches, "
               f"{report.dropped} dropped)")
         _print_rollout_record(record)
         if rollout.state == "promoted":
@@ -663,16 +660,12 @@ def _cmd_monitor(args) -> int:
     print(f"replayed {report.events} deployments in "
           f"{report.duration_seconds:.3f}s "
           f"({report.events_per_second:.0f} events/s, "
-          f"{report.batches} micro-batches, "
-          f"{config.stream.shards} shard(s))")
+          f"{report.batches} micro-batches)")
     print(f"scanned {report.scanned}, flagged {report.flagged}, "
           f"dropped {report.dropped}, empty {report.skipped_empty}")
     print(f"latency p50 {latency['p50'] * 1e3:.2f}ms  "
           f"p95 {latency['p95'] * 1e3:.2f}ms  "
           f"p99 {latency['p99'] * 1e3:.2f}ms")
-    for shard in scanner.summary()["shards"]:
-        print(f"  shard {shard['shard']}: {shard['scanned']} scanned, "
-              f"{shard['flagged']} flagged over {shard['batches']} batches")
     for sink in scanner.sinks:
         print(f"  sink {sink.name}: {sink.stats.delivered} delivered, "
               f"{sink.stats.failed} failed")

@@ -100,7 +100,6 @@ class LiveDetector:
             monitoring — the latency budget covers scoring only).
         threshold: Alert when P(phishing) ≥ threshold.
         on_alert: Optional callback invoked with each :class:`Alert`.
-        shards: Worker count for the underlying stream scanner.
         max_batch: Micro-batch size for the underlying stream scanner.
         follow: Push mode — subscribe to the chain's deploy events so
             scoring happens as deployments land, not at poll time.
@@ -113,7 +112,6 @@ class LiveDetector:
         threshold: float = 0.5,
         on_alert=None,
         *,
-        shards: int = 1,
         max_batch: int = 32,
         follow: bool = False,
     ):
@@ -130,7 +128,6 @@ class LiveDetector:
         )
         self.scanner = StreamScanner(
             self.service,
-            shards=shards,
             max_batch=max_batch,
             max_queue=max(max_batch, 4096),
             policy="block",

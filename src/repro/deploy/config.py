@@ -1,11 +1,11 @@
 """Declarative deployment configuration: one file, the whole topology.
 
-The serving stack's knobs — shard counts, backpressure policies, cache
-sizes, batch sizes and deadlines, sink fan-out, rollout thresholds,
-store URLs — used to travel as CLI flags, each validated (if at all)
-deep inside the component that consumed it. This module replaces that
-with one *declarative* deployment description, the way a DDS QoS
-profile declares buffering/reliability policy up front (PAPERS.md:
+The serving stack's knobs — batch sizes, backpressure policies, cache
+sizes, deadlines, sink fan-out, rollout thresholds, store URLs — used
+to travel as CLI flags, each validated (if at all) deep inside the
+component that consumed it. This module replaces that with one
+*declarative* deployment description, the way a DDS QoS profile
+declares buffering/reliability policy up front (PAPERS.md:
 *Dependency Chain Analysis of ROS 2 DDS QoS Policies*): a TOML or JSON
 file parsed into typed dataclasses, every knob checked against its
 domain at parse time, and unknown keys rejected so a typo cannot
@@ -108,7 +108,7 @@ WARM_START_FAMILIES = ("Random Forest", "XGBoost", "LightGBM", "CatBoost")
 class ConfigProblem:
     """One domain violation found while parsing a config file."""
 
-    path: str  # dotted field path, e.g. "stream.shards"
+    path: str  # dotted field path, e.g. "stream.batch_size"
     message: str
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
@@ -253,7 +253,9 @@ class ServeConfig(_Table):
 class StreamConfig(_Table):
     """Scanner topology and backpressure (``[stream]``)."""
 
-    shards: int = _knob(2, minimum=1)
+    # Not a knob (a ClassVar, so the parser rejects the key):
+    # scanbench/workloads.py still reads it.
+    shards: typing.ClassVar[int] = 2
     batch_size: int = _knob(16, minimum=1)
     queue: int = _knob(256, minimum=1)
     policy: str = _knob("block", choices=STREAM_POLICIES)

@@ -169,7 +169,6 @@ def build_scanner(config: DeployConfig, service, *, sinks=None):
     stream = config.stream
     return StreamScanner(
         service,
-        shards=stream.shards,
         max_batch=stream.batch_size,
         max_queue=stream.queue,
         policy=stream.policy,

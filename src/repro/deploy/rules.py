@@ -143,15 +143,15 @@ def _audit_gap(c: DeployConfig):
 
 
 def _cache_thrash(c: DeployConfig):
-    # One flush scores stream.batch_size events in total, split across
-    # the shards, through the one cache every shard shares.
+    # One flush scores stream.batch_size events in one service call.
     if c.serve.cache_entries < c.stream.batch_size:
         return (
             f"serve.cache_entries={c.serve.cache_entries} is smaller than "
             f"one flush cycle's working set (stream.batch_size="
-            f"{c.stream.batch_size}): every micro-batch evicts the entries "
-            f"the next one needs — guaranteed thrash, 0% steady-state hit "
-            f"rate"
+            f"{c.stream.batch_size}): every micro-batch evicts entries "
+            f"the next one needs — traffic that repeats every flush "
+            f"misses about half its lookups in steady state, where a "
+            f"cache of batch_size entries misses none"
         )
     return None
 
@@ -524,9 +524,10 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "D003", ERROR, "cache-thrash",
-        "A feature cache smaller than one flush (batch_size events, "
-        "shared by every shard) is evicted wholesale every flush cycle: "
-        "guaranteed thrash, zero steady-state hit rate.",
+        "A feature cache smaller than one flush (batch_size events) "
+        "thrashes every flush cycle: traffic repeating every flush "
+        "misses about half its lookups, against none at batch_size "
+        "entries.",
         "raise serve.cache_entries to at least stream.batch_size (2x "
         "for headroom)",
         _cache_thrash,
@@ -553,8 +554,7 @@ RULES: tuple[Rule, ...] = (
         "D006", WARN, "redundant-pulls",
         "A remote store (bucket:// or http(s)://) serving a worker fleet "
         "without a local cache_dir re-pulls the artifact on every worker "
-        "process cold start (an in-process monitor loads it once, "
-        "however many shards it has).",
+        "process cold start (an in-process monitor loads it once).",
         "set store.cache_dir to a host-local directory",
         _redundant_pulls,
         ("store.url", "store.cache_dir", "fleet"),

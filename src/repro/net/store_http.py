@@ -15,10 +15,12 @@ any blob store speaks:
 Writes are refused with HTTP 405 unless the server was started
 ``writable`` — the normal deployment is a read-only artifact mirror, and
 a fleet must not be one misconfigured client away from mutating it. A
-missing object is 404, and a key the store cannot hold (outside its
-root, a directory) 400. :class:`~repro.net.server.JsonHandler` frames
-the requests, so a body of unknown length is 400 or 411 before the
-store is touched. The client,
+missing object is 404, a key the store cannot hold (outside its root, a
+directory) 400, and an object the store cannot verify (a ``bucket://``
+blob altered or missing its ``.etag`` sidecar) 409, which the client
+raises as ``IntegrityError`` without retrying.
+:class:`~repro.net.server.JsonHandler` frames the requests, so a body
+of unknown length is 400 or 411 before the store is touched. The client,
 :class:`~repro.artifacts.backends.HttpStoreBackend`, re-verifies the
 ``ETag`` against the received bytes so a corrupt proxy or truncated body
 surfaces as ``IntegrityError``, not a bad model.
@@ -30,6 +32,7 @@ import errno
 import urllib.parse
 
 from repro import faults
+from repro.artifacts.errors import IntegrityError
 from repro.net.server import JsonHandler, KeepAliveServer
 
 __all__ = ["serve_store"]
@@ -69,6 +72,8 @@ def _make_handler(backend, writable: bool):
                               dict(urllib.parse.parse_qsl(parsed.query)))
                 except KeyError:
                     self._reply(404, {"error": f"no object {key!r}"})
+                except IntegrityError as error:
+                    self._reply(409, {"error": str(error)})
                 except ValueError as error:  # outside the store root
                     self._reply(400, {"error": str(error)})
                 except OSError as error:

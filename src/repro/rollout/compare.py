@@ -1,7 +1,7 @@
 """Online production-vs-candidate comparison accounting.
 
 A shadow rollout's evidence is a stream of paired score vectors: for
-every shard micro-batch the production model scored, the candidate
+every micro-batch the production model scored, the candidate
 scored the identical bytecodes (through the same shared
 :class:`~repro.serve.cache.FeatureCache`, so features were extracted
 once). :class:`ShadowComparison` folds those pairs into the running
@@ -56,7 +56,7 @@ class ShadowComparison:
         primary_seconds: float = 0.0,
         shadow_seconds: float = 0.0,
     ) -> None:
-        """Fold one shard micro-batch of paired scores into the totals."""
+        """Fold one micro-batch of paired scores into the totals."""
         prod = np.asarray(production_probs, dtype=float)
         cand = np.asarray(candidate_probs, dtype=float)
         if prod.shape != cand.shape:

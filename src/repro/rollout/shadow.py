@@ -2,7 +2,7 @@
 
 ``ShadowRollout`` attaches to a running
 :class:`~repro.stream.scanner.StreamScanner` as a scored-batch observer.
-For every shard micro-batch the production model scores, one candidate
+For every micro-batch the production model scores, one candidate
 :class:`~repro.serve.service.ScanService`, sharing the scanner's
 :class:`~repro.serve.cache.FeatureCache`, scores the *identical*
 bytecodes. Features are therefore extracted once per bytecode no matter
@@ -21,7 +21,7 @@ batch the :class:`~repro.rollout.policy.RolloutPolicy` is consulted
   (when one is attached) and the scanner's service is hot-swapped
   through :meth:`StreamScanner.rollout` using the candidate model this
   rollout already loaded — one artifact read total, zero dropped or
-  mis-scored batches (the shard batch that produced the deciding
+  mis-scored batches (the micro-batch that produced the deciding
   evidence was fully scored and delivered before the observer ran).
 * **abort** — the shadow scorer detaches and the production model keeps
   serving untouched; the comparison and reason are retained for the
@@ -146,7 +146,7 @@ class ShadowRollout:
             self.candidate_version = None
             self.candidate_name = getattr(model, "name", type(model).__name__)
             namespace = None
-        # One candidate service scores every shard batch. Sharing the
+        # One candidate service scores every micro-batch. Sharing the
         # scanner's cache is the whole point: decoded features are
         # extracted once and reused by production and shadow alike, while
         # prediction rows stay separated by namespace.
@@ -165,7 +165,7 @@ class ShadowRollout:
     # ------------------------------------------------------------------ #
 
     def observe(self, *, shard, events, results, elapsed_seconds) -> None:
-        """Scanner callback: shadow-score one shard micro-batch."""
+        """Scanner callback: shadow-score one micro-batch."""
         if self.state != SHADOWING:
             return
         started = time.perf_counter()

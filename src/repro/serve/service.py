@@ -43,9 +43,8 @@ Thread-safety: ``scan_bytecodes`` may run concurrently with
 the synchronization point, and the shared :class:`FeatureCache` locks
 internally); per-service counters (``scanned``, ``swaps``) are
 best-effort under concurrency. A serving process holds one service:
-the stream scanner scores every shard group through it and keeps its
-per-shard counts itself (:class:`~repro.stream.scanner.ShardStats`),
-and a fleet worker scores each batch whole. The shadow-rollout
+the stream scanner scores each micro-batch through it in one call, and
+a fleet worker scores each batch whole. The shadow-rollout
 subsystem (:mod:`repro.rollout`) builds directly on these semantics: a
 candidate service shares the cache, and a promotion is one atomic swap.
 """

@@ -13,8 +13,8 @@ sign within seconds:
   the pipeline downstream is identical either way.
 * :mod:`repro.stream.scanner` — :class:`StreamScanner`: bounded intake
   queue with explicit backpressure (block / drop_oldest / drop_newest /
-  sample), micro-batches flushed on size or deadline, N shard workers
-  partitioned by address hash, each scoring through the fit-once
+  sample), micro-batches flushed on size or deadline, each scored in
+  one call through the fit-once
   :class:`~repro.serve.service.ScanService` + shared
   :class:`~repro.serve.cache.FeatureCache` hot path.
 * :mod:`repro.stream.sinks` — pluggable alert delivery (memory, JSONL,
@@ -26,7 +26,7 @@ sign within seconds:
   historical campaign through the stream at a configurable rate and
   report events/sec plus p50/p95/p99 end-to-end latency.
 
-Scored shard micro-batches additionally fan out to registered
+Scored micro-batches additionally fan out to registered
 *observers* (:meth:`StreamScanner.add_observer`) — the hook
 :mod:`repro.rollout` uses to shadow-score a candidate model on identical
 live traffic and hot-swap the serving model on promotion.
@@ -46,7 +46,6 @@ from repro.stream.events import (
 )
 from repro.stream.replay import ReplayReport, TimelineReplayer
 from repro.stream.scanner import (
-    ShardStats,
     StreamAlert,
     StreamScanner,
     StreamStats,
@@ -71,7 +70,6 @@ __all__ = [
     "Subscription",
     "ReplayReport",
     "TimelineReplayer",
-    "ShardStats",
     "StreamAlert",
     "StreamScanner",
     "StreamStats",

@@ -4,11 +4,9 @@ The seed ``LiveDetector`` rescanned the whole account set per poll and
 scored bytecodes one ``predict_proba`` call at a time. ``StreamScanner``
 inverts the shape: deployment events are *pushed* into a bounded intake
 queue, grouped into micro-batches (flushed on size or deadline — the
-classic latency/throughput dial), split into N shard groups by address
-hash, and each group is scored through the scanner's one fit-once
-:class:`~repro.serve.service.ScanService` hot path (in-batch dedup +
-content-addressed prediction cache); shards partition the accounting
-(:class:`ShardStats`, ``StreamAlert.shard``), not the model. Cold
+classic latency/throughput dial), and each micro-batch is scored in one
+call on the scanner's fit-once :class:`~repro.serve.service.ScanService`
+hot path (in-batch dedup + content-addressed prediction cache). Cold
 starts are covered too: the service precompiles ensemble models into
 the flat inference engine (:mod:`repro.ml.flat`) when it fits or wraps
 them, so the very first micro-batch after a stream spin-up is scored by
@@ -30,7 +28,7 @@ latency (enqueue → scored) feeds the p50/p95/p99 accounting the paper's
 
 Two post-scoring hooks hang off the scanner: *sinks* receive every
 flagged alert (:mod:`repro.stream.sinks`, failure-isolated), and
-*observers* receive every scored shard micro-batch
+*observers* receive every scored micro-batch
 (:meth:`StreamScanner.add_observer`) — the seam the shadow-rollout
 subsystem (:mod:`repro.rollout`) attaches to for candidate-vs-production
 validation on identical live traffic.
@@ -39,13 +37,12 @@ Thread-safety: one flusher at a time. ``on_event`` / ``tick`` / ``flush``
 mutate the intake queue without locking and must not race each other;
 concurrency lives *below* the scanner (the service's
 :class:`~repro.serve.cache.FeatureCache` locks internally, and a
-:meth:`rollout` swap is atomic against an in-flight shard batch).
+:meth:`rollout` swap is atomic against an in-flight micro-batch).
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -56,7 +53,7 @@ from repro.serve.cache import Code
 from repro.serve.service import ScanService
 from repro.stream.events import TOPIC_CONTRACTS, ContractEvent, shed
 
-__all__ = ["StreamAlert", "ShardStats", "StreamStats", "StreamScanner"]
+__all__ = ["StreamAlert", "StreamStats", "StreamScanner"]
 
 #: Intake backpressure policies.
 SCANNER_POLICIES = ("block", "drop_oldest", "drop_newest", "sample")
@@ -69,7 +66,11 @@ LATENCY_WINDOW = 65536
 
 @dataclass(frozen=True)
 class StreamAlert:
-    """One flagged deployment, as delivered to sinks."""
+    """One flagged deployment, as delivered to sinks.
+
+    ``shard`` is the index of the fleet worker that scored the alert,
+    and 0 for an in-process scanner.
+    """
 
     address: str
     probability: float
@@ -79,16 +80,6 @@ class StreamAlert:
     shard: int
     batch_id: int
     from_cache: bool
-
-
-@dataclass
-class ShardStats:
-    """Per-shard accounting."""
-
-    shard: int
-    scanned: int = 0
-    flagged: int = 0
-    batches: int = 0
 
 
 @dataclass
@@ -145,20 +136,14 @@ class StreamStats:
         }
 
 
-def shard_of(address: str, shards: int) -> int:
-    """Deterministic address → shard assignment (CRC32 partitioning)."""
-    return zlib.crc32(address.encode()) % shards
-
-
 class StreamScanner:
     """Consume :class:`ContractEvent` streams into scored micro-batches.
 
     Args:
         service: A :class:`ScanService` (fitted or lazily fitted, and
-            fitted here); every shard group is one ``scan_bytecodes``
+            fitted here); every micro-batch is one ``scan_bytecodes``
             call on it, so predictions are bit-identical to a direct
             ``scan_bytecodes`` call.
-        shards: Shard count; events group by ``crc32(address)``.
         max_batch: Micro-batch flush threshold (events per flush).
         max_queue: Intake bound; must be ≥ ``max_batch`` when
             ``auto_flush`` is on (so a batch can form before overflow).
@@ -183,7 +168,6 @@ class StreamScanner:
         self,
         service: ScanService,
         *,
-        shards: int = 1,
         max_batch: int = 32,
         max_queue: int = 256,
         policy: str = "block",
@@ -194,8 +178,6 @@ class StreamScanner:
         dedup_addresses: bool = True,
         seed: int = 0,
     ):
-        if shards < 1:
-            raise ValueError("shards must be positive")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_queue < 1:
@@ -210,7 +192,6 @@ class StreamScanner:
                 f"unknown policy {policy!r}; supported: {SCANNER_POLICIES}"
             )
         self.service = service.ensure_fitted()
-        self.shards = shards
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.policy = policy
@@ -221,7 +202,6 @@ class StreamScanner:
         self.observers: list = []
         self.dedup_addresses = dedup_addresses
         self.stats = StreamStats()
-        self.shard_stats = [ShardStats(shard=i) for i in range(shards)]
         self.alerts: list[StreamAlert] = []
         self.rollouts = 0
         # Admitted events, each with the Code its bytecode became.
@@ -240,13 +220,15 @@ class StreamScanner:
         cache=None,
         threshold: float = 0.5,
         expected_fingerprint: str | None = None,
+        # Accepted and ignored: scanbench/workloads.py still passes it.
+        shards=None,
         **scanner_kwargs,
     ) -> "StreamScanner":
         """Cold-start a whole stream pipeline from one artifact.
 
-        One :meth:`ScanService.from_artifact` load serves every shard,
-        so spinning up an N-shard scanner costs a single artifact read —
-        no training anywhere.
+        One :meth:`ScanService.from_artifact` load serves the scanner,
+        so spinning it up costs a single artifact read — no training
+        anywhere.
         ``source``/``store``/``expected_fingerprint`` as in
         :meth:`ScanService.from_artifact`; remaining keyword arguments go
         to the scanner constructor.
@@ -279,7 +261,7 @@ class StreamScanner:
         then records which version it is, e.g. a shadow rollout promoting
         a candidate it already loaded. The swap is one
         :meth:`ScanService.swap_from_artifact` or
-        :meth:`ScanService.swap_model` call: a shard batch in flight
+        :meth:`ScanService.swap_model` call: a micro-batch in flight
         finishes on the version it snapshotted, nothing is dropped, and
         the outgoing prediction namespace is invalidated once.
         """
@@ -307,16 +289,16 @@ class StreamScanner:
     def add_observer(self, observer) -> None:
         """Register a scored-batch observer.
 
-        After each shard micro-batch is scored (and its alerts emitted),
-        every observer's ``observe(shard=, events=, results=,
-        elapsed_seconds=)`` runs synchronously with the exact events and
-        :class:`~repro.serve.service.ScanResult` rows the production
-        model produced — the hook :class:`repro.rollout.ShadowRollout`
-        uses to score a candidate on identical live traffic. Observers
-        may swap the serving model from inside the callback (promotion):
-        the shard batch that triggered it is already fully scored and
-        delivered, and later shards of the same flush score on the new
-        version — exactly the per-batch-atomic semantics of
+        After each micro-batch is scored (and its alerts emitted), every
+        observer's ``observe(shard=0, events=, results=,
+        elapsed_seconds=)`` runs once, synchronously, with the exact
+        events and :class:`~repro.serve.service.ScanResult` rows the
+        production model produced — the hook
+        :class:`repro.rollout.ShadowRollout` uses to score a candidate on
+        identical live traffic. Observers may swap the serving model from
+        inside the callback (promotion): the micro-batch that triggered
+        it is already fully scored and delivered, and the next one scores
+        on the new version — exactly the per-batch-atomic semantics of
         :meth:`rollout`. Observers get the same failure isolation as
         sinks: an exception from ``observe`` is swallowed and counted
         (``stats.observer_errors``) — production detection never dies
@@ -352,7 +334,7 @@ class StreamScanner:
 
         An admitted event's code becomes a :class:`~repro.serve.cache.Code`
         here, normalized and hashed once, and is queued beside the event
-        for its shard batch. A code that does not normalize (malformed
+        for its micro-batch. A code that does not normalize (malformed
         hex) is skipped and counted (``stats.skipped_malformed``) before
         it can enter, and fail, a micro-batch of valid events.
 
@@ -431,62 +413,52 @@ class StreamScanner:
         batch_id = self._batch_id
         self._batch_id += 1
         self.stats.batches += 1
-
-        by_shard: dict[int, list[tuple[ContractEvent, Code]]] = {}
-        for entry in batch:
-            by_shard.setdefault(
-                shard_of(entry[0].address, self.shards), []
-            ).append(entry)
+        events = [event for event, _code in batch]
+        started = time.perf_counter()
+        results = self.service.scan_bytecodes(
+            [code for _event, code in batch],
+            addresses=[event.address for event in events],
+        )
+        scored_at = time.perf_counter()
 
         alerts: list[StreamAlert] = []
-        for shard, entries in sorted(by_shard.items()):
-            events = [event for event, _code in entries]
-            shard_started = time.perf_counter()
-            results = self.service.scan_bytecodes(
-                [code for _event, code in entries],
-                addresses=[e.address for e in events],
+        for event, result in zip(events, results):
+            latency = max(scored_at - event.enqueued_at, 0.0)
+            self.stats.scanned += 1
+            self.stats.total_latency_seconds += latency
+            self.stats.record_latency(latency)
+            if result.probability < self.threshold:
+                continue
+            alert = StreamAlert(
+                address=event.address,
+                probability=result.probability,
+                block_number=event.block_number,
+                timestamp=event.timestamp,
+                latency_seconds=latency,
+                shard=0,
+                batch_id=batch_id,
+                from_cache=result.from_cache,
             )
-            scored_at = time.perf_counter()
-            stats = self.shard_stats[shard]
-            stats.scanned += len(events)
-            stats.batches += 1
-            for event, result in zip(events, results):
-                latency = max(scored_at - event.enqueued_at, 0.0)
-                self.stats.scanned += 1
-                self.stats.total_latency_seconds += latency
-                self.stats.record_latency(latency)
-                if result.probability < self.threshold:
-                    continue
-                alert = StreamAlert(
-                    address=event.address,
-                    probability=result.probability,
-                    block_number=event.block_number,
-                    timestamp=event.timestamp,
-                    latency_seconds=latency,
-                    shard=shard,
-                    batch_id=batch_id,
-                    from_cache=result.from_cache,
+            alerts.append(alert)
+            self.alerts.append(alert)
+            self.stats.flagged += 1
+            for sink in self.sinks:
+                sink.emit(alert)
+        # Observers run after delivery so a promotion they trigger can
+        # never affect the micro-batch that justified it — and, like
+        # sinks, they are failure-isolated: a raising observer is
+        # counted, the rest still run.
+        for observer in list(self.observers):
+            try:
+                observer.observe(
+                    # Always 0: scanbench/workloads.py's observer requires it.
+                    shard=0,
+                    events=events,
+                    results=results,
+                    elapsed_seconds=scored_at - started,
                 )
-                alerts.append(alert)
-                self.alerts.append(alert)
-                self.stats.flagged += 1
-                stats.flagged += 1
-                for sink in self.sinks:
-                    sink.emit(alert)
-            # Observers run after delivery so a promotion they trigger
-            # can never affect the shard batch that justified it — and,
-            # like sinks, they are failure-isolated: a raising observer
-            # is counted, the remaining shards still score and alert.
-            for observer in list(self.observers):
-                try:
-                    observer.observe(
-                        shard=shard,
-                        events=events,
-                        results=results,
-                        elapsed_seconds=scored_at - shard_started,
-                    )
-                except Exception:
-                    self.stats.observer_errors += 1
+            except Exception:
+                self.stats.observer_errors += 1
         return alerts
 
     # ------------------------------------------------------------------ #
@@ -498,20 +470,11 @@ class StreamScanner:
             sink.close()
 
     def summary(self) -> dict:
-        """JSON-ready pipeline + shard + sink accounting."""
+        """JSON-ready pipeline + sink accounting."""
         return {
             **self.stats.as_dict(),
             "flat_compiled": getattr(self.service, "flat_compiled", 0),
             "rollouts": self.rollouts,
             "artifact_digest": getattr(self.service, "artifact_digest", None),
-            "shards": [
-                {
-                    "shard": s.shard,
-                    "scanned": s.scanned,
-                    "flagged": s.flagged,
-                    "batches": s.batches,
-                }
-                for s in self.shard_stats
-            ],
             "sinks": {sink.name: sink.stats.as_dict() for sink in self.sinks},
         }

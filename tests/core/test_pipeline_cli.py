@@ -240,7 +240,7 @@ class TestCLI:
         capsys.readouterr()
         code = main([
             "monitor", "--contracts", "60", "--store", store,
-            "--model-tag", "latest", "--shards", "2",
+            "--model-tag", "latest",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -250,7 +250,7 @@ class TestCLI:
         code = main(["monitor", "--contracts", "60", "--train-on-the-fly"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "replayed" in out and "2 shard(s)" in out
+        assert "replayed" in out and "micro-batches" in out
         assert "sink memory" in out
 
     def test_monitor_without_model_refuses(self, capsys):

@@ -23,7 +23,6 @@ def base_config(**overrides) -> dict:
         "model": {"tag": "production"},
         "serve": {"threshold": 0.5, "cache_entries": 8192},
         "stream": {
-            "shards": 2,
             "batch_size": 16,
             "queue": 256,
             "policy": "block",

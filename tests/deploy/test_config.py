@@ -68,7 +68,7 @@ class TestRejections:
             ("serve", {"threshold": 0.0}),
             ("serve", {"threshold": 1.0}),
             ("serve", {"cache_entries": 0}),
-            ("stream", {"shards": 0}),
+            ("stream", {"shards": 2}),  # retired knob: unknown key
             ("stream", {"batch_size": -1}),
             ("stream", {"queue": 0}),
             ("stream", {"policy": "dropp_newest"}),
@@ -117,12 +117,12 @@ class TestRejections:
     def test_all_problems_reported_in_one_pass(self):
         data = base_config(
             serve={"threshold": 2.0},
-            stream={"shards": 0, "policy": "bogus"},
+            stream={"batch_size": 0, "policy": "bogus"},
         )
         with pytest.raises(ConfigError) as excinfo:
             parse_config(data, origin="<test>")
         paths = {p.path for p in excinfo.value.problems}
-        assert {"serve.threshold", "stream.shards",
+        assert {"serve.threshold", "stream.batch_size",
                 "stream.policy"} <= paths
         as_dict = excinfo.value.as_dict()
         assert as_dict["ok"] is False
@@ -199,7 +199,7 @@ class TestLoadConfig:
             tag = "production"
 
             [stream]
-            shards = 3
+            batch_size = 8
 
             [[sinks]]
             kind = "jsonl"
@@ -209,11 +209,11 @@ class TestLoadConfig:
         json_file.write_text(json.dumps({
             "store": {"url": "./phook-models"},
             "model": {"tag": "production"},
-            "stream": {"shards": 3},
+            "stream": {"batch_size": 8},
             "sinks": [{"kind": "jsonl", "path": "alerts.jsonl"}],
         }))
         from_toml, from_json = load_config(toml_file), load_config(json_file)
-        assert from_toml.stream.shards == from_json.stream.shards == 3
+        assert from_toml.stream.batch_size == from_json.stream.batch_size == 8
         assert from_toml.sinks[0].path == from_json.sinks[0].path
         assert from_toml.origin.endswith("deploy.toml")
 

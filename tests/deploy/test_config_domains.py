@@ -30,8 +30,8 @@ PINNED = [
      "stream.dedup_addresses: expected true/false, got 1"),
     ("wrong-type-string", {"sinks": [{"kind": "memory", "path": 3}]},
      "sinks[0].path: expected a string, got 3"),
-    ("below-minimum", {"stream": {"shards": 0}},
-     "stream.shards: must be >= 1, got 0"),
+    ("below-minimum", {"stream": {"batch_size": 0}},
+     "stream.batch_size: must be >= 1, got 0"),
     ("below-minimum-float", {"source": {"rate": -1}},
      "source.rate: must be >= 0.0, got -1.0"),
     ("above-maximum", {"fleet": {"port": 70000}},
@@ -54,6 +54,8 @@ PINNED = [
     ("unknown-key", {"serve": {"cache_entires": 64}},
      "serve.cache_entires: unknown key"),
     ("unknown-section", {"srvee": {}}, "srvee: unknown section"),
+    ("retired-shards-knob", {"stream": {"shards": 2}},
+     "stream.shards: unknown key"),
     ("live-source", {"source": {"mode": "live"}},
      "source.mode: 'live' is not one of 'replay'"),
     ("non-table-section", {"loop": "yes please"},

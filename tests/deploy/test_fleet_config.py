@@ -25,7 +25,7 @@ class TestFleetSection:
 
     def test_full_section_roundtrips(self):
         config = parse_config(base_config(
-            stream={"shards": 3},
+            stream={"batch_size": 8},
             fleet={"workers": 4, "queue_depth": 8, "overflow": "block",
                    "mmap": True, "host": "0.0.0.0",
                    "port": 8900},

@@ -24,7 +24,6 @@ def config_file(tmp_path):
             {"kind": "jsonl", "path": "alerts.jsonl"},
             {"kind": "webhook", "url": "https://alerts.example.com/h"},
         ],
-        stream={"shards": 4},
         rollout=clean_rollout(),
     )
     path = tmp_path / "deploy.json"
@@ -86,8 +85,7 @@ def test_check_config_on_violating_config_is_still_pure(
 ):
     data = base_config(
         store={"url": "bucket://phook-prod"},
-        stream={"shards": 4, "policy": "drop_newest",
-                "deadline_seconds": 0.0},
+        stream={"policy": "drop_newest", "deadline_seconds": 0.0},
         sinks=[{"kind": "webhook", "url": "https://alerts.example.com/h"}],
         rollout=clean_rollout(candidate="production"),
     )

@@ -121,8 +121,8 @@ class TestMonitorConfig:
         self, tmp_path, trained_store, monkeypatch, capsys
     ):
         """Why rule D006 needs a [fleet]: a monitor is one process with
-        one scan service, so four shards on a bucket:// store without a
-        cache_dir still pull the artifact exactly once."""
+        one scan service, so on a bucket:// store without a cache_dir it
+        still pulls the artifact exactly once."""
         from repro.artifacts import ModelStore
         from repro.artifacts.backends import ObjectStoreBackend
 
@@ -135,7 +135,6 @@ class TestMonitorConfig:
         config = write_config(
             tmp_path,
             store={"url": bucket},
-            stream={"shards": 4},
             source={"contracts": 80},
         )
         assert "D006" not in {
@@ -153,14 +152,14 @@ class TestMonitorConfig:
         exit_code = repro.cli.main(["monitor", "--config", str(config)])
         out = capsys.readouterr().out
         assert exit_code == 0
-        assert "4 shard(s)" in out
+        assert "micro-batches" in out
         assert [key for key in pulls if key.endswith(".npz")] == [
             f"objects/{version}.npz"
         ]
 
     def test_monitor_reports_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "broken.toml"
-        bad.write_text("[stream\nshards = ")
+        bad.write_text("[stream\nbatch_size = ")
         exit_code = repro.cli.main(["monitor", "--config", str(bad)])
         assert exit_code == 2
         assert "broken.toml" in capsys.readouterr().err
@@ -226,14 +225,14 @@ class TestRolloutConfig:
 
 class TestKnobValidation:
     @pytest.mark.parametrize("argv", [
-        ["monitor", "--shards", "0"],
-        ["monitor", "--shards", "-2"],
+        ["monitor", "--threshold", "0"],
+        ["monitor", "--queue", "0"],
         ["monitor", "--batch-size", "0"],
         ["monitor", "--queue", "-1"],
         ["monitor", "--contracts", "0"],
         ["monitor", "--deadline", "-0.5"],
         ["monitor", "--rate", "-1"],
-        ["rollout", "start", "--shards", "0"],
+        ["rollout", "start", "--threshold", "0"],
         ["rollout", "start", "--batch-size", "-4"],
         ["rollout", "start", "--contracts", "0"],
         ["rollout", "start", "--min-events", "0"],
@@ -264,12 +263,22 @@ class TestKnobValidation:
         assert "expected a" in err
 
     @pytest.mark.parametrize("argv", [
-        ["monitor", "--shards", "3", "--batch-size", "8"],
-        ["rollout", "start", "--shards", "1"],
+        ["monitor", "--batch-size", "8"],
+        ["rollout", "start", "--batch-size", "1"],
     ])
     def test_positive_knobs_accepted(self, argv):
         args = repro.cli.build_parser().parse_args(argv)
-        assert args.shards >= 1
+        assert args.batch_size >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["monitor", "--shards", "2"],
+        ["rollout", "start", "--shards", "2"],
+    ])
+    def test_shards_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "deploy"

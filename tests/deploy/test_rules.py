@@ -39,17 +39,13 @@ FIXTURES = {
     ),
     # feature cache smaller than one flush cycle's working set
     "D003": (
-        dict(serve={"cache_entries": 12},
-             stream={"shards": 4, "batch_size": 16}),
-        dict(serve={"cache_entries": 8192},
-             stream={"shards": 4, "batch_size": 16}),
+        dict(serve={"cache_entries": 12}, stream={"batch_size": 16}),
+        dict(serve={"cache_entries": 8192}, stream={"batch_size": 16}),
     ),
     # cache holds barely one flush cycle (>= working set, < 2x)
     "D004": (
-        dict(serve={"cache_entries": 24},
-             stream={"shards": 2, "batch_size": 16}),
-        dict(serve={"cache_entries": 64},
-             stream={"shards": 2, "batch_size": 16}),
+        dict(serve={"cache_entries": 24}, stream={"batch_size": 16}),
+        dict(serve={"cache_entries": 64}, stream={"batch_size": 16}),
     ),
     # candidate and production name the same ref: no-op rollout
     "D005": (
@@ -117,8 +113,8 @@ FIXTURES = {
     ),
     # batch_size=1: every event its own flush, no vectorization
     "D016": (
-        dict(stream={"batch_size": 1, "shards": 2}),
-        dict(stream={"batch_size": 16, "shards": 2}),
+        dict(stream={"batch_size": 1}),
+        dict(stream={"batch_size": 16}),
     ),
     # worker processes cannot reach an in-process memory:// store
     "D017": (
@@ -229,18 +225,23 @@ def test_rule_passes_on_its_counter_fixture(rule_id):
 
 
 def test_cache_rules_size_one_flush_not_one_per_shard():
-    """A flush scores ``batch_size`` events in total through the one
-    cache every shard shares, so 40 entries hold 2.5 flushes of 16 on
-    any shard count (a steady-state hit rate of 1.0 at 4 shards)."""
+    """A flush scores ``batch_size`` events in one service call, so 40
+    entries hold 2.5 flushes of 16: D003 and D004 both pass (the
+    scanner test ``test_d003_fires_exactly_where_the_hit_rate_falls``
+    measures the boundary)."""
     assert not {"D003", "D004"} & fired(dict(
-        serve={"cache_entries": 40},
-        stream={"shards": 4, "batch_size": 16}))
+        serve={"cache_entries": 40}, stream={"batch_size": 16}))
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_batches_of_one_warn_at_any_shard_count(shards):
-    assert "D016" in fired(dict(stream={"batch_size": 1, "shards": shards,
-                                        "queue": 256}))
+    """A shard is now a scoring process: one in-process scanner, or a
+    fleet of ``shards`` workers. Each still flushes ``batch_size``
+    events per call, so batches of one warn on every topology."""
+    overrides = dict(stream={"batch_size": 1, "queue": 256})
+    if shards > 1:
+        overrides["fleet"] = {"workers": shards}
+    assert "D016" in fired(overrides)
 
 
 def test_report_orders_errors_first():

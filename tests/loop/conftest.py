@@ -9,7 +9,7 @@ the scam-family mix (75 % phishing in the drifted continuation vs 50 %
 in the baseline).
 
 ``loop_harness`` is a factory for the proven deterministic recipe: a
-40-tree production forest, a 2-shard blocking scanner, a 160-score
+40-tree production forest, a blocking scanner, a 160-score
 drift monitor checked every 32 events, and a parity policy sized so the
 64-event shadow window reaches a verdict. Exactly one
 detect → retrain → shadow → promote cycle fires when the drifted
@@ -30,28 +30,37 @@ from repro.serve.service import ScanService
 from repro.stream import StreamScanner
 
 
+#: Minimal-proxy clones per proxied base. Clones deploy in their base's
+#: month, so the corpus default (30) clumps whole months onto one label:
+#: its "stationary" campaigns swing between 32 % and 70 % phishing from
+#: one 160-event drift window to the next, and the recipe then stayed
+#: quiet or not depending on how the scanner batched events. At 3 every
+#: window of the stationary campaigns stays near 50 %.
+CLONE_FACTOR = 3.0
+
+
+def loop_corpus(**config):
+    return build_corpus(CorpusConfig(
+        phishing_profile="uniform", clone_factor=CLONE_FACTOR, **config,
+    ))
+
+
 @pytest.fixture(scope="session")
 def base_corpus():
     """Stationary baseline campaign: balanced mix, flat deployments."""
-    return build_corpus(CorpusConfig(
-        n_phishing=120, n_benign=120, seed=7, phishing_profile="uniform",
-    ))
+    return loop_corpus(n_phishing=120, n_benign=120, seed=7)
 
 
 @pytest.fixture(scope="session")
 def drift_corpus():
     """Drifted continuation: the phishing share jumps to 75 %."""
-    return build_corpus(CorpusConfig(
-        n_phishing=300, n_benign=60, seed=8, phishing_profile="uniform",
-    ))
+    return loop_corpus(n_phishing=300, n_benign=60, seed=8)
 
 
 @pytest.fixture(scope="session")
 def stationary_corpus():
     """A second stationary campaign (fresh seed, same balanced mix)."""
-    return build_corpus(CorpusConfig(
-        n_phishing=120, n_benign=120, seed=9, phishing_profile="uniform",
-    ))
+    return loop_corpus(n_phishing=120, n_benign=120, seed=9)
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +100,7 @@ def loop_harness(base_corpus, label_oracle, tmp_path):
             "production", store=store, cache=cache, threshold=0.5
         )
         scanner = StreamScanner(
-            service, shards=2, max_batch=16, max_queue=256,
+            service, max_batch=16, max_queue=256,
             policy="block", auto_flush=True,
         )
         loop = LoopOrchestrator(

@@ -25,7 +25,7 @@ class TestStationaryStream:
     def test_no_trigger_over_many_windows(self, loop_harness, base_corpus,
                                           stationary_corpus):
         """Two stationary campaigns back to back: scores keep the same
-        distribution, so N = ~13 drift checks all stay quiet."""
+        distribution, so N = ~11 drift checks all stay quiet."""
         harness = loop_harness()
         replayer = TimelineReplayer(harness.scanner, rate=None)
         try:
@@ -127,8 +127,8 @@ KILL_CHILD = textwrap.dedent("""\
         "production", store=store, cache=FeatureCache(max_entries=8192),
         threshold=0.5,
     )
-    scanner = StreamScanner(service, shards=2, max_batch=16,
-                            max_queue=256, policy="block", auto_flush=True)
+    scanner = StreamScanner(service, max_batch=16, max_queue=256,
+                            policy="block", auto_flush=True)
     loop = LoopOrchestrator(
         scanner, store,
         label_of=labels.get,

@@ -193,8 +193,8 @@ class TestForestEquivalence:
 class TestServingShapes:
     """Bit-identity at the batch sizes a scan service actually sends.
 
-    A stream shard or fleet worker scores ~8 rows per call and the cold
-    path 16, against a forest of 100+ trees: the per-tree accumulation
+    A stream micro-batch, a fleet worker's batch and the cold path each
+    score up to 16 rows per call, against a forest of 100+ trees: the per-tree accumulation
     runs over a long tree axis and a short row axis.
     """
 

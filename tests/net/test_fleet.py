@@ -276,10 +276,8 @@ class TestWorkerState:
             self, store_root, probe_batch, reference_results,
             monkeypatch):
         from repro.net.worker import WorkerSpec, _WorkerState
-        from repro.stream.scanner import shard_of
 
         addresses, codes = probe_batch
-        assert {shard_of(a, 2) for a in addresses} == {0, 1}
         state = _WorkerState(WorkerSpec(index=0, store_url=str(store_root),
                                         model_ref="production"))
         calls = []

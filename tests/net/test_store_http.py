@@ -281,6 +281,44 @@ class TestInjectedStoreFailures:
             server.server_close()
 
 
+    @pytest.mark.parametrize("damage, operation", [
+        ("missing-sidecar", "get"),
+        ("missing-sidecar", "etag"),  # a HEAD
+        ("altered-blob", "get"),
+    ])
+    def test_unverifiable_bucket_object_is_a_typed_409(
+            self, tmp_path, capfd, damage, operation):
+        """A served bucket:// object that fails the store's own check is
+        answered 409, not a traceback and a dropped connection, and the
+        client raises IntegrityError on the first attempt."""
+        from repro.net import RetryPolicy
+        from repro.net.client import http_request
+
+        root = tmp_path / "bucket"
+        backend = backend_from_url(f"bucket://{root}")
+        backend.put("objects/a.npz", b"artifact-bytes")
+        if damage == "missing-sidecar":
+            (root / "objects" / "a.npz.etag").unlink()
+        else:
+            (root / "objects" / "a.npz").write_bytes(b"altered-bytes")
+        server, url = _serve(backend)
+        slept = []
+        try:
+            method = "GET" if operation == "get" else "HEAD"
+            response = http_request(method, f"{url}/objects/a.npz",
+                                    timeout=5.0)
+            assert response.status == 409
+            remote = HttpStoreBackend(url, retry=RetryPolicy(
+                attempts=3, base_delay=0.01, sleep=slept.append))
+            with pytest.raises(IntegrityError):
+                getattr(remote, operation)("objects/a.npz")
+            assert slept == []  # terminal: never retried
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capfd.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------- #
 # Framing refusals: requests whose body or key cannot be trusted are
 # answered 4xx before the backend stores or reads anything

@@ -56,10 +56,10 @@ def stocked_store(tmp_path, production_model, parity_model):
 
 @pytest.fixture()
 def scanner(stocked_store):
-    """Two-shard scanner serving the production artifact."""
+    """A scanner serving the production artifact."""
     store, __, __ = stocked_store
     return StreamScanner.from_artifact(
-        "production", store=store, shards=2, max_batch=8, threshold=0.5
+        "production", store=store, max_batch=8, threshold=0.5
     )
 
 

@@ -42,7 +42,7 @@ def test_start_with_manual_policy_holds(stocked, capsys):
     reset_tags(url, production, parity)
     code = main([
         "rollout", "--store", url, "start",
-        "--contracts", "80", "--shards", "2", "--policy", "manual",
+        "--contracts", "80", "--policy", "manual",
     ])
     out = capsys.readouterr().out
     assert code == 0

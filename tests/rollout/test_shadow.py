@@ -150,7 +150,7 @@ class TestRegressionAbort:
         scanner.add_observer(BrokenObserver())
         codes = rollout_dataset.bytecodes[:20]
         feed(scanner, codes)
-        # Every shard still scored and alerted; the failures are counted.
+        # Every batch still scored and alerted; the failures are counted.
         assert scanner.stats.scanned == len(codes)
         assert scanner.stats.dropped == 0
         assert scanner.stats.observer_errors > 0

@@ -14,7 +14,7 @@ class TestReplay:
     def test_replay_chain_scans_every_deployment(
         self, service, stream_corpus
     ):
-        scanner = StreamScanner(service, shards=2, max_batch=16, max_queue=64)
+        scanner = StreamScanner(service, max_batch=16, max_queue=64)
         report = TimelineReplayer(scanner).replay_chain(stream_corpus.chain)
         assert report.events == len(stream_corpus.chain)
         assert report.scanned == report.events
@@ -85,8 +85,7 @@ class TestPollStreamParity:
         poll_alerts = detector.poll()
 
         scanner = StreamScanner(
-            service,
-            shards=3, max_batch=8, max_queue=64, threshold=0.5,
+            service, max_batch=8, max_queue=64, threshold=0.5,
         )
         report = TimelineReplayer(scanner).replay_chain(stream_corpus.chain)
         assert {(a.address, a.probability) for a in poll_alerts} == {

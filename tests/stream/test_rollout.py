@@ -38,10 +38,9 @@ class TestColdStart:
                                                 stream_dataset):
         store, a, __ = stocked_store
         scanner = StreamScanner.from_artifact(
-            "production", store=store, shards=3, max_batch=4, threshold=0.0,
+            "production", store=store, max_batch=4, threshold=0.0,
         )
-        assert scanner.shards == 3
-        # Every shard scores through the one service, which serves the
+        # The scanner scores through one service, which serves the
         # loaded model under its digest-derived namespace — no training
         # happened anywhere.
         assert scanner.service._serving[1] == (
@@ -67,7 +66,7 @@ class TestRollout:
         store, a, b = stocked_store
         sink = MemorySink()
         scanner = StreamScanner.from_artifact(
-            "production", store=store, shards=2, max_batch=4,
+            "production", store=store, max_batch=4,
             threshold=0.0, sinks=[sink],
         )
         codes = stream_dataset.bytecodes[:16]
@@ -106,12 +105,10 @@ class TestRollout:
     def test_rollout_with_raw_model_shares_namespace(self, stocked_store,
                                                      stream_dataset):
         store, __, b = stocked_store
-        scanner = StreamScanner.from_artifact(
-            "production", store=store, shards=3,
-        )
+        scanner = StreamScanner.from_artifact("production", store=store)
         old_ns = scanner.service._serving[1]
         scanner.rollout(model=b, model_name="Random Forest")
-        # Every shard scores through the one service: one new namespace.
+        # The scanner scores through one service: one new namespace.
         model, namespace = scanner.service._serving
         assert model is b
         assert namespace != old_ns

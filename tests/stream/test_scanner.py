@@ -1,8 +1,8 @@
-"""Tests for the micro-batching, sharded stream scanner."""
+"""Tests for the micro-batching stream scanner."""
 
 import pytest
 
-from repro.stream.scanner import StreamScanner, shard_of
+from repro.stream.scanner import StreamScanner
 from repro.stream.sinks import CallbackSink, MemorySink
 from tests.stream.test_events import make_event
 
@@ -33,13 +33,13 @@ def make_event_from(record, sequence):
 class TestValidation:
     def test_bad_config_rejected(self, service):
         with pytest.raises(ValueError):
-            StreamScanner(service, shards=0)
-        with pytest.raises(ValueError):
             StreamScanner(service, max_batch=0)
         with pytest.raises(ValueError):
             StreamScanner(service, max_batch=16, max_queue=8)
         with pytest.raises(ValueError):
             StreamScanner(service, policy="explode")
+        with pytest.raises(TypeError):  # no shard knob
+            StreamScanner(service, shards=2)
 
 
 class TestMicroBatching:
@@ -98,7 +98,7 @@ class TestMicroBatching:
         batch are all scored and ``flush`` does not raise."""
         from repro.stream.events import EventBus
 
-        scanner = StreamScanner(service, shards=2)
+        scanner = StreamScanner(service)
         bus = EventBus()
         scanner.attach(bus)
         valid = events_for(stream_corpus, 15)
@@ -196,19 +196,8 @@ class TestBackpressure:
 
 
 class TestShardingAndParity:
-    def test_shard_partition_is_deterministic(self, service, stream_corpus):
-        scanner = StreamScanner(service, shards=3, max_batch=8, max_queue=64)
-        events = events_for(stream_corpus, 24)
-        for event in events:
-            scanner.on_event(event)
-        scanner.flush()
-        by_shard = {s.shard: s.scanned for s in scanner.shard_stats}
-        assert sum(by_shard.values()) == 24
-        for alert in scanner.alerts:
-            assert alert.shard == shard_of(alert.address, 3)
-
     def test_alerts_match_direct_batch_scan(self, service, stream_corpus):
-        """Sharded streaming = one big scan_bytecodes call, bit for bit."""
+        """Streaming = one big scan_bytecodes call, bit for bit."""
         events = events_for(stream_corpus, 30)
         direct = service.scan_bytecodes(
             [e.code for e in events], addresses=[e.address for e in events]
@@ -218,8 +207,7 @@ class TestShardingAndParity:
         }
 
         scanner = StreamScanner(
-            service,
-            shards=4, max_batch=7, max_queue=64, threshold=0.5,
+            service, max_batch=7, max_queue=64, threshold=0.5,
         )
         for event in events:
             scanner.on_event(event)
@@ -237,29 +225,121 @@ class TestShardingAndParity:
         percentiles = stats.latency_percentiles()
         assert 0 < percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
 
-    def test_shards_share_one_flush_of_cache(self, fitted_service,
-                                             stream_corpus):
-        """Check-config's D003/D004 size a flush cycle's working set as
-        ``batch_size``, not ``shards x batch_size``: every shard group of
-        a flush goes through the one cache, so 40 entries hold 16
-        repeating contracts at 4 shards with no miss once warm."""
+    def test_d003_fires_exactly_where_the_hit_rate_falls(
+            self, fitted_service, stream_corpus):
+        """check-config's D003 sizes a flush cycle's working set as
+        ``batch_size``. Replaying 16 repeating contracts in flushes of 16,
+        a cache of 16 entries hits every lookup once warm, and one of 15
+        (where D003 fires) misses half of them."""
+        from repro.deploy import check_config, parse_config
         from repro.serve.cache import FeatureCache
         from repro.serve.service import ScanService
+        from tests.deploy.conftest import base_config
 
+        batch_size = 16
         codes = list(dict.fromkeys(
-            r.bytecode for r in stream_corpus.records if r.bytecode))[:16]
-        service = ScanService(fitted_service.model_name,
-                              model=fitted_service.model,
-                              cache=FeatureCache(40))
-        scanner = StreamScanner(service, shards=4, max_batch=16,
-                                max_queue=256)
-        for sequence in range(16 * 20):
-            if sequence == 16 * 10:
-                warm = service.cache.stats.hits, service.cache.stats.misses
-            scanner.on_event(make_event(sequence, codes[sequence % 16]))
-        scanner.flush()
-        assert service.cache.stats.misses == warm[1]
-        assert service.cache.stats.hits - warm[0] == 16 * 10
+            r.bytecode for r in stream_corpus.records if r.bytecode
+        ))[:batch_size]
+        for entries in (batch_size - 1, batch_size):
+            service = ScanService(fitted_service.model_name,
+                                  model=fitted_service.model,
+                                  cache=FeatureCache(entries))
+            scanner = StreamScanner(service, max_batch=batch_size,
+                                    max_queue=256)
+            namespace = service._serving[1]
+            for sequence in range(batch_size * 20):
+                if sequence == batch_size * 10:
+                    warm = service.cache.stats.by_namespace[namespace]
+                scanner.on_event(
+                    make_event(sequence, codes[sequence % batch_size]))
+            scanner.flush()
+            hits, misses = (
+                now - then for now, then in zip(
+                    service.cache.stats.by_namespace[namespace], warm)
+            )
+            hit_rate = hits / (hits + misses)
+            report = check_config(parse_config(base_config(
+                serve={"cache_entries": entries},
+                stream={"batch_size": batch_size},
+            )))
+            fired = "D003" in {v.rule_id for v in report.violations}
+            assert fired == (entries < batch_size)
+            if fired:
+                assert hit_rate <= 0.5, (entries, hit_rate)
+            else:
+                assert hit_rate == 1.0, (entries, hit_rate)
+
+
+class TestBenchmarkSurface:
+    """The scanner as ``scanbench/workloads.py``'s ``run_stream`` builds
+    and drives it: ``shards=StreamConfig.shards`` (accepted, ignored),
+    blocks of ``batch_size`` deploy events published then flushed, and
+    an observer whose ``observe`` takes exactly four keyword-only
+    arguments."""
+
+    def test_one_scan_per_micro_batch_and_every_event_observed_once(
+            self, fitted_service, stream_corpus, tmp_path, monkeypatch):
+        from repro.artifacts import save_artifact
+        from repro.deploy.config import StreamConfig
+        from repro.serve.service import ScanService
+        from repro.stream.events import EventBus
+
+        artifact = tmp_path / "model.npz"
+        save_artifact(fitted_service.model, artifact,
+                      model_name=fitted_service.model_name)
+
+        class Observer:
+            def __init__(self):
+                self.calls = 0
+                self.observed = []
+
+            def observe(self, *, shard, events, results, elapsed_seconds):
+                self.calls += 1
+                self.observed.extend(
+                    (event.address, result.probability)
+                    for event, result in zip(events, results))
+
+        calls = []
+        scan_bytecodes = ScanService.scan_bytecodes
+
+        def spy(service, codes, **kwargs):
+            calls.append(len(codes))
+            return scan_bytecodes(service, codes, **kwargs)
+
+        monkeypatch.setattr(ScanService, "scan_bytecodes", spy)
+        sink = MemorySink()
+        scanner = StreamScanner.from_artifact(
+            str(artifact), shards=StreamConfig.shards,
+            max_batch=StreamConfig.batch_size, sinks=[sink],
+        )
+        observer = Observer()
+        bus = EventBus()
+        scanner.attach(bus)
+        scanner.add_observer(observer)
+        events = events_for(stream_corpus, 4 * StreamConfig.batch_size + 3)
+        for start in range(0, len(events), StreamConfig.batch_size):
+            for event in events[start:start + StreamConfig.batch_size]:
+                bus.publish(event)
+            scanner.flush()
+        scanner.close()
+
+        batches = scanner.stats.batches
+        assert batches == 5
+        assert calls == [StreamConfig.batch_size] * 4 + [3]
+        assert observer.calls == batches
+        assert [a for a, _p in observer.observed] == [
+            e.address for e in events]
+
+        monkeypatch.undo()
+        direct = ScanService.from_artifact(str(artifact)).scan_bytecodes(
+            [e.code for e in events], addresses=[e.address for e in events])
+        assert [p for _a, p in observer.observed] == [
+            r.probability for r in direct]
+        assert [(a.address, a.probability) for a in sink.alerts] == [
+            (r.address, r.probability) for r in direct
+            if r.probability >= scanner.threshold
+        ]
+        assert {a.shard for a in sink.alerts} <= {0}
 
 
 class TestSinks:
@@ -300,8 +380,7 @@ class TestSinks:
         import json
 
         scanner = StreamScanner(
-            service, shards=2, max_batch=8, max_queue=64,
-            sinks=[MemorySink()],
+            service, max_batch=8, max_queue=64, sinks=[MemorySink()],
         )
         for event in events_for(stream_corpus, 10):
             scanner.on_event(event)
@@ -309,5 +388,4 @@ class TestSinks:
         summary = scanner.summary()
         json.dumps(summary)
         assert summary["scanned"] == 10
-        assert len(summary["shards"]) == 2
         assert summary["sinks"]["memory"]["delivered"] == summary["flagged"]
