@@ -113,30 +113,3 @@ def test_scan_throughput(benchmark, corpus):
 
     # Acceptance: warm batched scan ≥ 5× the seed per-address loop.
     assert summary["speedup_warm_vs_seed_loop"] >= 5.0
-
-
-def test_feature_cache_amortizes_campaign_decodes(benchmark, corpus):
-    """One decode per unique bytecode per campaign, not per model × fold."""
-    from repro.serve.cache import FeatureCache
-
-    hook = PhishingHook(
-        corpus,
-        PipelineConfig(
-            model_names=("Random Forest", "k-NN", "Logistic Regression"),
-            n_folds=2,
-            run_post_hoc=False,
-            seed=SEED,
-        ),
-    )
-
-    outcome = run_once(benchmark, hook.run)
-    assert len(outcome.evaluation.trials) == 6
-
-    stats = hook.feature_cache.stats
-    ids_hits, ids_misses = stats.by_namespace["ids"]
-    unique = len({bytes(b) for b in outcome.dataset.bytecodes})
-    # Every decode past the first per unique bytecode is a cache hit.
-    assert ids_misses <= unique
-    assert ids_hits > ids_misses
-    print(f"\ncampaign decodes: {ids_misses} misses / {ids_hits} hits "
-          f"({unique} unique bytecodes)")

@@ -6,9 +6,12 @@ stream (:mod:`repro.rollout`, docs/operations.md):
 * **bounded overhead** — replaying the campaign with a candidate
   shadow-scoring every micro-batch costs ≤ ``MAX_OVERHEAD`` × the
   single-model replay. The shared :class:`FeatureCache` is what makes
-  this hold: features are extracted once per unique bytecode no matter
-  how many models score it, so the candidate adds roughly one
-  ``predict_proba`` — not a second feature pipeline.
+  this hold: while the shadow is attached, each unique bytecode is
+  decoded once for both models, so the candidate adds roughly one
+  ``predict_proba`` — not a second feature pipeline. One replay takes
+  tens of milliseconds, so the overhead is the median of
+  ``ROUNDS`` per-pair ratios, each pair a plain and a shadowed replay
+  on fresh scanners, run in alternating order.
 * **zero-drop promotion** — a parity candidate promoted mid-stream
   swaps the scanner's service with nothing dropped and nothing
   mis-scored: every event is scored exactly once, by whichever version
@@ -29,6 +32,7 @@ Scale knobs (environment):
 
 import json
 import os
+import statistics
 import time
 
 from benchmarks.conftest import SEED, env_int, run_once
@@ -40,6 +44,7 @@ from repro.stream.scanner import StreamScanner
 
 SMOKE = bool(int(os.environ.get("PHOOK_BENCH_SMOKE", "0")))
 N_TREES = env_int("PHOOK_BENCH_SHADOW_TREES", 60)
+ROUNDS = 5
 MAX_OVERHEAD = 4.0 if SMOKE else 2.0
 
 
@@ -87,11 +92,12 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
 
         # Baseline: single-model stream replay against a cold private
         # cache — the fair denominator is features + one predict.
-        plain = StreamScanner.from_artifact(
-            "production", store=store, max_batch=16,
-        )
-        plain_seconds = _replay(plain, _events(corpus.chain, start=10 ** 6))
-        plain_scanned = plain.stats.scanned
+        def plain_replay():
+            plain = StreamScanner.from_artifact(
+                "production", store=store, max_batch=16,
+            )
+            seconds = _replay(plain, _events(corpus.chain, start=10 ** 6))
+            return seconds, plain.stats.scanned
 
         # Shadow mode: same stream against its own cold cache, with the
         # candidate scoring every micro-batch. Because both models
@@ -100,17 +106,38 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
         # model pass, never a second feature pipeline". The evidence
         # floor is set unreachably high so the whole replay stays in
         # shadow.
-        shadowed = StreamScanner.from_artifact(
-            "production", store=store, max_batch=16,
-        )
-        rollout = ShadowRollout(
-            shadowed, "candidate", store=store,
-            policy=MetricParityPolicy(min_events=10 ** 9),
-        )
-        shadow_seconds = _replay(shadowed, _events(corpus.chain, start=2 * 10 ** 6))
-        comparison = rollout.comparison.as_dict()
-        rollout.abort("benchmark: overhead phase complete")
-        assert store.tags()["production"] == prod_version  # abort touches nothing
+        def shadow_replay():
+            shadowed = StreamScanner.from_artifact(
+                "production", store=store, max_batch=16,
+            )
+            rollout = ShadowRollout(
+                shadowed, "candidate", store=store,
+                policy=MetricParityPolicy(min_events=10 ** 9),
+            )
+            seconds = _replay(
+                shadowed, _events(corpus.chain, start=2 * 10 ** 6))
+            comparison = rollout.comparison.as_dict()
+            rollout.abort("benchmark: overhead phase complete")
+            # abort touches nothing
+            assert store.tags()["production"] == prod_version
+            return seconds, comparison
+
+        # An untimed pair first: the first replay in a process pays
+        # one-time costs (the first pair read 0.8-1.0x without it).
+        plain_replay()
+        shadow_replay()
+        plain_runs, shadow_runs = [], []
+        for round_index in range(ROUNDS):
+            if round_index % 2:
+                shadow_runs.append(shadow_replay())
+                plain_runs.append(plain_replay())
+            else:
+                plain_runs.append(plain_replay())
+                shadow_runs.append(shadow_replay())
+        plain_scanned = plain_runs[0][1]
+        comparison = shadow_runs[0][1]
+        overheads = [shadow / plain for (shadow, __), (plain, __)
+                     in zip(shadow_runs, plain_runs)]
 
         # Promotion safety: a fresh stream where the parity policy fires
         # mid-replay. Every event must be scored exactly once, by the
@@ -158,9 +185,13 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
             "contracts": len(dataset),
             "campaign_events": len(events),
             "trees": N_TREES,
-            "plain_seconds": plain_seconds,
-            "shadow_seconds": shadow_seconds,
-            "overhead": shadow_seconds / plain_seconds,
+            "rounds": ROUNDS,
+            "plain_seconds": statistics.median(
+                seconds for seconds, __ in plain_runs),
+            "shadow_seconds": statistics.median(
+                seconds for seconds, __ in shadow_runs),
+            "overheads": overheads,
+            "overhead": statistics.median(overheads),
             "agreement_rate": comparison["agreement_rate"],
             "mean_divergence": comparison["mean_divergence"],
             "shadow_latency_overhead": comparison["latency_overhead"],
@@ -193,6 +224,7 @@ def test_shadow_rollout(benchmark, corpus, dataset, tmp_path):
         "post-promotion scores diverge from the candidate model"
     )
     assert summary["overhead"] <= MAX_OVERHEAD, (
-        f"shadow-mode replay cost {summary['overhead']:.2f}x the "
-        f"single-model replay (budget {MAX_OVERHEAD:.1f}x)"
+        f"shadow-mode replay cost a median {summary['overhead']:.2f}x the "
+        f"single-model replay over {ROUNDS} pairs (budget "
+        f"{MAX_OVERHEAD:.1f}x)"
     )

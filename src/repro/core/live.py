@@ -121,11 +121,7 @@ class LiveDetector:
         self.model = model
         self.threshold = threshold
         self.on_alert = on_alert
-        # attach_cache=False: the model is borrowed — wrapping it must not
-        # re-point its extractors away from any cache the owner attached.
-        self.service = ScanService(
-            "live", model=model, threshold=threshold, attach_cache=False
-        )
+        self.service = ScanService("live", model=model, threshold=threshold)
         self.scanner = StreamScanner(
             self.service,
             max_batch=max_batch,

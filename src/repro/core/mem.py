@@ -118,10 +118,6 @@ class ModelEvaluationModule:
         n_folds: Cross-validation folds (paper: 10).
         n_runs: Independent repetitions (paper: 3).
         seed: Base seed; fold assignments and model seeds derive from it.
-        cache: Optional :class:`~repro.serve.cache.FeatureCache`. When
-            given, every cache-aware model decodes bytecode through it, so
-            a campaign decodes each unique bytecode once instead of once
-            per model × fold × run.
         store: Optional :class:`~repro.artifacts.ModelStore`. When given,
             the campaign's best fitted candidate (highest trial accuracy)
             is persisted — 30 trials no longer end with every fitted model
@@ -130,7 +126,7 @@ class ModelEvaluationModule:
     """
 
     def __init__(
-        self, n_folds: int = 10, n_runs: int = 3, seed: int = 0, cache=None,
+        self, n_folds: int = 10, n_runs: int = 3, seed: int = 0,
         store=None, persist_tag: str = "best",
     ):
         if n_folds < 2:
@@ -140,7 +136,6 @@ class ModelEvaluationModule:
         self.n_folds = n_folds
         self.n_runs = n_runs
         self.seed = seed
-        self.cache = cache
         self.store = store
         self.persist_tag = persist_tag
         #: Version digest of the last persisted best candidate (or None).
@@ -219,8 +214,6 @@ class ModelEvaluationModule:
         self, name, model_factory, train: Dataset, test: Dataset, run, fold
     ) -> tuple[TrialRecord, object]:
         model = model_factory(name, seed=self.seed + 7919 * run + fold)
-        if self.cache is not None:
-            self.cache.attach(model)
         started = time.perf_counter()
         model.fit(train.bytecodes, train.labels)
         # Ensemble models compile to the flat inference engine here, as

@@ -74,7 +74,6 @@ class PhishingHook:
             n_folds=self.config.n_folds,
             n_runs=self.config.n_runs,
             seed=self.config.seed,
-            cache=self.feature_cache,
         )
         self.pam = PostHocAnalysisModule()
         self._fitted_models: dict[tuple[str, str], object] = {}
@@ -157,7 +156,6 @@ class PhishingHook:
         if reuse and key in self._fitted_models:
             return self._fitted_models[key]
         model = create_model(model_name, seed=self.config.seed)
-        self.feature_cache.attach(model)
         model.fit(train_dataset.bytecodes, train_dataset.labels)
         if reuse:
             self._fitted_models[key] = model

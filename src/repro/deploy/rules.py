@@ -142,22 +142,39 @@ def _audit_gap(c: DeployConfig):
     return None
 
 
+def _flush_working_set(c: DeployConfig) -> int:
+    """Entries one flush cycle needs: ``batch_size`` predictions, or with
+    a shadow (``[rollout]``, a ``[loop]``'s shadow phase) ``2 x batch_size
+    + ceil(batch_size / 4)``, the boundary ``tests/stream/test_scanner.py``
+    measures for a primary, a candidate and their shared decodes."""
+    batch = c.stream.batch_size
+    if c.rollout is None and c.loop is None:
+        return batch
+    return 2 * batch - (-batch // 4)
+
+
 def _cache_thrash(c: DeployConfig):
-    # One flush scores stream.batch_size events in one service call.
-    if c.serve.cache_entries < c.stream.batch_size:
-        return (
-            f"serve.cache_entries={c.serve.cache_entries} is smaller than "
-            f"one flush cycle's working set (stream.batch_size="
-            f"{c.stream.batch_size}): every micro-batch evicts entries "
-            f"the next one needs — traffic that repeats every flush "
-            f"misses about half its lookups in steady state, where a "
-            f"cache of batch_size entries misses none"
-        )
-    return None
+    entries, batch = c.serve.cache_entries, c.stream.batch_size
+    working_set = _flush_working_set(c)
+    if entries >= working_set:
+        return None
+    measured = (
+        f"hits only cache_entries/batch_size = {entries}/{batch} "
+        f"({entries / batch:.0%}) of its lookups" if working_set == batch
+        else f"hits none of the primary's lookups at <= {2 * batch} "
+             f"entries and about half below {working_set}"
+    )
+    return (
+        f"serve.cache_entries={entries} is smaller than one flush cycle's "
+        f"working set ({working_set} entries at stream.batch_size={batch}"
+        f"{'' if working_set == batch else ' with a shadow'}): every "
+        f"micro-batch evicts entries the next one needs — traffic that "
+        f"repeats every flush {measured} in steady state"
+    )
 
 
 def _cache_headroom(c: DeployConfig):
-    working_set = c.stream.batch_size
+    working_set = _flush_working_set(c)
     if working_set <= c.serve.cache_entries < 2 * working_set:
         return (
             f"serve.cache_entries={c.serve.cache_entries} holds barely one "
@@ -524,22 +541,22 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "D003", ERROR, "cache-thrash",
-        "A feature cache smaller than one flush (batch_size events) "
-        "thrashes every flush cycle: traffic repeating every flush "
-        "misses about half its lookups, against none at batch_size "
-        "entries.",
-        "raise serve.cache_entries to at least stream.batch_size (2x "
-        "for headroom)",
+        "A cache smaller than one flush cycle's working set thrashes "
+        "every flush: repeating traffic hits cache_entries/batch_size of "
+        "its lookups. A shadow ([rollout], a [loop]'s shadow phase) "
+        "raises the working set to 2 x batch_size + ceil(batch_size / 4).",
+        "raise serve.cache_entries to at least the working set (2x for "
+        "headroom)",
         _cache_thrash,
-        ("serve.cache_entries", "stream.batch_size"),
+        ("serve.cache_entries", "stream.batch_size", "rollout", "loop"),
     ),
     Rule(
         "D004", WARN, "cache-headroom",
-        "A cache holding barely one flush cycle serves redeliveries and "
-        "clones mostly from misses.",
-        "raise serve.cache_entries to >= 2x stream.batch_size",
+        "A cache holding barely one flush cycle's working set (D003) "
+        "serves redeliveries and clones mostly from misses.",
+        "raise serve.cache_entries to >= 2x the working set",
         _cache_headroom,
-        ("serve.cache_entries", "stream.batch_size"),
+        ("serve.cache_entries", "stream.batch_size", "rollout", "loop"),
     ),
     Rule(
         "D005", ERROR, "noop-rollout",

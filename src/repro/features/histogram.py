@@ -9,10 +9,10 @@ The extractor works on the disassembler's compact mnemonic-ID arrays. A
 batch's rows come from one ``np.bincount`` over the concatenated IDs, each
 offset by its row times the mnemonic count, so the whole matrix is one
 numpy call instead of one per contract; the fitted column index is built
-once, by ``fit`` or ``load_state``, not on every ``transform``. A
-pluggable ``decoder`` lets the serve layer substitute a content-addressed
-cache (see :mod:`repro.serve.cache`) so each unique bytecode is decoded at
-most once per process.
+once, by ``fit`` or ``load_state``, not on every ``transform``.
+:meth:`OpcodeHistogramExtractor.set_decoder` swaps the decode for a
+content-addressed cache's (see :mod:`repro.serve.cache`), so a shadow
+candidate reuses the decode of the primary it shadows.
 """
 
 from __future__ import annotations
@@ -40,27 +40,21 @@ class OpcodeHistogramExtractor:
 
     Opcodes never seen during :meth:`fit` are ignored at transform time
     (their column does not exist), mirroring the paper's construction.
-
-    Args:
-        decoder: Optional ``bytecode -> uint8 mnemonic-ID array`` callable
-            replacing the direct single-pass disassembly — typically
-            ``FeatureCache.mnemonic_ids`` for cached decoding.
     """
 
-    def __init__(
-        self,
-        decoder: Callable[[bytes], np.ndarray] | None = None,
-    ):
+    def __init__(self):
         self.vocabulary_: dict[str, int] | None = None
         self._columns: np.ndarray | None = None
-        self._decoder = decoder
+        self._decoder: Callable[[bytes], np.ndarray] | None = None
 
     def set_decoder(
         self, decoder: Callable[[bytes], np.ndarray] | None
-    ) -> "OpcodeHistogramExtractor":
-        """Install (or clear) a mnemonic-ID decoder, e.g. a cache's."""
-        self._decoder = decoder
-        return self
+    ) -> Callable[[bytes], np.ndarray] | None:
+        """Install (or, with ``None``, clear) a ``bytecode -> uint8
+        mnemonic-ID array`` decoder, e.g. a cache's; returns the one it
+        replaces."""
+        previous, self._decoder = self._decoder, decoder
+        return previous
 
     def _decode(self, bytecode: bytes) -> np.ndarray:
         if self._decoder is not None:

@@ -13,8 +13,7 @@ unseen tokens map to ``UNK`` and sequences are padded/truncated to
 Internally each token is a base-16 integer code over its nibbles, computed
 vectorized from the raw bytes (no hex-string materialization); fitting and
 transforming reduce to ``np.unique``/``np.searchsorted`` over those code
-arrays. Code arrays can be served from a content-addressed cache (see
-:mod:`repro.serve.cache`) via :meth:`HexNgramEncoder.set_cache`.
+arrays.
 """
 
 from __future__ import annotations
@@ -58,16 +57,10 @@ class HexNgramEncoder:
         self.chars_per_token = chars_per_token
         self.stride = stride or chars_per_token
         self.vocabulary_: dict[str, int] | None = None
-        self._cache = None
 
     @property
     def is_fitted(self) -> bool:
         return self.vocabulary_ is not None
-
-    def set_cache(self, cache) -> "HexNgramEncoder":
-        """Serve token-code arrays from a :class:`FeatureCache` (or clear)."""
-        self._cache = cache
-        return self
 
     # ------------------------------------------------------------------ #
     # Tokenization
@@ -88,12 +81,6 @@ class HexNgramEncoder:
         ``int(token, 16)`` of every window of :meth:`tokens`, computed from
         the raw bytes without building hex strings.
         """
-        if self._cache is not None:
-            namespace = f"hexngram:w{self.chars_per_token}:s{self.stride}"
-            return self._cache.get(namespace, bytecode, self._compute_codes)
-        return self._compute_codes(bytecode)
-
-    def _compute_codes(self, bytecode: bytes) -> np.ndarray:
         width = self.chars_per_token
         if width > _MAX_VECTOR_WIDTH:
             return np.array(

@@ -16,6 +16,7 @@ whole batch reproduces the per-row reference bit for bit.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -110,12 +111,13 @@ class HSCDetector(PhishingDetector):
                 super().set_params(**{name: value})
         return self
 
-    def use_feature_cache(self, cache) -> "HSCDetector":
-        """Decode mnemonic-ID arrays through a shared FeatureCache."""
-        self.extractor_.set_decoder(
-            cache.mnemonic_ids if cache is not None else None
-        )
-        return self
+    def use_feature_cache(self, cache):
+        """Decode mnemonic-ID arrays through a shared FeatureCache.
+
+        Returns a callable that puts the previous decoder back.
+        """
+        return partial(self.extractor_.set_decoder,
+                       self.extractor_.set_decoder(cache.mnemonic_ids))
 
     def fit(self, bytecodes, labels) -> "HSCDetector":
         features = self.extractor_.fit_transform(bytecodes)

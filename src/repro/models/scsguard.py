@@ -71,20 +71,11 @@ class SCSGuardClassifier(PhishingDetector):
         self.batch_size = batch_size
         self.lr = lr
         self.seed = seed
-        self._feature_cache = None
-
-    def use_feature_cache(self, cache) -> "SCSGuardClassifier":
-        """Serve hex-ngram token codes from a shared FeatureCache."""
-        self._feature_cache = cache
-        if getattr(self, "encoder_", None) is not None:
-            self.encoder_.set_cache(cache)
-        return self
 
     def fit(self, bytecodes, labels) -> "SCSGuardClassifier":
         self.encoder_ = HexNgramEncoder(
             max_length=self.max_length, vocab_size=self.vocab_size
         )
-        self.encoder_.set_cache(self._feature_cache)
         ids = self.encoder_.fit_transform(bytecodes)
         self.network_ = _SCSGuardNetwork(
             self.encoder_.effective_vocab_size, self.embed_dim,
@@ -125,7 +116,6 @@ class SCSGuardClassifier(PhishingDetector):
         self.encoder_ = HexNgramEncoder(
             max_length=self.max_length, vocab_size=self.vocab_size
         ).load_state(state["encoder"])
-        self.encoder_.set_cache(self._feature_cache)
         self.network_ = _SCSGuardNetwork(
             self.encoder_.effective_vocab_size, self.embed_dim,
             self.hidden_dim, self.n_heads, self.seed,

@@ -22,6 +22,10 @@ a handler, met here once:
   waits on its idle connection for the client's next request, and
   ``ThreadingTCPServer.server_close`` joins those threads; without the
   hang-up, stopping a server would wait for every client to go away.
+* **No read waits forever.** A socket operation waits at most
+  :attr:`JsonHandler.timeout` seconds: a stalled request gets a closing
+  408, and an idle keep-alive connection closes without a reply (an
+  :class:`~repro.net.client.HttpSession` retries once, fresh).
 
 A malformed head is answered 400, an over-long request line 414, an
 over-long header line or more than 100 headers 431, an unknown method
@@ -78,32 +82,43 @@ class JsonHandler(socketserver.StreamRequestHandler):
     """
 
     disable_nagle_algorithm = True
+    #: Seconds one socket operation may wait (``setup`` applies it).
+    timeout = 30.0
 
     def handle(self) -> None:
         self.close_connection = False
         while not self.close_connection:
             try:
+                if not self.rfile.peek(1):
+                    return  # the client closed its end
+            except OSError:
+                return  # idle past the deadline, reset, or server_close
+            try:
                 route = self._read_request()
             except FramingError as error:
-                self.close_connection = True
-                try:
-                    self._reply(error.status, {"error": str(error)})
-                except OSError:
-                    pass  # the client is gone
+                self._refuse(error.status, str(error))
+                return
+            except TimeoutError:
+                self._refuse(408, f"request not complete within "
+                                  f"{self.timeout:g} s")
                 return
             except OSError:
                 return  # reset, or hung up by server_close
-            if route is None:
-                return  # the client closed its end
             route()
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request that cannot be served, and close."""
+        self.close_connection = True
+        try:
+            self._reply(status, {"error": message})
+        except OSError:
+            pass  # the client is gone
 
     def _read_request(self):
         """Read one request head and body; return the ``do_*`` method
-        that answers it, or ``None`` at end of stream."""
+        that answers it."""
         self.command = None
         line = read_line(self.rfile, too_long_status=414)
-        if not line:
-            return None
         parts = line.split()
         if len(parts) != 3 or not line.endswith(b"\n"):
             raise FramingError("malformed request line")

@@ -12,9 +12,10 @@ worker that dies takes nothing with it but its own in-flight batch,
 which the coordinator re-sends elsewhere.
 
 Bytecode arrives inline as hex (``inline_codes``, one entry per unique
-code in the batch); the worker decodes it through its own
-:class:`~repro.serve.cache.FeatureCache`, so a bytecode this worker has
-seen before costs a digest and a lookup.
+code in the batch); the worker's own
+:class:`~repro.serve.cache.FeatureCache` holds one probability per code
+it has scored, so a bytecode this worker has seen before costs a digest
+and a lookup.
 
 Endpoints:
 

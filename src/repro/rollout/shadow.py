@@ -5,8 +5,9 @@
 For every micro-batch the production model scores, one candidate
 :class:`~repro.serve.service.ScanService`, sharing the scanner's
 :class:`~repro.serve.cache.FeatureCache`, scores the *identical*
-bytecodes. Features are therefore extracted once per bytecode no matter
-how many models shadow the stream; the candidate pays only its own
+bytecodes. Until :meth:`ShadowRollout.detach` (promote, abort) both
+models decode through that cache (:meth:`FeatureCache.attach`), so each
+bytecode is decoded once for both; the candidate pays only its own
 ``predict_proba`` (plus prediction-cache hits under its own
 digest-derived namespace), which is what keeps shadow mode inside the
 ≤ 2× overhead budget ``benchmarks/bench_shadow_rollout.py`` gates.
@@ -146,10 +147,8 @@ class ShadowRollout:
             self.candidate_version = None
             self.candidate_name = getattr(model, "name", type(model).__name__)
             namespace = None
-        # One candidate service scores every micro-batch. Sharing the
-        # scanner's cache is the whole point: decoded features are
-        # extracted once and reused by production and shadow alike, while
-        # prediction rows stay separated by namespace.
+        # One candidate service scores every micro-batch; prediction rows
+        # stay separated by namespace in the scanner's cache.
         self._candidate_service = ScanService(
             self.candidate_name or "candidate",
             model=model,
@@ -158,6 +157,10 @@ class ShadowRollout:
             namespace=namespace,
         )
         self._candidate_service.artifact_digest = self.candidate_version
+        # Each entry puts one model's previous decoder back on detach.
+        cache = scanner.service.cache
+        self._restore = [cache.attach(scanner.service.model),
+                         cache.attach(model)]
         scanner.add_observer(self)
 
     # ------------------------------------------------------------------ #
@@ -239,8 +242,13 @@ class ShadowRollout:
             self.on_decision(self)
 
     def detach(self) -> None:
-        """Unregister from the scanner (idempotent)."""
+        """Unregister from the scanner and put each model's previous
+        decoder back (idempotent)."""
         self.scanner.remove_observer(self)
+        while self._restore:
+            restore = self._restore.pop()
+            if restore is not None:
+                restore()
 
     def _require_shadowing(self, action: str) -> None:
         if self.state != SHADOWING:

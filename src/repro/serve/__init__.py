@@ -10,16 +10,16 @@ Components
 
 * :class:`~repro.serve.cache.Code` — one contract's normalized bytecode
   (a ``bytes`` subclass) carrying its SHA-256 as ``code.digest``. Built
-  once where bytecode enters serving; the prediction lookup, the cached
-  decoder and the disassembler read it without normalizing or hashing
-  again, and any detector taking ``bytes`` takes it.
+  once where bytecode enters serving; the prediction lookup and the
+  disassembler read it without normalizing or hashing again, and any
+  detector taking ``bytes`` takes it.
 * :class:`~repro.serve.cache.FeatureCache` — bounded LRU keyed by SHA-256
-  of the normalized bytecode. Stores the disassembler's single-pass
-  ``uint8`` mnemonic-ID arrays, per-extractor rows (hex-ngram token
-  codes), and per-model probability rows. Exposes
-  hit/miss/eviction counters (``cache.stats``); residency (entries and
-  estimated bytes per namespace) is counted from the store when read,
-  not kept up per entry.
+  of the normalized bytecode. Serving stores one probability per
+  contract and model; while a shadow rollout is attached it also stores
+  the disassembler's ``uint8`` mnemonic-ID arrays, which the candidate
+  reads back. Exposes hit/miss/eviction counters (``cache.stats``);
+  residency (entries and estimated bytes per namespace) is counted from
+  the store when read, not kept up per entry.
 * :class:`~repro.serve.service.ScanService` — one fitted model +
   ``scan_bytecodes`` / ``scan_many`` batch entry points with in-batch
   dedup and cache-served repeat queries.
@@ -30,17 +30,14 @@ Design notes
 Deployed bytecode is heavily duplicated (§III: the study corpus shrinks
 ~57% under dedup), so keying work by *content* rather than by address or
 request makes the steady-state cost of a scan one hash plus one dict
-probe, and the hash is taken once per contract, into its ``Code``. The
-same cache slots under the evaluation campaign:
-``ModelEvaluationModule(cache=...)`` decodes each unique bytecode once
-per campaign instead of once per model × fold × run, because every
-HSC model's extractor pulls ID arrays through the shared cache.
+probe, and the hash is taken once per contract, into its ``Code``.
 
 Cache knobs
 -----------
 
 * ``FeatureCache(max_entries=...)`` — LRU bound across all namespaces
-  (default 8192 entries; one entry ≈ one decoded array or one float).
+  (default 8192 entries; one entry is one probability, or one decoded
+  array while a shadow is attached).
 * ``ScanService(cache=...)`` — pass a shared cache to pool work across
   services/models; omit for a private one.
 * ``ScanService(threshold=...)`` — phishing verdict cut-off (default 0.5).

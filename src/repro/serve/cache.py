@@ -1,32 +1,28 @@
-"""Content-addressed feature cache for the scan/serve hot path.
+"""Content-addressed cache for the scan/serve hot path.
 
-Every feature pipeline in the framework starts from the same expensive
-step: disassembling deployed bytecode. A scan service sees the same
-bytecodes over and over (§III measures ~57% duplicate deployments), and an
-evaluation campaign re-reads every training bytecode once per model × fold
-× run. :class:`FeatureCache` amortizes that shared work the way incremental
-QBF solvers amortize solver state across closely-related queries: the key
-is the *content* (SHA-256 of the normalized bytecode), so hits are
-independent of address, batch, model or fold.
+PhishingHook scores a contract from its opcode histogram alone (§III),
+and deployed bytecode is heavily duplicated (~57% of the study corpus),
+so a served contract needs one cache entry: its probability, keyed by
+the *content* (SHA-256 of the normalized bytecode), so hits are
+independent of address, batch or request. The cache follows the rule of
+incremental QBF solvers: keep state only across queries that reuse it.
 
 A contract's bytecode is normalized and hashed once, where it enters the
 serving path: :class:`Code` is a ``bytes`` subclass holding the normalized
 bytes and carrying their SHA-256 as ``code.digest``.
 :meth:`~repro.serve.service.ScanService.scan_bytecodes` builds one per
-contract (a stream scanner builds it at admission), keys
-its prediction lookups by the carried digest and hands the same values to
-the model, whose decoder hook (:meth:`FeatureCache.mnemonic_ids`) keys the
-``"ids"`` namespace by that digest too. ``bytes`` input is taken as
+contract (a stream scanner builds it at admission) and keys its
+prediction lookups by the carried digest. ``bytes`` input is taken as
 already normalized everywhere below, so nothing re-normalizes or
 re-hashes a ``Code``; any detector that takes ``bytes`` takes one.
 
 Cached values per bytecode:
 
-* ``"ids"`` — the compact ``uint8`` mnemonic-ID array from the
-  disassembler's single-pass decode (:meth:`FeatureCache.mnemonic_ids`),
-* arbitrary per-extractor rows under a caller-chosen namespace
-  (:meth:`FeatureCache.get`), e.g. hex-ngram token codes or per-model
-  probability rows.
+* one probability per serving model, under its prediction namespace;
+* ``"ids"`` — the ``uint8`` mnemonic-ID array of the single-pass decode
+  (:meth:`FeatureCache.mnemonic_ids`), only for an attached model
+  (:meth:`FeatureCache.attach`). Only a shadow rollout attaches, so its
+  candidate reuses the primary's decode of the same micro-batch.
 
 The store is a bounded LRU (``max_entries`` across all namespaces) with
 hit/miss/eviction counters. Cached numpy arrays are marked read-only so
@@ -34,10 +30,10 @@ a hit can be returned without a defensive copy. The hot path keeps no
 per-entry books: a lookup is one store probe, and a put evicts only when
 the store is over its bound. Residency (``stats.resident_bytes`` and
 ``stats.resident_by_namespace``) is counted when it is read, in one pass
-over the store under the lock. On a full 8192-entry cache (half ``ids``
-arrays, half probability floats) one ``ScanService.stats()`` read costs
-3-8 ms on a 2-vCPU VM, and concurrent lookups and puts wait for it:
-read stats on demand, not per batch.
+over the store under the lock. On a full 8192-entry cache one
+``ScanService.stats()`` read costs a few milliseconds on a 2-vCPU VM,
+and concurrent lookups and puts wait for it: read stats on demand, not
+per batch.
 """
 
 from __future__ import annotations
@@ -189,7 +185,7 @@ class FeatureCache:
 
     Args:
         max_entries: LRU bound across all namespaces (each cached value —
-            an ID array, a feature row, a probability row — is one entry).
+            a probability or an ID array — is one entry).
     """
 
     def __init__(self, max_entries: int = 8192):
@@ -232,9 +228,8 @@ class FeatureCache:
         """Drop every entry of one namespace; returns how many.
 
         Hot-swapping a model must invalidate *its* prediction rows while
-        leaving shared feature namespaces (decoded mnemonic IDs, token
-        codes) untouched — this is the surgical tool
-        :meth:`ScanService.swap_model` uses.
+        leaving every other namespace untouched — this is the surgical
+        tool :meth:`ScanService.swap_model` uses.
         """
         with self._lock:
             doomed = [key for key in self._store if key[0] == namespace]
@@ -319,29 +314,19 @@ class FeatureCache:
     def mnemonic_ids(self, bytecode: bytes | bytearray | str) -> np.ndarray:
         """Cached single-pass decode to the ``uint8`` mnemonic-ID array.
 
-        Drop-in ``decoder`` for
-        :meth:`~repro.features.histogram.OpcodeHistogramExtractor.set_decoder`;
-        a :class:`Code` is looked up by the digest it carries.
+        The decoder :meth:`attach` installs; a :class:`Code` is looked up
+        by the digest it carries.
         """
         return self.get(IDS_NAMESPACE, bytecode, decode_mnemonic_ids)
 
-    def warm(self, bytecodes) -> int:
-        """Decode every bytecode once up front; returns unique-entry count."""
-        before = self.stats.misses
-        for bytecode in bytecodes:
-            self.mnemonic_ids(bytecode)
-        return self.stats.misses - before
-
     # ------------------------------------------------------------------ #
 
-    def attach(self, model) -> bool:
-        """Point a model's feature extractors at this cache, if supported.
+    def attach(self, model):
+        """Decode a model's bytecode through :meth:`mnemonic_ids`.
 
-        Any model exposing ``use_feature_cache`` (the HSC and SCSGuard
-        detectors do) gets cached decoding; returns whether it attached.
+        Any model exposing ``use_feature_cache`` (the HSC detectors do)
+        is attached. Returns a callable that puts the model's previous
+        decoder back, or ``None`` for a model without the hook.
         """
         hook = getattr(model, "use_feature_cache", None)
-        if hook is None:
-            return False
-        hook(self)
-        return True
+        return None if hook is None else hook(self)

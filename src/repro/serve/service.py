@@ -3,25 +3,27 @@
 The seed facade (`PhishingHook.classify_address`) retrained a model from
 scratch on every call — fine for a demo, fatal for a service. ``ScanService``
 holds one fitted model and answers ``scan_bytecodes`` / ``scan_many``
-against it, with four layers of work-sharing:
+against it, with three layers of work-sharing:
 
 1. **in-batch dedup** — each bytecode in a request is normalized and
    hashed once, into a :class:`~repro.serve.cache.Code`, and each
    distinct digest is classified once (the §III dedup step applied at
    serve time),
-2. **prediction cache** — per-model probability rows are content-addressed
+2. **prediction cache** — per-model probabilities are content-addressed
    in the :class:`~repro.serve.cache.FeatureCache`, so a bytecode seen in
    any earlier request costs one SHA-256 and a dict hit,
-3. **feature cache** — on a prediction miss, the model's extractors decode
-   through the same cache, so even novel bytecodes reuse decoded
-   mnemonic-ID / token-code arrays across models sharing the cache,
-4. **row dedup** — inside the model, an HSC tree ensemble scores each
+3. **row dedup** — inside the model, an HSC tree ensemble scores each
    distinct opcode-histogram row of the missed bytecodes once
    (:meth:`~repro.models.hsc.HSCDetector.predict_proba`), so EIP-1167
    clones that differ only in their delegate share one descent. The
    service takes no part in it: it sees one ``predict_proba`` call.
 
-Below all four sits the flat inference engine (:mod:`repro.ml.flat`):
+A prediction miss decodes its bytecode inside the model; the service
+caches no decode, because a repeat is answered by its prediction entry
+first. Only a shadow rollout (:mod:`repro.rollout`) shares decodes,
+between the primary and the candidate scoring the same micro-batch.
+
+Below all three sits the flat inference engine (:mod:`repro.ml.flat`):
 ensemble models are compiled to stacked node arrays at fit/attach time
 (``stats()["flat_compiled"]``), so the cold path — a genuinely novel
 batch missing every cache — is vectorized level-synchronous descent, not
@@ -35,8 +37,7 @@ traffic. The service keeps its entire serving identity in one
 ``(model, namespace)`` tuple read atomically per batch, so an in-flight
 batch always scores and caches under a *consistent* pair — a swap never
 drops or mis-scores it — and the swap invalidates only the outgoing
-model's prediction namespace in the shared :class:`FeatureCache`,
-leaving decoded-feature namespaces warm for the incoming version.
+model's prediction namespace in the shared :class:`FeatureCache`.
 
 Thread-safety: ``scan_bytecodes`` may run concurrently with
 ``swap_model`` / ``swap_from_artifact`` (the single-tuple snapshot is
@@ -46,7 +47,8 @@ best-effort under concurrency. A serving process holds one service:
 the stream scanner scores each micro-batch through it in one call, and
 a fleet worker scores each batch whole. The shadow-rollout
 subsystem (:mod:`repro.rollout`) builds directly on these semantics: a
-candidate service shares the cache, and a promotion is one atomic swap.
+candidate service shares the cache under its own prediction namespace,
+and a promotion is one atomic swap.
 """
 
 from __future__ import annotations
@@ -130,12 +132,6 @@ class ScanService:
             wrapped repeatedly; omitted, each pre-fitted service gets a
             private namespace. Ignored when the model is fitted lazily
             (the namespace then derives from the training data).
-        attach_cache: Point a pre-fitted ``model``'s feature extractors
-            at this service's cache (the default). Pass ``False`` when
-            wrapping a *borrowed* model whose existing cache wiring must
-            not be silently re-pointed; the prediction cache still works
-            either way. Lazily-fitted models (owned by the service) are
-            always attached.
     """
 
     def __init__(
@@ -149,7 +145,6 @@ class ScanService:
         seed: int = 0,
         threshold: float = 0.5,
         namespace: str | None = None,
-        attach_cache: bool = True,
     ):
         if model is None and train_dataset is None:
             raise ValueError("need either a pre-fitted model or train_dataset")
@@ -165,7 +160,6 @@ class ScanService:
         # swap_model() can never pair an old model with a new namespace
         # (or vice versa) inside a batch.
         self._serving: tuple[object, str] | None = None
-        self._attach_cache = attach_cache
         self.flat_compiled = 0
         self.swaps = 0
         self.artifact_digest: str | None = None
@@ -173,8 +167,6 @@ class ScanService:
             resolved = namespace or (
                 f"pred:{model_name}:prefit{next(_PREFIT_TOKENS)}"
             )
-            if attach_cache:
-                self.cache.attach(model)
             # Pay the (cheap) flat-array compilation now, not inside the
             # first scanned batch — cold-path scans hit the vectorized
             # inference engine immediately.
@@ -198,7 +190,6 @@ class ScanService:
         rpc=None,
         cache: FeatureCache | None = None,
         threshold: float = 0.5,
-        attach_cache: bool = True,
         expected_fingerprint: str | None = None,
         mmap_mode: str | None = None,
     ) -> "ScanService":
@@ -236,7 +227,6 @@ class ScanService:
             cache=cache,
             threshold=threshold,
             namespace=_artifact_namespace(manifest),
-            attach_cache=attach_cache,
         )
         service.artifact_digest = manifest["digest"]
         return service
@@ -262,7 +252,6 @@ class ScanService:
         from repro.core.registry import create_model
 
         model = create_model(self.model_name, seed=self.seed)
-        self.cache.attach(model)
         started = time.perf_counter()
         model.fit(self.train_dataset.bytecodes, self.train_dataset.labels)
         # Flat compilation is part of making the model servable: compile
@@ -295,9 +284,8 @@ class ScanService:
         assignment; batches already in flight finish on the snapshot they
         took — scored by the old model, cached under the old namespace —
         so nothing is dropped or mis-scored. Afterwards the *old* model's
-        prediction namespace is invalidated in the shared cache. Feature
-        namespaces (decoded IDs, token codes) survive: the new version
-        reuses them immediately.
+        prediction namespace is invalidated in the shared cache; every
+        other namespace is left as it is.
         """
         if model is None:
             raise ValueError("swap_model needs a fitted model")
@@ -305,8 +293,6 @@ class ScanService:
             f"pred:{model_name or self.model_name}:"
             f"prefit{next(_PREFIT_TOKENS)}"
         )
-        if self._attach_cache:
-            self.cache.attach(model)
         self.flat_compiled = precompile(model)
         previous = self._serving
         self._serving = (model, resolved)  # the atomic handover
@@ -350,9 +336,9 @@ class ScanService:
         (normalized and hashed here, once; a ``Code`` passes through), and
         its carried digest keys the prediction lookup. Distinct bytecodes
         not in the prediction cache are classified in a single
-        ``predict_proba`` call on their ``Code`` values, so the model's
-        cached decoder reuses the same digest; everything else is a cache
-        hit.
+        ``predict_proba`` call on their ``Code`` values (a decoder a shadow
+        rollout attached keys its decodes by the same digest); everything
+        else is a cache hit.
         """
         self.ensure_fitted()
         # One snapshot for the whole batch: a concurrent swap_model()

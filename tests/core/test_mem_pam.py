@@ -81,38 +81,6 @@ class TestMEM:
             with pytest.raises(KeyError):
                 evaluation.mean_times("SVM")
 
-    def test_campaign_with_cache_decodes_unique_bytecodes_once(
-        self, small_dataset
-    ):
-        from repro.serve.cache import FeatureCache
-
-        cache = FeatureCache()
-        mem = ModelEvaluationModule(n_folds=2, n_runs=1, seed=0, cache=cache)
-        result = mem.evaluate(
-            small_dataset,
-            ["Random Forest", "k-NN"],
-            model_factory=fast_hsc_factory,
-        )
-        assert len(result.trials) == 4
-        hits, misses = cache.stats.by_namespace["ids"]
-        unique = len(set(small_dataset.bytecodes))
-        assert misses <= unique
-        assert hits > 0
-
-    def test_cached_campaign_metrics_match_uncached(self, small_dataset):
-        from repro.serve.cache import FeatureCache
-
-        plain = ModelEvaluationModule(n_folds=2, n_runs=1, seed=0).evaluate(
-            small_dataset, ["Random Forest"], model_factory=fast_hsc_factory
-        )
-        cached = ModelEvaluationModule(
-            n_folds=2, n_runs=1, seed=0, cache=FeatureCache()
-        ).evaluate(
-            small_dataset, ["Random Forest"], model_factory=fast_hsc_factory
-        )
-        assert (plain.mean_metrics("Random Forest")
-                == cached.mean_metrics("Random Forest"))
-
     def test_single_split_evaluation(self, small_dataset):
         train, test = small_dataset.train_test_split(0.3, seed=1)
         mem = ModelEvaluationModule(n_folds=2, n_runs=1)

@@ -77,13 +77,17 @@ class TestSingleDecode:
         # transform).
         decoder, calls = self._counting_decoder()
         codes = [PROLOGUE, STOP_ONLY, PROLOGUE + STOP_ONLY]
-        OpcodeHistogramExtractor(decoder=decoder).fit_transform(codes)
+        extractor = OpcodeHistogramExtractor()
+        extractor.set_decoder(decoder)
+        extractor.fit_transform(codes)
         assert calls == codes
 
     def test_fit_then_transform_decodes_twice(self):
         decoder, calls = self._counting_decoder()
         codes = [PROLOGUE, STOP_ONLY]
-        extractor = OpcodeHistogramExtractor(decoder=decoder).fit(codes)
+        extractor = OpcodeHistogramExtractor()
+        extractor.set_decoder(decoder)
+        extractor.fit(codes)
         extractor.transform(codes)
         assert calls == codes * 2
 
@@ -93,9 +97,8 @@ class TestSingleDecode:
         codes = [PROLOGUE, STOP_ONLY, PROLOGUE * 4, bytes(range(64))]
         plain = OpcodeHistogramExtractor().fit_transform(codes)
         cache = FeatureCache()
-        cached_extractor = OpcodeHistogramExtractor(
-            decoder=cache.mnemonic_ids
-        )
+        cached_extractor = OpcodeHistogramExtractor()
+        cached_extractor.set_decoder(cache.mnemonic_ids)
         cached = cached_extractor.fit_transform(codes)
         assert np.array_equal(plain, cached)
         # And again, now that every decode is a hit.
@@ -118,10 +121,10 @@ class TestSingleDecode:
     def test_set_decoder_is_clearable(self):
         decoder, calls = self._counting_decoder()
         extractor = OpcodeHistogramExtractor()
-        extractor.set_decoder(decoder)
+        assert extractor.set_decoder(decoder) is None
         extractor.fit([PROLOGUE])
         assert len(calls) == 1
-        extractor.set_decoder(None)
+        assert extractor.set_decoder(None) is decoder
         extractor.transform([PROLOGUE])
         assert len(calls) == 1  # direct decode, counter untouched
 

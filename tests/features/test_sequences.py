@@ -97,20 +97,6 @@ class TestHexNgrams:
         }
         assert encoder.vocabulary_ == expected
 
-    def test_cache_served_codes_identical(self):
-        from repro.serve.cache import FeatureCache
-
-        rng = np.random.default_rng(2)
-        codes = [bytes(rng.integers(0, 256, size=60, dtype=np.uint8))
-                 for __ in range(5)]
-        plain = HexNgramEncoder(max_length=16).fit_transform(codes)
-        cache = FeatureCache()
-        encoder = HexNgramEncoder(max_length=16).set_cache(cache)
-        cached = encoder.fit_transform(codes)
-        assert np.array_equal(plain, cached)
-        assert np.array_equal(encoder.transform(codes), plain)
-        assert cache.stats.hits > 0
-
 
 class TestOpcodeTokenizer:
     PROLOGUE = bytes.fromhex("6080604052")

@@ -528,16 +528,14 @@ class TestMmapFleet:
             yield manager
 
     @staticmethod
-    def _worker_ids_misses(manager):
-        """Per-worker ids-namespace misses from /status."""
-        out = {}
-        for worker in manager.coordinator.workers:
-            status = http_json(
+    def _worker_misses(manager):
+        """Per-worker cache misses from /status."""
+        return {
+            worker.index: http_json(
                 "GET", f"{worker.url}/status", timeout=5.0
-            ).json()
-            ids = status["service"]["by_namespace"].get("ids", {})
-            out[worker.index] = ids.get("misses", 0)
-        return out
+            ).json()["service"]["misses"]
+            for worker in manager.coordinator.workers
+        }
 
     def test_results_match_reference_with_mmap(
             self, mmap_fleet, probe_batch, reference_results):
@@ -549,11 +547,32 @@ class TestMmapFleet:
             self, mmap_fleet, probe_batch):
         addresses, codes = probe_batch
         mmap_fleet.scan(addresses, codes)
-        before = self._worker_ids_misses(mmap_fleet)
+        before = self._worker_misses(mmap_fleet)
         mmap_fleet.scan(addresses, codes)
-        assert self._worker_ids_misses(mmap_fleet) == before, (
+        assert self._worker_misses(mmap_fleet) == before, (
             "a worker re-extracted a bytecode it had already scanned"
         )
+
+
+    def test_worker_caches_predictions_only(
+            self, mmap_fleet, store_root, probe_batch):
+        """A worker's cache holds one prediction per distinct code it
+        scored, and no decoded-opcode (``ids``) namespace."""
+        from repro.artifacts import ModelStore
+
+        digest = ModelStore.from_url(str(store_root)).resolve("production")
+        namespace = f"pred:artifact:{digest}"
+        addresses, codes = probe_batch
+        results = mmap_fleet.scan(addresses, codes)
+        scored = {result["worker"] for result in results}
+        for worker in mmap_fleet.coordinator.workers:
+            service = http_json(
+                "GET", f"{worker.url}/status", timeout=5.0
+            ).json()["service"]
+            assert "ids" not in service["by_namespace"]
+            if worker.index in scored:
+                assert set(service["by_namespace"]) == {namespace}
+                assert service["cache_entries"] == len(set(codes))
 
 
 class TestNamespaceInvalidation:
@@ -618,13 +637,17 @@ class TestNamespaceInvalidation:
 
     def test_invalidate_rpc_reaches_every_worker(
             self, store_root, probe_batch, monkeypatch):
+        from repro.artifacts import ModelStore
+
         monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
+        digest = ModelStore.from_url(str(store_root)).resolve("production")
+        namespace = f"pred:artifact:{digest}"
         addresses, codes = probe_batch
         with _manager(store_root) as manager:
             _populate_both_workers(manager, addresses, codes)
             client = FleetClient(manager.url)
-            report = client.invalidate("ids")
-            assert report["namespace"] == "ids"
+            report = client.invalidate(namespace)
+            assert report["namespace"] == namespace
             # JSON stringifies the worker indices; both must answer.
             assert set(report["workers"]) == {"0", "1"}
             assert all(count is not None and count > 0

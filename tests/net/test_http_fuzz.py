@@ -175,3 +175,73 @@ def store_server(request, tmp_path_factory):
 def test_store_survives_any_request(store_server, request):
     _check(store_server, request, b"GET / HTTP/1.1\r\n\r\n",
            _STORE_ALLOWED)
+
+
+class TestReadDeadline:
+    """Every read on a server connection has a deadline
+    (``JsonHandler.timeout``, shortened here): a stalled request is
+    answered 408 and closed, an idle keep-alive connection is closed
+    without a reply, and a session's one retry covers that close."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        from repro.net.server import JsonHandler
+
+        monkeypatch.setattr(JsonHandler, "timeout", 0.3)
+
+    @staticmethod
+    def _read_until_close(sock) -> tuple[bytes, float]:
+        """Every byte the server sends before it closes, and how long
+        the close took."""
+        started = time.monotonic()
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+        return b"".join(chunks), time.monotonic() - started
+
+    def test_stalled_head_gets_a_closing_408(self, live_servers):
+        server = live_servers["coordinator"]
+        with socket.create_connection(server.server_address,
+                                      timeout=5.0) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: x")
+            reply, waited = self._read_until_close(sock)
+        assert _statuses(reply) == [408]
+        assert b"\r\nConnection: close\r\n" in reply
+        assert waited < 4.0
+        _wait_idle(server)
+
+    def test_idle_keep_alive_connection_closes_without_reply(
+            self, live_servers):
+        server = live_servers["worker"]
+        with socket.create_connection(server.server_address,
+                                      timeout=5.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            reply, waited = self._read_until_close(sock)
+        # One answer, kept alive, then the idle close: no second reply.
+        assert _statuses(reply) == [200]
+        assert b"Connection: close" not in reply
+        assert waited < 4.0
+        _wait_idle(server)
+
+    def test_session_retries_once_on_a_server_closed_connection(
+            self, live_servers, monkeypatch):
+        from repro.net.client import HttpSession
+
+        server = live_servers["worker"]
+        host, port = server.server_address
+        session = HttpSession(f"http://{host}:{port}")
+        connect = session._connect
+        opened = []
+
+        def counting(timeout):
+            opened.append(timeout)
+            return connect(timeout)
+
+        monkeypatch.setattr(session, "_connect", counting)
+        try:
+            assert session.request("GET", "/healthz").status == 200
+            _wait_idle(server)  # the server closed the idle connection
+            assert session.request("GET", "/healthz").status == 200
+        finally:
+            session.close()
+        assert len(opened) == 2

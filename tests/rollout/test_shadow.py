@@ -102,6 +102,57 @@ class TestParityPromotion:
         assert stats["ids"]["hits"] > 0
 
 
+class TestSharedDecode:
+    """Primary and candidate share decodes only while a shadow is
+    attached."""
+
+    def test_one_decode_per_distinct_code_across_both_models(
+            self, scanner, stocked_store, rollout_dataset, monkeypatch):
+        import repro.features.histogram as histogram
+        import repro.serve.cache as cache_module
+
+        store, __, __ = stocked_store
+        ShadowRollout(
+            scanner, "candidate", store=store, policy=ManualHoldPolicy(),
+        )
+        original = histogram.decode_mnemonic_ids
+        calls = []
+
+        def spy(bytecode):
+            calls.append(bytecode)
+            return original(bytecode)
+
+        # The cache decodes through its own import of the same function.
+        monkeypatch.setattr(histogram, "decode_mnemonic_ids", spy)
+        monkeypatch.setattr(cache_module, "decode_mnemonic_ids", spy)
+        codes = rollout_dataset.bytecodes[:32]
+        feed(scanner, codes)
+        assert len(calls) == len(set(codes))
+
+    @pytest.mark.parametrize("action", ["promote", "abort"])
+    def test_no_model_keeps_the_shared_decoder(
+            self, scanner, stocked_store, rollout_dataset, action):
+        store, __, __ = stocked_store
+        primary = scanner.service.model
+        rollout = ShadowRollout(
+            scanner, "candidate", store=store, policy=ManualHoldPolicy(),
+        )
+        candidate = rollout._candidate_service.model
+        cache = scanner.service.cache
+        for model in (primary, candidate):
+            assert model.extractor_._decoder == cache.mnemonic_ids
+        feed(scanner, rollout_dataset.bytecodes[:16])
+        getattr(rollout, action)()
+        for model in (primary, candidate):
+            assert model.extractor_._decoder is None
+        # Serving on after the decision caches no decode.
+        ids_entries = sum(1 for (ns, __) in cache._store if ns == "ids")
+        feed(scanner, rollout_dataset.bytecodes[16:32], start=16)
+        assert sum(1 for (ns, __) in cache._store if ns == "ids") == (
+            ids_entries
+        )
+
+
 class TestRegressionAbort:
     def test_regressed_candidate_is_aborted(self, scanner, stocked_store,
                                             rollout_dataset,

@@ -325,11 +325,6 @@ class TestInvalidateNamespace:
 
 
 class TestWarmAndAttach:
-    def test_warm_counts_unique_bytecodes(self):
-        cache = FeatureCache()
-        assert cache.warm([b"\x00", b"\x01", b"\x00"]) == 2
-        assert cache.warm([b"\x00"]) == 0
-
     def test_attach_hsc_detector(self):
         from repro.models.hsc import HSCDetector
 
@@ -343,7 +338,21 @@ class TestWarmAndAttach:
 
     def test_attach_rejects_cache_unaware_model(self):
         cache = FeatureCache()
-        assert not cache.attach(object())
+        assert cache.attach(object()) is None
+
+    def test_attach_returns_what_puts_the_previous_decoder_back(self):
+        from repro.models.hsc import HSCDetector
+
+        cache = FeatureCache()
+        model = HSCDetector(variant="Logistic Regression")
+        model.fit([PROLOGUE, b"\x00"], [0, 1])
+        restore = cache.attach(model)
+        model.predict_proba([PROLOGUE])
+        assert cache.stats.by_namespace["ids"] == (0, 1)
+        restore()
+        model.predict_proba([PROLOGUE, b"\x00"])
+        assert cache.stats.by_namespace["ids"] == (0, 1)
+        assert model.extractor_.set_decoder(None) is None
 
     def test_attached_features_identical_to_uncached(self):
         from repro.models.hsc import HSCDetector

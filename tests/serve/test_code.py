@@ -193,6 +193,19 @@ class TestOnceEach:
         assert not any(result.from_cache for result in results)
         assert (normalize.calls, digest.calls, decode.calls) == (16, 16, 16)
 
+    def test_cold_batch_leaves_one_prediction_per_code(
+        self, cold_service, serve_dataset
+    ):
+        # Fitting caches nothing, and serving caches predictions only.
+        assert "ids" not in cold_service.cache.stats.by_namespace
+        codes = novel_codes(serve_dataset, tag=4)
+        service = ScanService(
+            "Random Forest", model=cold_service.model, namespace="pred:cold"
+        )
+        service.scan_bytecodes(codes + codes[:5])
+        assert len(service.cache) == len(set(codes)) == 16
+        assert {ns for (ns, __) in service.cache._store} == {"pred:cold"}
+
     def test_scores_match_direct_predict(self, cold_service, serve_dataset):
         codes = novel_codes(serve_dataset, tag=3)
         results = cold_service.scan_bytecodes(codes)

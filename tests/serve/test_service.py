@@ -159,5 +159,6 @@ class TestStats:
         stats = service.stats()
         assert stats["model"] == "Random Forest"
         assert stats["scanned"] >= len(addresses)
-        assert set(stats["by_namespace"]) >= {"ids"}
+        # Serving caches predictions only: no decoded-opcode namespace.
+        assert set(stats["by_namespace"]) == {service._serving[1]}
         assert 0.0 <= stats["hit_rate"] <= 1.0

@@ -97,15 +97,13 @@ class TestSwapModel:
                               namespace="pred:A")
         codes = serve_dataset.bytecodes[:6]
         service.scan_bytecodes(codes)
-        ids_before = sum(
-            1 for (ns, __) in cache._store if ns == "ids"
-        )
-        assert ids_before > 0  # decoded features cached
+        other = FeatureCache().mnemonic_ids(codes[0])
+        cache.put("other", b"k", other)
         assert any(ns == "pred:A" for (ns, __) in cache._store)
         service.swap_model(b, namespace="pred:B")
         assert not any(ns == "pred:A" for (ns, __) in cache._store)
-        # Shared feature namespaces survive the swap (stay warm).
-        assert sum(1 for (ns, __) in cache._store if ns == "ids") == ids_before
+        # Every other namespace survives the swap.
+        assert cache.lookup("other", b"k") == (True, other)
 
     def test_swap_under_concurrent_traffic(self, versions, serve_dataset):
         """Overlapping swaps, zero dropped, zero mis-scored batches."""

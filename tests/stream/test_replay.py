@@ -165,10 +165,8 @@ class TestPollStreamParity:
                 self.attached.append(cache)
 
         model = Recording()
-        detector = LiveDetector(stream_corpus.chain, model, threshold=0.5)
+        LiveDetector(stream_corpus.chain, model, threshold=0.5)
         assert model.attached == []
-        # The scanner's service keeps the hands-off behavior.
-        assert detector.scanner.service._attach_cache is False
 
     def test_alert_block_numbers_use_creation_index(
         self, fitted_service, stream_corpus

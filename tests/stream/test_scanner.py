@@ -228,46 +228,128 @@ class TestShardingAndParity:
     def test_d003_fires_exactly_where_the_hit_rate_falls(
             self, fitted_service, stream_corpus):
         """check-config's D003 sizes a flush cycle's working set as
-        ``batch_size``. Replaying 16 repeating contracts in flushes of 16,
-        a cache of 16 entries hits every lookup once warm, and one of 15
-        (where D003 fires) misses half of them."""
-        from repro.deploy import check_config, parse_config
-        from repro.serve.cache import FeatureCache
-        from repro.serve.service import ScanService
-        from tests.deploy.conftest import base_config
-
+        ``batch_size``. Replaying 16 repeating contracts in flushes of
+        16, a cache of ``cache_entries`` entries hits
+        ``cache_entries / 16`` of the lookups once warm: 0.5 at 8, 0.9375
+        at 15 (where D003 fires) and 1.0 at 16. The rule's message states
+        that fraction."""
         batch_size = 16
-        codes = list(dict.fromkeys(
-            r.bytecode for r in stream_corpus.records if r.bytecode
-        ))[:batch_size]
-        for entries in (batch_size - 1, batch_size):
-            service = ScanService(fitted_service.model_name,
-                                  model=fitted_service.model,
-                                  cache=FeatureCache(entries))
+        codes = _distinct_codes(stream_corpus, batch_size)
+        for entries in (8, batch_size - 1, batch_size):
+            service = _witness_service(fitted_service, entries)
             scanner = StreamScanner(service, max_batch=batch_size,
                                     max_queue=256)
-            namespace = service._serving[1]
-            for sequence in range(batch_size * 20):
-                if sequence == batch_size * 10:
-                    warm = service.cache.stats.by_namespace[namespace]
-                scanner.on_event(
-                    make_event(sequence, codes[sequence % batch_size]))
-            scanner.flush()
-            hits, misses = (
-                now - then for now, then in zip(
-                    service.cache.stats.by_namespace[namespace], warm)
-            )
-            hit_rate = hits / (hits + misses)
-            report = check_config(parse_config(base_config(
-                serve={"cache_entries": entries},
-                stream={"batch_size": batch_size},
-            )))
-            fired = "D003" in {v.rule_id for v in report.violations}
-            assert fired == (entries < batch_size)
-            if fired:
-                assert hit_rate <= 0.5, (entries, hit_rate)
+            hit_rate = _steady_hit_rate(scanner, codes)
+            assert hit_rate == entries / batch_size, (entries, hit_rate)
+            # Serving without a shadow caches predictions only.
+            assert set(service.cache.stats.by_namespace) == {
+                service._serving[1]}
+            violations = _cache_rules(entries, batch_size)
+            assert ("D003" in violations) == (entries < batch_size)
+            if entries < batch_size:
+                assert f"= {entries}/{batch_size} ({hit_rate:.0%})" in (
+                    violations["D003"].message)
+
+    @pytest.mark.parametrize("section", ["rollout", "loop"])
+    def test_d003_d004_size_a_shadowed_flush(
+            self, fitted_service, stream_corpus, stream_dataset, tmp_path,
+            section):
+        """A shadow scoring the same micro-batches adds the candidate's
+        predictions and the decodes both models share. At a batch of 16
+        the primary's steady-state hit rate reads 0.0 at 32 entries,
+        0.5 at 33 and 35 and 1.0 from 36 = 2 x 16 + ceil(16 / 4): with
+        ``[rollout]`` or ``[loop]`` set, D003 fires exactly below 36 and
+        D004 warns from there to 2 x 36."""
+        from repro.artifacts import ModelStore
+        from repro.core.registry import create_model
+        from repro.loop import LoopOrchestrator
+        from repro.rollout import ManualHoldPolicy, ShadowRollout
+
+        candidate = create_model("Random Forest", seed=1).fit(
+            stream_dataset.bytecodes, stream_dataset.labels)
+        store = ModelStore(tmp_path / "store")
+        store.put(candidate, model_name="Random Forest",
+                  tags=("candidate",))
+        batch_size = 16
+        codes = _distinct_codes(stream_corpus, batch_size)
+        measured = {}
+        for entries in (32, 33, 35, 36):
+            service = _witness_service(fitted_service, entries)
+            scanner = StreamScanner(service, max_batch=batch_size,
+                                    max_queue=256)
+            if section == "rollout":
+                shadow = ShadowRollout(scanner, "candidate", store=store,
+                                       policy=ManualHoldPolicy())
             else:
-                assert hit_rate == 1.0, (entries, hit_rate)
+                loop = LoopOrchestrator(
+                    scanner, store, label_of=lambda address: None,
+                    policy=ManualHoldPolicy(), retrain_mode="inline")
+                loop._start_shadow("candidate")  # its shadow phase
+                shadow = loop.rollout
+            measured[entries] = _steady_hit_rate(scanner, codes)
+            assert shadow.state == "shadowing"
+            assert shadow.comparison.events == 20 * batch_size
+            shadow.detach()
+            violations = _cache_rules(entries, batch_size,
+                                      **_SHADOW_SECTIONS[section])
+            assert ("D003" in violations) == (measured[entries] < 1.0)
+            assert ("D004" in violations) == (measured[entries] == 1.0)
+        assert measured == {32: 0.0, 33: 0.5, 35: 0.5, 36: 1.0}
+        # Without a shadow the same 32 entries hold two flushes.
+        assert not {"D003", "D004"} & set(_cache_rules(32, batch_size))
+
+
+#: Override sections that put a shadow on the scanner.
+_SHADOW_SECTIONS = {
+    "rollout": {"rollout": {"candidate": "candidate",
+                            "production": "production"}},
+    "loop": {"loop": {}},
+}
+
+
+def _distinct_codes(corpus, count):
+    codes = list(dict.fromkeys(
+        r.bytecode for r in corpus.records if r.bytecode))[:count]
+    assert len(codes) == count
+    return codes
+
+
+def _witness_service(fitted_service, entries):
+    from repro.serve.cache import FeatureCache
+    from repro.serve.service import ScanService
+
+    return ScanService(fitted_service.model_name,
+                       model=fitted_service.model,
+                       cache=FeatureCache(entries))
+
+
+def _steady_hit_rate(scanner, codes, flushes=20):
+    """The primary's prediction hit rate over the last half of
+    ``flushes`` flushes, each of every code in ``codes`` once."""
+    service = scanner.service
+    namespace = service._serving[1]
+    batch_size = len(codes)
+    for sequence in range(batch_size * flushes):
+        if sequence == batch_size * flushes // 2:
+            warm = service.cache.stats.by_namespace[namespace]
+        scanner.on_event(make_event(sequence, codes[sequence % batch_size]))
+    scanner.flush()
+    hits, misses = (now - then for now, then in zip(
+        service.cache.stats.by_namespace[namespace], warm))
+    return hits / (hits + misses)
+
+
+def _cache_rules(entries, batch_size, **sections):
+    """D003/D004 violations, by rule id, for one cache size."""
+    from repro.deploy import check_config, parse_config
+    from tests.deploy.conftest import base_config
+
+    report = check_config(parse_config(base_config(
+        serve={"cache_entries": entries},
+        stream={"batch_size": batch_size}, **sections,
+    )))
+    return {v.rule_id: v for v in report.violations
+            if v.rule_id in ("D003", "D004")}
 
 
 class TestBenchmarkSurface:
