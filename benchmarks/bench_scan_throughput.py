@@ -3,8 +3,9 @@
 Not a paper artifact — this is the ROADMAP's "serve heavy traffic" check.
 Three ways to answer the same batch of scan queries:
 
-* **seed loop** — `classify_address(reuse_model=False)`: retrain the model
-  for every address, exactly what the seed facade did,
+* **seed loop** — the seed per-address facade, inlined: fetch one
+  address's code over RPC, retrain the model from scratch and score that
+  one contract, for every address,
 * **cold service** — one `ScanService` fit + `scan_many` over a batch the
   cache has never seen,
 * **warm service** — the same batch again, served from the
@@ -23,6 +24,8 @@ import numpy as np
 
 from benchmarks.conftest import SEED, run_once
 from repro.core.pipeline import PhishingHook, PipelineConfig
+from repro.core.registry import create_model
+from repro.serve.service import ScanService
 
 #: Addresses in the scan batch (duplicates included — deployed bytecode is
 #: heavily duplicated in the wild, §III).
@@ -36,6 +39,15 @@ SEED_LOOP_SIZE = 6
 def _scan_addresses(corpus, count):
     records = corpus.records
     return [records[i % len(records)].address for i in range(count)]
+
+
+def seed_classify(rpc, address, train, model_name="Random Forest"):
+    """The seed per-address scan, reproduced: a fresh fit for every
+    address, then one single-row ``predict_proba``."""
+    model = create_model(model_name, seed=SEED)
+    model.fit(train.bytecodes, train.labels)
+    probability = float(model.predict_proba([rpc.get_code(address)])[0, 1])
+    return probability >= 0.5, probability
 
 
 def test_scan_throughput(benchmark, corpus):
@@ -52,10 +64,7 @@ def test_scan_throughput(benchmark, corpus):
         loop_addresses = addresses[:SEED_LOOP_SIZE]
         started = time.perf_counter()
         loop_verdicts = [
-            hook.classify_address(
-                a, "Random Forest", train_dataset=train, reuse_model=False
-            )
-            for a in loop_addresses
+            seed_classify(hook.bem.rpc, a, train) for a in loop_addresses
         ]
         loop_seconds = time.perf_counter() - started
         summary["seed_loop"] = {
@@ -65,7 +74,10 @@ def test_scan_throughput(benchmark, corpus):
         }
 
         # Batched service, cold cache (fit timed separately).
-        service = hook.scan_service("Random Forest", train_dataset=train)
+        service = ScanService(
+            "Random Forest", train_dataset=train, rpc=hook.bem.rpc,
+            seed=SEED,
+        ).ensure_fitted()
         started = time.perf_counter()
         cold = service.scan_many(addresses)
         cold_seconds = time.perf_counter() - started
@@ -92,8 +104,8 @@ def test_scan_throughput(benchmark, corpus):
     # Cached and uncached predictions are bit-identical.
     assert [r.probability for r in cold] == [r.probability for r in warm]
     assert all(r.from_cache for r in warm)
-    # The service answers match the per-address facade exactly (same seed,
-    # same training set, same model class).
+    # The service answers match the seed per-address loop exactly (same
+    # seed, same training set, same model class).
     for (verdict, probability), result in zip(loop_verdicts, cold):
         assert probability == result.probability
         assert verdict == result.is_phishing

@@ -5,7 +5,7 @@ head" check for the `repro.stream` subsystem. The same historical
 campaign (every deployment on the corpus chain, clones included) is
 scored three ways:
 
-* **seed poll loop** — the seed `LiveDetector.poll` behavior, inlined:
+* **seed poll loop** — the seed live monitor's `poll` behavior, inlined:
   walk all accounts, score each with a per-contract `predict_proba`
   call, and (as the seed did) find each alert's creation transaction by
   scanning the transaction list,
@@ -35,7 +35,7 @@ MAX_BATCH = 32
 
 
 def seed_poll_loop(chain, model, threshold=THRESHOLD):
-    """The seed `LiveDetector.poll`, reproduced: per-contract scoring and
+    """The seed live monitor's `poll`, reproduced: per-contract scoring and
     an O(transactions) linear scan to locate each alert's transaction."""
     alerts = []
     latencies = []

@@ -2,13 +2,15 @@
 
 Builds a small simulated Ethereum data plane, runs PhishingHook's
 extraction pipeline over it, trains the paper's best model (Random Forest
-on opcode histograms) and classifies two fresh addresses.
+on opcode histograms) in a ``ScanService`` and classifies two addresses
+in one batched scan.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.core.pipeline import PhishingHook, PipelineConfig
 from repro.datagen.corpus import CorpusConfig, build_corpus
+from repro.serve import ScanService
 
 
 def main() -> None:
@@ -24,15 +26,16 @@ def main() -> None:
           f"→ dataset of {len(dataset)} unique contracts "
           f"(benign, phishing = {dataset.class_counts})")
 
-    # Scan one known-phishing and one known-benign address.
-    phishing_address = corpus.phishing_records()[0].address
-    benign_address = corpus.benign_records()[0].address
-    for address in (phishing_address, benign_address):
-        flagged, probability = hook.classify_address(
-            address, "Random Forest", train_dataset=dataset
-        )
-        verdict = "PHISHING" if flagged else "benign"
-        print(f"{address} → {verdict:8s} (p = {probability:.3f})")
+    # Fit once, then scan one known-phishing and one known-benign
+    # address, pulling their bytecode over the same JSON-RPC client.
+    service = ScanService("Random Forest", train_dataset=dataset,
+                          rpc=hook.bem.rpc)
+    addresses = [corpus.phishing_records()[0].address,
+                 corpus.benign_records()[0].address]
+    for result in service.scan_many(addresses):
+        verdict = "PHISHING" if result.is_phishing else "benign"
+        print(f"{result.address} → {verdict:8s} "
+              f"(p = {result.probability:.3f})")
 
 
 if __name__ == "__main__":

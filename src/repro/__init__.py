@@ -20,12 +20,11 @@ Entry points:
   :mod:`repro.serve` for the design notes and cache knobs),
 * :mod:`repro.stream` — event-driven streaming detection (event bus,
   micro-batching scanner, alert sinks, timeline replay) with artifact
-  cold starts and live version ``rollout``, plus
-  the poll-compatible :class:`repro.core.live.LiveDetector` adapter,
-* ``phishinghook`` (CLI) — demo / train / models / scan (incl.
-  ``--batch``) / monitor / disasm / dataset / attack / calibrate
-  commands; ``scan``/``monitor`` serve persisted artifacts via
-  ``--model-tag``/``--model-path``.
+  cold starts and live version ``rollout``; a scanner subscribed to
+  ``EventBus.attach(chain)`` scores deployments as they land,
+* ``phishinghook`` (CLI) — demo / train / models / scan / monitor /
+  disasm / dataset / attack / calibrate commands; ``scan``/``monitor``
+  serve persisted artifacts via ``--model-tag``/``--model-path``.
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for results.
 """

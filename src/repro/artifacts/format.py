@@ -432,10 +432,11 @@ def _mapped_arrays(archive, path: pathlib.Path, declared) -> dict[int, np.ndarra
     Per-array SHA-256 checks are deliberately skipped here — hashing
     would page every byte in and erase the zero-copy win. Mapped loads
     are meant for files whose integrity was established when they were
-    written: store spools are ETag-verified on fetch and
+    written: store spools are ETag-verified on fetch,
     :func:`repack_artifact` re-verifies every array while deriving a
-    stored-layout copy. The default (non-mmap) load path keeps full
-    verification.
+    stored-layout copy, and a fleet runs :func:`verify_artifact` on a
+    ``model_path`` before its workers map it. The default (non-mmap)
+    load path keeps full verification.
     """
     arrays: dict[int, np.ndarray] = {}
     members = {info.filename: info for info in archive.zip.infolist()}
@@ -474,6 +475,24 @@ def is_stored_layout(path: str | pathlib.Path) -> bool:
         return False
 
 
+def verify_artifact(path: str | pathlib.Path) -> None:
+    """Check every payload array against its manifest SHA-256.
+
+    The per-array pass a copying :func:`load_artifact` runs, without
+    building the model. A mapped load skips it, so whoever derives or
+    hands out a file to be mapped runs it once first:
+    :func:`repack_artifact` on its source, and a fleet on a ``model_path``
+    its workers will map.
+    """
+    path = pathlib.Path(path)
+    with _open_archive(path) as archive:
+        manifest = _parse_manifest(archive, path)
+        declared = manifest.get("arrays")
+        if not isinstance(declared, dict):
+            raise CorruptArtifactError(f"{path}: manifest lacks array table")
+        _verified_arrays(archive, path, declared)
+
+
 def repack_artifact(
     source: str | pathlib.Path,
     dest: str | pathlib.Path,
@@ -499,14 +518,7 @@ def repack_artifact(
         )
     source = pathlib.Path(source)
     dest = pathlib.Path(dest)
-    with _open_archive(source) as archive:
-        manifest = _parse_manifest(archive, source)
-        declared = manifest.get("arrays")
-        if not isinstance(declared, dict):
-            raise CorruptArtifactError(
-                f"{source}: manifest lacks array table"
-            )
-        _verified_arrays(archive, source, declared)
+    verify_artifact(source)
     dest.parent.mkdir(parents=True, exist_ok=True)
     method = _ZIP_METHODS[compression]
     handle, temp_name = tempfile.mkstemp(

@@ -7,11 +7,12 @@ Commands:
 * ``train`` — fit one registry model offline and persist it as a
   versioned artifact (file or :class:`~repro.artifacts.ModelStore`);
   the offline half of "train once, serve anywhere",
-* ``scan`` — classify contract addresses on a fresh simulated chain,
-  serving from a persisted artifact (``--model-path`` / ``--model-tag``);
-  ``--train-on-the-fly`` is the explicit fallback that refits in-process.
-  With ``--batch`` the addresses go through the deduped, feature-cached
-  ``ScanService`` (see :mod:`repro.serve`),
+* ``scan`` — classify contract addresses on a fresh simulated chain in
+  one batched ``ScanService.scan_many`` call (deduped, prediction-cached;
+  see :mod:`repro.serve`), serving from a persisted artifact
+  (``--model-path`` / ``--model-tag``) through the same checked config
+  ``monitor`` launches from; ``--train-on-the-fly`` is the explicit
+  fallback that refits in-process,
 * ``models`` — inspect and manage the artifact store
   (``list``/``export``/``import``/``tag``/``gc``),
 * ``rollout`` — shadow-validate a ``candidate`` artifact against
@@ -101,6 +102,7 @@ _SOURCE_FLAGS = (
     ("--seed", "source.seed"),
 )
 _TOPOLOGY_FLAGS = {
+    "scan": _SOURCE_FLAGS,
     "monitor": (
         *_SOURCE_FLAGS,
         ("--threshold", "serve.threshold"),
@@ -172,17 +174,17 @@ def _add_knob_flags(parser, flags) -> None:
 
 
 def _flag_config(args) -> dict:
-    """The deployment mapping a ``monitor``/``rollout start`` command
-    line spells, for :func:`repro.deploy.parse_config`."""
-    if args.topology == "monitor":
+    """The deployment mapping a ``scan``/``monitor``/``rollout start``
+    command line spells, for :func:`repro.deploy.parse_config`."""
+    if args.topology == "rollout start":
+        model = {"tag": args.production}
+    else:
         # --train-on-the-fly serves a model fitted in-process; its
         # registry name stands in for the store tag it never resolves.
         model = {
             "tag": args.model_tag or ("" if args.model_path else args.model),
             "path": args.model_path,
         }
-    else:
-        model = {"tag": args.production}
     sinks = [{"kind": "memory"}]
     if getattr(args, "jsonl", ""):
         sinks.append({"kind": "jsonl", "path": args.jsonl})
@@ -242,6 +244,43 @@ def _launchable_config(source, section: str = ""):
     return config, 0
 
 
+def _launch_service(args):
+    """``(config, corpus, service)`` for a ``scan`` or ``monitor``
+    command line, or ``None`` once the refusal is printed.
+
+    ``--config`` or the topology flags build one ``DeployConfig``,
+    verified before launch (ERROR violations refuse to start — see
+    'phishinghook check-config'); with ``--config`` the flags are
+    ignored. The service cold-starts from the configured artifact, or
+    with ``--train-on-the-fly`` fits ``--model`` on the config's corpus.
+    """
+    from repro.deploy import build_replay_corpus, build_service
+
+    config_path = getattr(args, "config", "")
+    trained = not (config_path or args.model_tag or args.model_path)
+    if trained and not args.train_on_the_fly:
+        print(_NO_MODEL_HINT.format(model=args.model,
+                                    contracts=args.contracts,
+                                    seed=args.seed), file=sys.stderr)
+        return None
+    config, __ = _launchable_config(config_path or _flag_config(args))
+    if config is None:
+        return None
+    corpus = build_replay_corpus(config)
+    if trained:
+        from repro.datagen.dataset import Dataset
+        from repro.serve.service import ScanService
+
+        seed = config.source.seed
+        service = ScanService(
+            args.model, train_dataset=Dataset.from_corpus(corpus, seed=seed),
+            seed=seed, threshold=config.serve.threshold,
+        )
+    else:
+        service = build_service(config)
+    return config, corpus, service
+
+
 def _corpus(args):
     """The synthetic corpus ``--contracts``/``--seed`` describe."""
     return build_corpus(
@@ -286,15 +325,6 @@ def _store_from(args):
     # from_url accepts bare paths and file:// / memory:// / bucket://
     # URLs alike, and falls back to $PHOOK_MODEL_STORE / ./phook-models.
     return ModelStore.from_url(args.store or None)
-
-
-def _artifact_source(args):
-    """(source, store) for --model-path/--model-tag, or (None, None)."""
-    if args.model_path:
-        return args.model_path, None
-    if args.model_tag:
-        return args.model_tag, _store_from(args)
-    return None, None
 
 
 _NO_MODEL_HINT = (
@@ -573,84 +603,39 @@ def _cmd_check_config(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from repro.serve.service import ScanService
+    from repro.chain.rpc import JsonRpcClient, JsonRpcServer
 
-    corpus = _corpus(args)
+    launched = _launch_service(args)
+    if launched is None:
+        return 2
+    __, corpus, service = launched
     addresses = _resolve_addresses(corpus, args.addresses)
     if addresses is None:
         return 2
-    hook = PhishingHook(corpus, PipelineConfig(run_post_hoc=False))
-
-    source, store = _artifact_source(args)
-    model = None
-    model_label = args.model
-    if source is not None:
-        service = ScanService.from_artifact(
-            source, store=store, rpc=hook.bem.rpc, cache=hook.feature_cache
-        )
-        model = service.model
-        model_label = service.model_name
-    elif not args.train_on_the_fly:
-        print(_NO_MODEL_HINT.format(model=args.model,
-                                    contracts=args.contracts,
-                                    seed=args.seed), file=sys.stderr)
-        return 2
-    if args.batch:
-        if source is None:
-            service = hook.scan_service(args.model)
-        results = service.scan_many(addresses)
-        for result in results:
-            verdict = "PHISHING" if result.is_phishing else "benign"
-            via = "cache" if result.from_cache else "model"
-            print(f"{result.address}: {verdict} "
-                  f"(p={result.probability:.3f}, model={model_label}, "
-                  f"via={via})")
-        stats = service.stats()
-        served = sum(r.from_cache for r in results)
-        print(f"batch of {len(results)}: {served} served from cache; "
-              f"overall cache hit rate {stats['hit_rate']:.2f} "
-              f"({stats['hits']} hits / {stats['misses']} misses)")
-        return 0
-    for address in addresses:
-        flagged, probability = hook.classify_address(
-            address, args.model, model=model
-        )
-        verdict = "PHISHING" if flagged else "benign"
-        print(f"{address}: {verdict} "
-              f"(p={probability:.3f}, model={model_label})")
+    service.rpc = JsonRpcClient(JsonRpcServer(corpus.chain))
+    results = service.scan_many(addresses)
+    for result in results:
+        verdict = "PHISHING" if result.is_phishing else "benign"
+        via = "cache" if result.from_cache else "model"
+        print(f"{result.address}: {verdict} "
+              f"(p={result.probability:.3f}, model={service.model_name}, "
+              f"via={via})")
+    stats = service.stats()
+    served = sum(r.from_cache for r in results)
+    print(f"batch of {len(results)}: {served} served from cache; "
+          f"overall cache hit rate {stats['hit_rate']:.2f} "
+          f"({stats['hits']} hits / {stats['misses']} misses)")
     return 0
 
 
 def _cmd_monitor(args) -> int:
-    from repro.deploy import build_replay_corpus, build_scanner, build_service
+    from repro.deploy import build_scanner
     from repro.stream import TimelineReplayer
 
-    trained = not (args.config or args.model_tag or args.model_path)
-    if trained and not args.train_on_the_fly:
-        print(_NO_MODEL_HINT.format(model=args.model,
-                                    contracts=args.contracts,
-                                    seed=args.seed), file=sys.stderr)
+    launched = _launch_service(args)
+    if launched is None:
         return 2
-    # --config and the topology flags build the same DeployConfig,
-    # verified before launch (ERROR violations refuse to start — see
-    # 'phishinghook check-config'); with --config the flags are ignored.
-    config, code = _launchable_config(args.config or _flag_config(args))
-    if config is None:
-        return code
-    corpus = build_replay_corpus(config)
-    if trained:
-        from repro.datagen.dataset import Dataset
-        from repro.serve.service import ScanService
-
-        seed = config.source.seed
-        service = ScanService(
-            args.model, train_dataset=Dataset.from_corpus(corpus, seed=seed),
-            seed=seed, threshold=config.serve.threshold,
-        )
-    else:
-        # The production shape: one service cold-starts from one
-        # persisted artifact — no training inside the monitor.
-        service = build_service(config)
+    config, corpus, service = launched
     scanner = build_scanner(config, service)
     replayer = TimelineReplayer(scanner, rate=config.source.rate or None)
     report = replayer.replay_chain(corpus.chain)
@@ -1292,15 +1277,10 @@ def build_parser() -> argparse.ArgumentParser:
         "addresses", nargs="+", metavar="address",
         help="0x… addresses, or 'random-phishing' (repeatable)",
     )
-    scan.add_argument(
-        "--batch", action="store_true",
-        help="scan all addresses through the batched ScanService "
-             "(deduped, feature-cached) and print cache statistics",
-    )
     scan.add_argument("--model", default="Random Forest")
-    _add_knob_flags(scan, _SOURCE_FLAGS)
+    _add_knob_flags(scan, _TOPOLOGY_FLAGS["scan"])
     add_artifact_options(scan)
-    scan.set_defaults(func=_cmd_scan)
+    scan.set_defaults(func=_cmd_scan, topology="scan")
 
     monitor = sub.add_parser(
         "monitor",

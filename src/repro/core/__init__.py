@@ -17,7 +17,6 @@
 
 from repro.core.bdm import BytecodeDisassemblerModule
 from repro.core.bem import BytecodeExtractionModule
-from repro.core.live import Alert, LiveDetector
 from repro.core.mem import EvaluationResult, ModelEvaluationModule, TrialRecord
 from repro.core.pam import PostHocAnalysisModule
 from repro.core.pipeline import PhishingHook, PipelineConfig
@@ -25,8 +24,6 @@ from repro.core.registry import MODEL_CATEGORIES, MODEL_NAMES, create_model
 from repro.core.tuning import GridSearch, RandomSearch, SearchSpace
 
 __all__ = [
-    "Alert",
-    "LiveDetector",
     "BytecodeDisassemblerModule",
     "BytecodeExtractionModule",
     "EvaluationResult",

@@ -8,12 +8,12 @@ workflow and the entry point the examples use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chain.bigquery import BigQueryClient
-from repro.chain.rpc import JsonRpcClient, JsonRpcServer, NoCodeError
+from repro.chain.rpc import JsonRpcClient, JsonRpcServer
 from repro.core.bdm import BytecodeDisassemblerModule
 from repro.core.bem import BytecodeExtractionModule, ExtractedContract
 from repro.core.mem import EvaluationResult, ModelEvaluationModule
@@ -21,7 +21,6 @@ from repro.core.pam import PostHocAnalysisModule, PostHocReport
 from repro.core.registry import MODEL_NAMES, create_model
 from repro.datagen.corpus import Corpus
 from repro.datagen.dataset import Dataset
-from repro.serve.cache import FeatureCache
 
 __all__ = ["PipelineConfig", "PhishingHook"]
 
@@ -36,7 +35,6 @@ class PipelineConfig:
     seed: int = 0
     balance_classes: bool = True
     run_post_hoc: bool = True
-    cache_max_entries: int = 8192  # feature-cache LRU bound
 
 
 @dataclass
@@ -67,17 +65,12 @@ class PhishingHook:
             rpc=JsonRpcClient(JsonRpcServer(corpus.chain)),
         )
         self.bdm = BytecodeDisassemblerModule()
-        self.feature_cache = FeatureCache(
-            max_entries=self.config.cache_max_entries
-        )
         self.mem = ModelEvaluationModule(
             n_folds=self.config.n_folds,
             n_runs=self.config.n_runs,
             seed=self.config.seed,
         )
         self.pam = PostHocAnalysisModule()
-        self._fitted_models: dict[tuple[str, str], object] = {}
-        self._default_dataset: Dataset | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -128,86 +121,4 @@ class PhishingHook:
             dataset=dataset,
             evaluation=evaluation,
             post_hoc=post_hoc,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _resolve_train_dataset(self, train_dataset: Dataset | None) -> Dataset:
-        if train_dataset is not None:
-            return train_dataset
-        if self._default_dataset is None:
-            self._default_dataset = self.build_dataset(self.gather())
-        return self._default_dataset
-
-    def fitted_model(
-        self,
-        model_name: str = "Random Forest",
-        train_dataset: Dataset | None = None,
-        reuse: bool = True,
-    ):
-        """A model fitted on ``train_dataset`` (default: the full corpus).
-
-        Fitted models are cached by (model name, dataset fingerprint), so
-        repeated scans share one training run; ``reuse=False`` forces a
-        fresh train (and does not populate the cache).
-        """
-        train_dataset = self._resolve_train_dataset(train_dataset)
-        key = (model_name, train_dataset.fingerprint())
-        if reuse and key in self._fitted_models:
-            return self._fitted_models[key]
-        model = create_model(model_name, seed=self.config.seed)
-        model.fit(train_dataset.bytecodes, train_dataset.labels)
-        if reuse:
-            self._fitted_models[key] = model
-        return model
-
-    def classify_address(self, address: str, model_name: str = "Random Forest",
-                         train_dataset: Dataset | None = None,
-                         model=None, reuse_model: bool = True):
-        """Classify a single deployed contract with a fitted model.
-
-        Returns ``(is_phishing, probability)`` — the "scan one contract
-        before interacting with it" usage the paper motivates. The fitted
-        model is cached by (model name, dataset fingerprint) and reused on
-        repeated calls (the seed version retrained from scratch every
-        time); pass a pre-fitted ``model`` to skip training entirely, or
-        ``reuse_model=False`` to force the old retrain-per-call behavior.
-
-        Raises:
-            NoCodeError: If the address has no deployed code.
-        """
-        if model is None:
-            model = self.fitted_model(
-                model_name, train_dataset, reuse=reuse_model
-            )
-        code = self.bem.rpc.get_code(address)
-        if not code:
-            raise NoCodeError(address)
-        probability = float(model.predict_proba([code])[0, 1])
-        return probability >= 0.5, probability
-
-    def scan_service(
-        self,
-        model_name: str = "Random Forest",
-        train_dataset: Dataset | None = None,
-    ):
-        """A batched :class:`~repro.serve.service.ScanService` on this hook.
-
-        Shares the hook's feature cache and fitted-model cache, and scans
-        through the hook's RPC client.
-        """
-        from repro.serve.service import ScanService
-
-        train_dataset = self._resolve_train_dataset(train_dataset)
-        return ScanService(
-            model_name,
-            model=self.fitted_model(model_name, train_dataset),
-            rpc=self.bem.rpc,
-            cache=self.feature_cache,
-            seed=self.config.seed,
-            # Stable namespace: services wrapping the same (model, data)
-            # share prediction-cache hits across scan_service() calls.
-            namespace=ScanService.prediction_namespace(
-                model_name, self.config.seed, train_dataset.fingerprint()
-            ),
         )

@@ -193,10 +193,18 @@ class FleetManager:
 
         Any failure after the first fork (a worker that never gets
         ready, a port already in use) runs :meth:`stop`, so every
-        spawned worker is gone before the error propagates.
+        spawned worker is gone before the error propagates. A
+        ``model_path`` that workers will map is verified here first
+        (:func:`~repro.artifacts.format.verify_artifact`): a mapped load
+        skips the per-array hashes, and nothing else has checked that
+        file.
         """
         from repro.net.coordinator import WorkerHandle
 
+        if self.mmap and self.model_path:
+            from repro.artifacts.format import verify_artifact
+
+            verify_artifact(self.model_path)
         context = multiprocessing.get_context()
         try:
             pending = []

@@ -26,6 +26,9 @@ a handler, met here once:
   :attr:`JsonHandler.timeout` seconds: a stalled request gets a closing
   408, and an idle keep-alive connection closes without a reply (an
   :class:`~repro.net.client.HttpSession` retries once, fresh).
+* **Open connections are bounded.** Each open connection holds a
+  handler thread; past :attr:`KeepAliveServer.max_connections` a new
+  connection is answered with a closing 503 and gets no thread.
 
 A malformed head is answered 400, an over-long request line 414, an
 over-long header line or more than 100 headers 431, an unknown method
@@ -167,19 +170,26 @@ class JsonHandler(socketserver.StreamRequestHandler):
                   "Content-Length": str(len(body)), **(headers or {})}
         if self.close_connection:
             fields["Connection"] = "close"
-        head = "".join([f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n",
-                        *(f"{name}: {value}\r\n"
-                          for name, value in fields.items()), "\r\n"])
-        self.connection.sendall(
-            head.encode("latin-1")
-            + (b"" if self.command == "HEAD" else body))
+        self.connection.sendall(_head(status, fields)
+                                + (b"" if self.command == "HEAD" else body))
+
+
+def _head(status: int, fields: dict[str, str]) -> bytes:
+    """A response's status line and header fields, blank line included."""
+    return "".join([f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n",
+                    *(f"{name}: {value}\r\n"
+                      for name, value in fields.items()),
+                    "\r\n"]).encode("latin-1")
 
 
 class KeepAliveServer(socketserver.ThreadingTCPServer):
-    """``ThreadingTCPServer`` whose close hangs up open connections."""
+    """``ThreadingTCPServer`` whose close hangs up open connections and
+    whose open connections are bounded (see module docs)."""
 
     allow_reuse_address = True
     daemon_threads = True
+    #: Open connections served at once; one more gets a closing 503.
+    max_connections = 128
 
     def __init__(self, address, handler):
         self._connections: set[socket.socket] = set()
@@ -188,8 +198,27 @@ class KeepAliveServer(socketserver.ThreadingTCPServer):
 
     def process_request(self, request, client_address):
         with self._connections_lock:
-            self._connections.add(request)
+            admitted = len(self._connections) < self.max_connections
+            if admitted:
+                self._connections.add(request)
+        if not admitted:
+            self._refuse(request)
+            return
         super().process_request(request, client_address)
+
+    def _refuse(self, request) -> None:
+        """Answer a connection past the bound with a closing 503."""
+        body = json.dumps({"error": f"at most {self.max_connections} open "
+                                    "connections are served"}).encode("utf-8")
+        try:
+            request.sendall(_head(503, {
+                "Content-Type": "application/json",
+                "Content-Length": str(len(body)),
+                "Connection": "close",
+            }) + body)
+        except OSError:
+            pass  # the client is gone
+        self.shutdown_request(request)
 
     def shutdown_request(self, request):
         with self._connections_lock:

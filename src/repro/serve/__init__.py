@@ -41,8 +41,8 @@ Cache knobs
 * ``ScanService(cache=...)`` — pass a shared cache to pool work across
   services/models; omit for a private one.
 * ``ScanService(threshold=...)`` — phishing verdict cut-off (default 0.5).
-* CLI: ``phishinghook scan --batch addr1 addr2 ...`` routes through a
-  ScanService and prints the cache statistics after the batch.
+* CLI: ``phishinghook scan addr1 addr2 ...`` answers with one
+  ``scan_many`` call and prints the cache statistics after the batch.
 
 Artifacts and hot swap
 ----------------------
@@ -68,7 +68,8 @@ Entry points
 >>> service = ScanService.from_artifact("production", store=store)
 >>> results = service.scan_many(addresses)              # doctest: +SKIP
 
-or, from a built pipeline facade: ``PhishingHook.scan_service()``.
+``phishinghook scan`` builds its service this way, from the same
+checked deployment config ``monitor`` launches from.
 """
 
 from repro.serve.cache import CacheStats, Code, FeatureCache, bytecode_digest

@@ -1,7 +1,7 @@
 """Batched scan service: fit once, serve many scans.
 
-The seed facade (`PhishingHook.classify_address`) retrained a model from
-scratch on every call — fine for a demo, fatal for a service. ``ScanService``
+The seed scanned one address at a time and retrained a model from scratch
+on every call — fine for a demo, fatal for a service. ``ScanService``
 holds one fitted model and answers ``scan_bytecodes`` / ``scan_many``
 against it, with three layers of work-sharing:
 

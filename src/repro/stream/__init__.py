@@ -31,9 +31,10 @@ Scored micro-batches additionally fan out to registered
 :mod:`repro.rollout` uses to shadow-score a candidate model on identical
 live traffic and hot-swap the serving model on promotion.
 
-Entry points: ``phishinghook monitor`` (CLI),
-:class:`repro.core.live.LiveDetector` (the poll-API adapter over this
-subsystem), and ``benchmarks/bench_stream_latency.py``.
+Entry points: ``phishinghook monitor`` (CLI, a replay through
+:class:`TimelineReplayer`), a :class:`StreamScanner` attached to
+``EventBus.attach(chain)`` for live follow mode, and
+``benchmarks/bench_stream_latency.py``.
 """
 
 from repro.stream.events import (

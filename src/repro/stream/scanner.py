@@ -1,6 +1,6 @@
 """Micro-batching streaming scanner: events in, alerts out.
 
-The seed ``LiveDetector`` rescanned the whole account set per poll and
+The seed's live monitor rescanned the whole account set per poll and
 scored bytecodes one ``predict_proba`` call at a time. ``StreamScanner``
 inverts the shape: deployment events are *pushed* into a bounded intake
 queue, grouped into micro-batches (flushed on size or deadline — the
@@ -317,17 +317,6 @@ class StreamScanner:
     def attach(self, bus):
         """Subscribe this scanner to a bus's contract topic."""
         return bus.subscribe(TOPIC_CONTRACTS, handler=self.on_event)
-
-    def mark_seen(self, addresses) -> int:
-        """Pre-populate the dedup set (monitor only the future)."""
-        before = len(self._seen)
-        self._seen.update(addresses)
-        return len(self._seen) - before
-
-    @property
-    def seen(self) -> set[str]:
-        """Addresses consumed or pre-marked (do not mutate)."""
-        return self._seen
 
     def on_event(self, event: ContractEvent) -> bool:
         """Admit one deployment event; returns False when shed/skipped.

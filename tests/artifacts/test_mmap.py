@@ -252,16 +252,19 @@ def test_mutated_stored_artifact_fails_typed_or_matches_manifest(
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_artifact_copy_load_fails_typed_or_matches_manifest(
-    request, layout, data
+    request, layout, data, fitted_forest, probe_batch
 ):
     # The copying load reads every member through numpy's zip reader and
     # checks its SHA-256, which covers dtype and shape; for a deflated
-    # artifact the edits also land inside compressed streams.
+    # artifact the edits also land inside compressed streams. What it
+    # accepts scores bit-identically to the model that was saved.
     path = _mutate(request.getfixturevalue(layout), data)
     try:
-        load_artifact(path)
+        model, __ = load_artifact(path)
     except ArtifactError:
         return
+    assert np.array_equal(model.predict_proba(probe_batch),
+                          fitted_forest.predict_proba(probe_batch))
     with np.load(path) as archive:
         declared = json.loads(archive["__manifest__"].tobytes())["arrays"]
         for name, meta in declared.items():

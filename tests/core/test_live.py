@@ -1,15 +1,23 @@
-"""Tests for the live-detection monitor."""
+"""Tests for live detection: a stream scanner following a chain.
+
+The §VII live mode is a :class:`~repro.stream.StreamScanner` subscribed
+to ``EventBus.attach(chain)``: each deployment is scored inside the
+``chain.deploy`` call that lands it (a micro-batch of one flushes
+inline), and the alert carries the deployment's creation-index block.
+"""
 
 import numpy as np
 import pytest
 
+from repro.chain.blockchain import Blockchain
 from repro.chain.timeline import month_to_timestamp
-from repro.core.live import LiveDetector
 from repro.datagen.corpus import CorpusConfig, build_corpus
 from repro.datagen.dataset import Dataset
 from repro.datagen.families import FAMILIES, generate_contract
 from repro.datagen.solidity_like import Environment
 from repro.models.hsc import HSCDetector
+from repro.serve.service import ScanService
+from repro.stream import CallbackSink, EventBus, StreamScanner, TimelineReplayer
 
 
 @pytest.fixture(scope="module")
@@ -43,78 +51,87 @@ def deploy_fresh(chain, label: int, seed: int, month: int = 8) -> str:
     return chain.deploy(bytecode, timestamp=timestamp)
 
 
+@pytest.fixture
+def follow(trained_model):
+    """``follow(chain, threshold=0.5, max_batch=1, sinks=())``: a scanner
+    on a bus bridged from ``chain``, detached after the test."""
+    detaches = []
+
+    def start(chain, threshold=0.5, max_batch=1, sinks=()):
+        service = ScanService("live", model=trained_model,
+                              threshold=threshold)
+        scanner = StreamScanner(service, max_batch=max_batch,
+                                threshold=threshold, sinks=sinks)
+        bus = EventBus()
+        scanner.attach(bus)
+        detaches.append(bus.attach(chain))
+        return scanner
+
+    yield start
+    for detach in detaches:
+        detach()
+
+
 class TestLiveDetector:
-    def test_threshold_validation(self, live_corpus, trained_model):
-        with pytest.raises(ValueError):
-            LiveDetector(live_corpus.chain, trained_model, threshold=0.0)
+    def test_existing_contracts_skipped(self, live_corpus, follow):
+        scanner = follow(live_corpus.chain)
+        address = deploy_fresh(live_corpus.chain, label=1, seed=9)
+        scanner.flush()
+        # Only what lands after the attach is scored.
+        assert scanner.stats.events_in == scanner.stats.scanned == 1
+        assert {alert.address for alert in scanner.alerts} <= {address}
 
-    def test_existing_contracts_skipped(self, live_corpus, trained_model):
-        monitor = LiveDetector(live_corpus.chain, trained_model)
-        seen = monitor.mark_existing_as_seen()
-        assert seen == len(live_corpus.chain)
-        assert monitor.poll() == []
-        assert monitor.stats.scanned == 0
-
-    def test_new_phishing_deployment_alerts(self, live_corpus, trained_model):
-        monitor = LiveDetector(
-            live_corpus.chain, trained_model, threshold=0.5
-        )
-        monitor.mark_existing_as_seen()
-        address = deploy_fresh(live_corpus.chain, label=1, seed=123)
-        alerts = monitor.poll()
-        assert monitor.stats.scanned == 1
-        flagged = {alert.address for alert in alerts}
-        assert address in flagged
-        alert = alerts[0]
+    def test_new_phishing_deployment_alerts(self, live_corpus, follow):
+        chain = live_corpus.chain
+        scanner = follow(chain)
+        address = deploy_fresh(chain, label=1, seed=123)
+        # Scored inside chain.deploy, before any flush.
+        assert scanner.stats.scanned == 1
+        [alert] = scanner.alerts
+        assert alert.address == address
         assert alert.probability >= 0.5
         assert alert.latency_seconds < 2.0
         assert alert.block_number > 0
-
-    def test_benign_deployment_usually_passes(self, live_corpus, trained_model):
-        monitor = LiveDetector(
-            live_corpus.chain, trained_model, threshold=0.9
+        assert alert.block_number == (
+            chain.get_creation_transaction(address).block_number
         )
-        monitor.mark_existing_as_seen()
+
+    def test_benign_deployment_usually_passes(self, live_corpus, follow):
+        scanner = follow(live_corpus.chain, threshold=0.9)
         deploy_fresh(live_corpus.chain, label=0, seed=321)
-        alerts = monitor.poll()
-        assert monitor.stats.scanned == 1
-        assert len(alerts) <= 1  # high threshold: benign rarely crosses
+        assert scanner.stats.scanned == 1
+        assert len(scanner.alerts) <= 1  # high threshold: benign rarely crosses
 
-    def test_callback_invoked(self, live_corpus, trained_model):
+    def test_callback_invoked(self, live_corpus, follow):
         received = []
-        monitor = LiveDetector(
-            live_corpus.chain, trained_model, threshold=0.4,
-            on_alert=received.append,
-        )
-        monitor.mark_existing_as_seen()
+        scanner = follow(live_corpus.chain, threshold=0.4,
+                         sinks=[CallbackSink(received.append)])
         deploy_fresh(live_corpus.chain, label=1, seed=55)
-        alerts = monitor.poll()
-        assert received == alerts
+        assert received and received == scanner.alerts
 
-    def test_poll_is_incremental(self, live_corpus, trained_model):
-        monitor = LiveDetector(live_corpus.chain, trained_model)
-        monitor.mark_existing_as_seen()
+    def test_mean_latency(self, live_corpus, follow):
+        scanner = follow(live_corpus.chain)
         deploy_fresh(live_corpus.chain, label=1, seed=77)
-        first = monitor.poll()
-        second = monitor.poll()
-        assert second == []  # nothing new
-        assert monitor.stats.scanned == 1
-        assert len(monitor.alerts) == len(first)
+        assert scanner.stats.mean_latency_seconds > 0
 
-    def test_precision_recall_accounting(self, trained_model):
-        corpus = build_corpus(
-            CorpusConfig(n_phishing=10, n_benign=10, seed=5, clone_factor=2.0)
+    def test_follow_mode_matches_replay_alerts(self, live_corpus,
+                                               trained_model, follow):
+        """Following a chain as it fills flags the same deployments, with
+        the same probabilities, as replaying the filled chain."""
+        chain = Blockchain()
+        followed = follow(chain, max_batch=4)
+        for record in live_corpus.records[:40]:
+            chain.deploy(record.bytecode, timestamp=record.timestamp)
+        followed.flush()
+
+        replayed = StreamScanner(
+            ScanService("replay", model=trained_model), max_batch=8,
         )
-        monitor = LiveDetector(corpus.chain, trained_model, threshold=0.5)
-        monitor.poll()  # scan everything
-        truth = set(corpus.explorer.flagged_addresses())
-        precision = monitor.precision_against(truth)
-        recall = monitor.recall_against(truth)
-        assert 0.0 <= precision <= 1.0
-        assert 0.0 <= recall <= 1.0
-        assert recall > 0.3  # the detector catches a useful share
-
-    def test_mean_latency(self, live_corpus, trained_model):
-        monitor = LiveDetector(live_corpus.chain, trained_model)
-        monitor.poll()
-        assert monitor.stats.mean_latency_seconds > 0
+        report = TimelineReplayer(replayed).replay_chain(chain)
+        assert followed.stats.scanned == report.scanned == 40
+        assert report.alerts
+        assert {(a.address, a.probability, a.block_number)
+                for a in followed.alerts} == {
+            (a.address, a.probability, a.block_number)
+            for a in report.alerts
+        }

@@ -5,8 +5,11 @@ import argparse
 import numpy as np
 import pytest
 
+from repro.chain.rpc import JsonRpcClient, JsonRpcServer
 from repro.cli import build_parser, main
 from repro.core.pipeline import PhishingHook, PipelineConfig
+from repro.core.registry import create_model
+from repro.serve.service import ScanService
 
 from tests.core.conftest import fast_hsc_factory
 
@@ -51,77 +54,52 @@ class TestPipeline:
             "accuracy", "f1", "precision", "recall"
         }
 
-    def test_classify_address_phishing(self, small_corpus):
+    @pytest.fixture(scope="class")
+    def offline_dataset(self, small_corpus):
+        """The dataset the offline workflow builds (gather, then label)."""
         hook = PhishingHook(small_corpus, PipelineConfig(run_post_hoc=False))
-        dataset = hook.build_dataset(hook.gather())
-        target = small_corpus.phishing_records()[0].address
-        flagged, probability = hook.classify_address(
-            target, "Random Forest", train_dataset=dataset
-        )
-        assert 0.0 <= probability <= 1.0
+        return hook.build_dataset(hook.gather())
 
-    def test_classify_unknown_address_raises(self, small_corpus):
-        hook = PhishingHook(small_corpus, PipelineConfig(run_post_hoc=False))
-        dataset = hook.build_dataset(hook.gather())
+    def test_classify_unknown_address_raises(self, small_corpus,
+                                             offline_dataset):
+        service = ScanService(
+            "Random Forest", train_dataset=offline_dataset,
+            rpc=JsonRpcClient(JsonRpcServer(small_corpus.chain)),
+        )
         with pytest.raises(ValueError):
-            hook.classify_address("0x" + "00" * 20, train_dataset=dataset)
+            service.scan_many(["0x" + "00" * 20])
 
-    def test_classify_address_reuses_fitted_model(self, small_corpus,
-                                                  monkeypatch):
-        import repro.core.pipeline as pipeline_module
-
-        hook = PhishingHook(small_corpus, PipelineConfig(run_post_hoc=False))
-        dataset = hook.build_dataset(hook.gather())
+    def test_classify_address_accepts_prefitted_model(self, small_corpus,
+                                                      offline_dataset):
+        """A service handed a pre-fitted model classifies an address as
+        one that fits the same model on the same dataset itself."""
+        rpc = JsonRpcClient(JsonRpcServer(small_corpus.chain))
+        model = create_model("Random Forest", seed=0)
+        model.fit(offline_dataset.bytecodes, offline_dataset.labels)
         target = small_corpus.phishing_records()[0].address
-
-        created = []
-        real_create = pipeline_module.create_model
-
-        def counting_create(name, seed=0):
-            created.append(name)
-            return real_create(name, seed=seed)
-
-        monkeypatch.setattr(pipeline_module, "create_model", counting_create)
-        first = hook.classify_address(
-            target, "Random Forest", train_dataset=dataset
+        [prefit] = ScanService("Random Forest", model=model,
+                               rpc=rpc).scan_many([target])
+        [fitted] = ScanService("Random Forest", train_dataset=offline_dataset,
+                               seed=0, rpc=rpc).scan_many([target])
+        assert (prefit.is_phishing, prefit.probability) == (
+            fitted.is_phishing, fitted.probability
         )
-        second = hook.classify_address(
-            target, "Random Forest", train_dataset=dataset
-        )
-        assert created == ["Random Forest"]  # trained once, reused after
-        assert first == second
-        # A different model name trains its own entry.
-        hook.classify_address(target, "k-NN", train_dataset=dataset)
-        assert created == ["Random Forest", "k-NN"]
-        # reuse_model=False forces the seed retrain-per-call behavior.
-        hook.classify_address(
-            target, "Random Forest", train_dataset=dataset,
-            reuse_model=False,
-        )
-        assert created == ["Random Forest", "k-NN", "Random Forest"]
 
-    def test_classify_address_accepts_prefitted_model(self, small_corpus):
-        hook = PhishingHook(small_corpus, PipelineConfig(run_post_hoc=False))
-        dataset = hook.build_dataset(hook.gather())
-        model = hook.fitted_model("Random Forest", dataset)
-        target = small_corpus.phishing_records()[0].address
-        flagged, probability = hook.classify_address(target, model=model)
-        assert hook.classify_address(
-            target, "Random Forest", train_dataset=dataset
-        ) == (flagged, probability)
-
-    def test_scan_service_matches_classify_address(self, small_corpus):
-        hook = PhishingHook(small_corpus, PipelineConfig(run_post_hoc=False))
-        dataset = hook.build_dataset(hook.gather())
+    def test_scan_service_matches_classify_address(self, small_corpus,
+                                                   offline_dataset):
+        """A batched scan over the chain equals classifying each address
+        alone: its code fetched over RPC and scored by itself."""
+        rpc = JsonRpcClient(JsonRpcServer(small_corpus.chain))
         addresses = [r.address for r in small_corpus.records[:8]]
-        service = hook.scan_service("Random Forest", train_dataset=dataset)
+        service = ScanService("Random Forest",
+                              train_dataset=offline_dataset, rpc=rpc)
         results = service.scan_many(addresses)
         for address, result in zip(addresses, results):
-            flagged, probability = hook.classify_address(
-                address, "Random Forest", train_dataset=dataset
+            probability = float(
+                service.model.predict_proba([rpc.get_code(address)])[0, 1]
             )
             assert result.probability == probability
-            assert result.is_phishing == flagged
+            assert result.is_phishing == (probability >= 0.5)
 
 
 #: ``scan`` served from a stored production model, and an address that
@@ -152,11 +130,9 @@ class TestCLI:
         ["models", "--store", "{tmp}/store", "export", "nosuchref",
          "{tmp}/out.npz"],
         [*_SCAN_STORE, _NO_CODE],
-        [*_SCAN_STORE, "--batch", _NO_CODE],
         [*_SCAN_STORE, "0xnothex"],
-        [*_SCAN_STORE, "--batch", "0xnothex"],
     ], ids=["odd-hex", "non-hex", "unknown-ref", "scan-no-code",
-            "scan-batch-no-code", "scan-malformed", "scan-batch-malformed"])
+            "scan-malformed"])
     def test_bad_input_is_one_line_error(self, argv, capsys, tmp_path,
                                          production_store):
         code = main([
@@ -201,13 +177,51 @@ class TestCLI:
 
     def test_scan_batch(self, capsys):
         code = main([
-            "scan", "--batch", "random-phishing", "random-phishing",
+            "scan", "random-phishing", "random-phishing",
             "--contracts", "60", "--train-on-the-fly",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("via=") == 2
         assert "cache hit rate" in out
+
+    @pytest.mark.parametrize("source", ["model-tag", "model-path",
+                                        "train-on-the-fly"])
+    def test_scan_has_one_path(self, source, capsys, monkeypatch, tmp_path,
+                               production_store):
+        """Every model source is checked as a deployment config first and
+        answers in one shape: a ``via=`` line per address, then the
+        cache line."""
+        import repro.cli as cli
+
+        exported = str(tmp_path / "production.npz")
+        assert main(["models", "--store", production_store, "export",
+                     "production", exported]) == 0
+        capsys.readouterr()
+        checked = []
+        launchable = cli._launchable_config
+
+        def spy(config_source, section=""):
+            checked.append(config_source)
+            return launchable(config_source, section)
+
+        monkeypatch.setattr(cli, "_launchable_config", spy)
+        flags = {
+            "model-tag": ["--store", production_store,
+                          "--model-tag", "production"],
+            "model-path": ["--model-path", exported],
+            "train-on-the-fly": ["--train-on-the-fly",
+                                 "--model", "Logistic Regression"],
+        }[source]
+        code = main(["scan", "random-phishing", "random-phishing",
+                     "--contracts", "60", *flags])
+        assert code == 0
+        assert len(checked) == 1 and checked[0]["source"]["contracts"] == 60
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all("model=Logistic Regression" in line and "via=model" in line
+                   for line in lines[:2])
+        assert lines[2].startswith("batch of 2: 0 served from cache")
 
     def test_train_then_scan_artifact_path(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -219,7 +233,7 @@ class TestCLI:
         assert "artifact" in capsys.readouterr().out
 
         code = main([
-            "scan", "--batch", "random-phishing", "--contracts", "60",
+            "scan", "random-phishing", "--contracts", "60",
             "--store", store, "--model-tag", "production",
         ])
         assert code == 0

@@ -14,6 +14,7 @@ import os
 import socket
 import threading
 import time
+import zipfile
 
 import pytest
 
@@ -573,6 +574,43 @@ class TestMmapFleet:
             if worker.index in scored:
                 assert set(service["by_namespace"]) == {namespace}
                 assert service["cache_entries"] == len(set(codes))
+
+    def test_unverified_model_path_is_refused_before_any_fork(
+            self, net_detector, tmp_path, monkeypatch):
+        """A mapped load skips the per-array hashes, so a fleet that will
+        map a user's ``model_path`` verifies it once, before forking."""
+        from repro.artifacts import (
+            IntegrityError,
+            load_artifact,
+            save_artifact,
+        )
+
+        path = tmp_path / "model.npz"
+        save_artifact(net_detector, path, compression="stored")
+        # Flip the last byte of the largest array and re-zip with fresh
+        # CRCs: only the manifest's SHA-256 can tell.
+        with zipfile.ZipFile(path) as archive:
+            members = {info.filename: archive.read(info.filename)
+                       for info in archive.infolist()}
+        name = max((n for n in members if n.startswith("a")),
+                   key=lambda n: len(members[n]))
+        members[name] = members[name][:-1] + bytes([members[name][-1] ^ 1])
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+            for member, data in members.items():
+                archive.writestr(member, data)
+        load_artifact(path, mmap_mode="r")  # the mapped load cannot tell
+
+        spawned = []
+
+        def spawn(self, index, context):
+            spawned.append(index)
+            raise RuntimeError("forked a worker")
+
+        monkeypatch.setattr(FleetManager, "_spawn_worker", spawn)
+        manager = FleetManager(workers=2, model_path=str(path), mmap=True)
+        with pytest.raises(IntegrityError, match=name.removesuffix(".npy")):
+            manager.start()
+        assert spawned == []
 
 
 class TestNamespaceInvalidation:

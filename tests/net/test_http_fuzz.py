@@ -245,3 +245,36 @@ class TestReadDeadline:
         finally:
             session.close()
         assert len(opened) == 2
+
+
+class TestConnectionBound:
+    """Past ``KeepAliveServer.max_connections`` open connections (2 here)
+    a new connection gets a closing 503 and no handler thread; the open
+    ones are still served, and a closed one frees its slot."""
+
+    def test_connection_past_the_bound_gets_a_closing_503(
+            self, live_servers, monkeypatch):
+        from repro.net.server import KeepAliveServer
+
+        monkeypatch.setattr(KeepAliveServer, "max_connections", 2)
+        server = live_servers["coordinator"]
+        _wait_idle(server)
+        ping = (b"POST /rpc HTTP/1.1\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(_PING), _PING))
+        idle = [socket.create_connection(server.server_address, timeout=5.0)
+                for _ in range(2)]
+        try:
+            with socket.create_connection(server.server_address,
+                                          timeout=5.0) as third:
+                reply = TestReadDeadline._read_until_close(third)[0]
+            assert _statuses(reply) == [503]
+            assert b"\r\nConnection: close\r\n" in reply
+            assert len(server._connections) == 2
+            idle[0].sendall(ping)
+            assert _statuses(
+                TestReadDeadline._read_until_close(idle[0])[0]) == [200]
+        finally:
+            for sock in idle:
+                sock.close()
+        _wait_idle(server)
+        assert _statuses(_send(server, ping)) == [200]

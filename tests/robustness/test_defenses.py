@@ -167,8 +167,10 @@ class TestEndToEndWithChain:
         assert defended_recall > 0.6
 
     def test_live_monitor_composition(self):
-        """ProxyResolvingDetector plugs into the §VII live monitor."""
-        from repro.core.live import LiveDetector
+        """ProxyResolvingDetector plugs into the §VII live monitor: a
+        stream scanner following the chain's deploy events."""
+        from repro.serve.service import ScanService
+        from repro.stream import EventBus, StreamScanner
 
         corpus = build_corpus(
             CorpusConfig(n_phishing=60, n_benign=60, seed=37)
@@ -184,8 +186,12 @@ class TestEndToEndWithChain:
         defended = ProxyResolvingDetector(base, client.get_code)
         defended.fit(train.bytecodes, train.labels)
 
-        monitor = LiveDetector(chain, defended, threshold=0.5)
-        monitor.mark_existing_as_seen()
+        monitor = StreamScanner(
+            ScanService("defended", model=defended), max_batch=1,
+        )
+        bus = EventBus()
+        monitor.attach(bus)
+        detach = bus.attach(chain)
 
         # A phishing implementation lands, hidden behind a fresh proxy.
         # Pick one the fitted model detects directly, so the test isolates
@@ -199,7 +205,7 @@ class TestEndToEndWithChain:
             wrap_in_minimal_proxy(implementation), timestamp=1_700_000_060
         )
 
-        alerts = monitor.poll()
-        flagged = {alert.address for alert in alerts}
+        detach()
+        flagged = {alert.address for alert in monitor.alerts}
         assert proxy_address in flagged
         assert monitor.stats.scanned == 2

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PhishingHook, PipelineConfig
+from repro.chain.rpc import JsonRpcClient, JsonRpcServer
+from repro.core.registry import create_model
 from repro.serve import FeatureCache, ScanService
 
 
 @pytest.fixture(scope="module")
-def hook(serve_corpus):
-    return PhishingHook(serve_corpus, PipelineConfig(run_post_hoc=False))
-
-
-@pytest.fixture(scope="module")
-def service(hook, serve_dataset):
-    return hook.scan_service("Random Forest", train_dataset=serve_dataset)
+def service(serve_corpus, serve_dataset):
+    return ScanService(
+        "Random Forest", train_dataset=serve_dataset,
+        rpc=JsonRpcClient(JsonRpcServer(serve_corpus.chain)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +45,20 @@ class TestConstruction:
 
 
 class TestScanSemantics:
-    def test_matches_classify_address(self, hook, service, serve_dataset,
+    def test_matches_classify_address(self, service, serve_corpus,
                                       addresses):
+        """A batched scan classifies each address exactly as the model
+        scores its code alone (a forest is per-row deterministic; a BLAS
+        model's last bits move with its batch-mates)."""
+        code_of = {r.address: r.bytecode for r in serve_corpus.records}
         results = service.scan_many(addresses)
         for address, result in zip(addresses, results):
-            flagged, probability = hook.classify_address(
-                address, "Random Forest", train_dataset=serve_dataset
+            probability = float(
+                service.model.predict_proba([code_of[address]])[0, 1]
             )
             assert result.address == address
             assert result.probability == probability
-            assert result.is_phishing == flagged
+            assert result.is_phishing == (probability >= 0.5)
 
     def test_warm_rescan_is_bit_identical_and_cached(self, service,
                                                      addresses):
@@ -109,28 +112,44 @@ class TestScanSemantics:
 
 
 class TestPrefitModel:
-    def test_prefit_model_skips_training(self, hook, serve_dataset,
-                                         serve_corpus):
-        model = hook.fitted_model("Random Forest", serve_dataset)
+    def test_prefit_model_skips_training(self, serve_dataset, serve_corpus):
+        model = create_model("Random Forest")
+        model.fit(serve_dataset.bytecodes, serve_dataset.labels)
         service = ScanService("Random Forest", model=model)
         assert service.stats()["fitted"]
         code = serve_corpus.records[0].bytecode
         expected = float(model.predict_proba([code])[0, 1])
         assert service.scan_bytecodes([code])[0].probability == expected
 
-    def test_hook_services_share_prediction_namespace(self, hook,
-                                                      serve_dataset,
-                                                      serve_corpus):
+    def test_services_fitted_on_one_dataset_share_predictions(
+            self, serve_dataset, serve_corpus):
+        cache = FeatureCache()
         code = serve_corpus.records[1].bytecode
-        first = hook.scan_service("Random Forest",
-                                  train_dataset=serve_dataset)
+        first = ScanService("Logistic Regression",
+                            train_dataset=serve_dataset, cache=cache)
         first.scan_bytecodes([code])
-        second = hook.scan_service("Random Forest",
-                                   train_dataset=serve_dataset)
+        second = ScanService("Logistic Regression",
+                             train_dataset=serve_dataset, cache=cache)
         result = second.scan_bytecodes([code])[0]
-        # Same hook, same model, same data → the second service is served
-        # straight from the shared prediction cache.
+        # Same model, seed and data → the same prediction namespace, so
+        # the second service is served straight from the shared cache.
         assert result.from_cache
+
+    def test_wrapping_a_borrowed_model_keeps_its_cache_wiring(self):
+        """Serving a borrowed model, in a service or a stream scanner,
+        never re-points its extractors at the serving cache."""
+        from repro.stream import StreamScanner
+
+        class Recording:
+            def __init__(self):
+                self.attached = []
+
+            def use_feature_cache(self, cache):
+                self.attached.append(cache)
+
+        model = Recording()
+        StreamScanner(ScanService("borrowed", model=model))
+        assert model.attached == []
 
     def test_two_prefit_services_do_not_share_predictions(self,
                                                           serve_dataset,

@@ -1,13 +1,14 @@
-"""Tests for the timeline replay driver and poll/stream parity."""
+"""Tests for the timeline replay driver and chain-following parity."""
 
 import json
 
 import pytest
 
-from repro.core.live import LiveDetector
+from repro.chain.blockchain import Blockchain
+from repro.stream.events import EventBus
 from repro.stream.replay import TimelineReplayer
 from repro.stream.scanner import StreamScanner
-from repro.stream.sinks import MemorySink
+from repro.stream.sinks import CallbackSink
 
 
 class TestReplay:
@@ -73,108 +74,40 @@ class TestReplay:
             TimelineReplayer(scanner, tick_every=0)
 
 
+
 class TestPollStreamParity:
-    def test_live_detector_matches_stream_alerts(
-        self, fitted_service, service, stream_corpus
-    ):
-        """The poll adapter and a direct replay flag the same addresses
-        with the same probabilities."""
-        detector = LiveDetector(
-            stream_corpus.chain, fitted_service.model, threshold=0.5
-        )
-        poll_alerts = detector.poll()
-
-        scanner = StreamScanner(
-            service, max_batch=8, max_queue=64, threshold=0.5,
-        )
-        report = TimelineReplayer(scanner).replay_chain(stream_corpus.chain)
-        assert {(a.address, a.probability) for a in poll_alerts} == {
-            (a.address, a.probability) for a in report.alerts
-        }
-        assert detector.stats.scanned == report.scanned
-
-    def test_mark_existing_returns_total_each_call(
-        self, fitted_service, stream_corpus
-    ):
-        detector = LiveDetector(stream_corpus.chain, fitted_service.model)
-        total = len(stream_corpus.chain)
-        assert detector.mark_existing_as_seen() == total  # seed semantics
-        assert detector.mark_existing_as_seen() == total
+    """A scanner following a chain needs no poll: it scores deployments
+    as they land and stamps them as a replay of the chain does."""
 
     def test_follow_mode_delivers_at_flush_without_poll(
-        self, fitted_service, stream_corpus
+        self, service, stream_corpus
     ):
-        from repro.chain.blockchain import Blockchain
-
         chain = Blockchain()
         received = []
-        detector = LiveDetector(
-            chain, fitted_service.model, threshold=0.5,
-            on_alert=received.append, follow=True, max_batch=2,
-        )
-        for record in stream_corpus.phishing_records()[:4]:
-            chain.deploy(record.bytecode, timestamp=record.timestamp)
-        # Two micro-batches auto-flushed during the deploys themselves.
-        assert detector.stats.scanned == 4
-        assert len(received) > 0
-        assert received == detector.alerts
-        # poll() returns everything streamed in since the last poll…
-        assert detector.poll() == detector.alerts
-        # …exactly once.
-        assert detector.poll() == []
-        detector.close()
-
-    def test_follow_mode_defers_on_alert_errors_to_poll(
-        self, fitted_service, stream_corpus
-    ):
-        """A raising on_alert must not unwind chain.deploy(); it surfaces
-        from the owner's next poll instead."""
-        from repro.chain.blockchain import Blockchain
-
-        calls = []
-
-        def explode(alert):
-            calls.append(alert)
-            raise RuntimeError("pager down")
-
-        chain = Blockchain()
-        detector = LiveDetector(
-            chain, fitted_service.model, threshold=0.5,
-            on_alert=explode, follow=True, max_batch=1,
-        )
-        record = stream_corpus.phishing_records()[0]
-        address = chain.deploy(record.bytecode, timestamp=record.timestamp)
-        assert calls, "expected the phishing deploy to alert"  # deploy OK
-        with pytest.raises(RuntimeError, match="pager down"):
-            detector.poll()
-        # The alert itself was not lost: the next poll returns it.
-        assert [a.address for a in detector.poll()] == [address]
-        detector.close()
-
-    def test_wrapping_a_borrowed_model_keeps_its_cache_wiring(
-        self, stream_corpus
-    ):
-        """LiveDetector must not silently re-point a borrowed model's
-        extractors at its private cache."""
-
-        class Recording:
-            def __init__(self):
-                self.attached = []
-
-            def use_feature_cache(self, cache):
-                self.attached.append(cache)
-
-        model = Recording()
-        LiveDetector(stream_corpus.chain, model, threshold=0.5)
-        assert model.attached == []
+        scanner = StreamScanner(service, max_batch=2, threshold=0.5,
+                                sinks=[CallbackSink(received.append)])
+        bus = EventBus()
+        scanner.attach(bus)
+        detach = bus.attach(chain)
+        try:
+            for record in stream_corpus.phishing_records()[:4]:
+                chain.deploy(record.bytecode, timestamp=record.timestamp)
+            # Two micro-batches auto-flushed during the deploys themselves.
+            assert scanner.stats.scanned == 4
+            assert scanner.pending == 0
+            assert len(received) > 0
+            assert received == scanner.alerts
+        finally:
+            detach()
 
     def test_alert_block_numbers_use_creation_index(
-        self, fitted_service, stream_corpus
+        self, service, stream_corpus
     ):
-        detector = LiveDetector(
-            stream_corpus.chain, fitted_service.model, threshold=0.5
-        )
-        for alert in detector.poll():
+        scanner = StreamScanner(service, max_batch=8, max_queue=64,
+                                threshold=0.5)
+        report = TimelineReplayer(scanner).replay_chain(stream_corpus.chain)
+        assert report.alerts
+        for alert in report.alerts:
             transaction = stream_corpus.chain.get_creation_transaction(
                 alert.address
             )

@@ -18,7 +18,8 @@ def _examples_on_path(monkeypatch):
     monkeypatch.syspath_prepend(str(EXAMPLES_DIR))
     yield
     for name in ("quickstart", "model_comparison", "time_resistance",
-                 "wallet_guard", "explain_detection", "shadow_rollout"):
+                 "wallet_guard", "explain_detection", "shadow_rollout",
+                 "adversarial_robustness"):
         sys.modules.pop(name, None)
 
 
@@ -57,6 +58,12 @@ def test_explain_detection(capsys):
     out = run_example("explain_detection", capsys)
     assert "base rate" in out
     assert "local accuracy" in out
+
+
+def test_adversarial_robustness(capsys):
+    out = run_example("adversarial_robustness", capsys)
+    assert "recall lost at max strength" in out
+    assert "hardened model" in out
 
 
 def test_shadow_rollout(capsys):
