@@ -12,9 +12,9 @@ docs/operations.md):
   than the cold one while landing within ``MAX_PARITY_GAP`` holdout
   accuracy of it.
 * **drift-to-promotion latency** — replaying a drifted campaign through
-  a live loop (detect → subprocess retrain → shadow → promote) completes
-  the full cycle in bounded wall-clock, with serving never stalled for
-  longer than one micro-batch flush.
+  a live loop (detect → forked retrain → shadow → promote) completes
+  the full cycle in bounded wall-clock; the flush that confirms the
+  drift waits for the retrain child.
 
 Prints one machine-readable JSON summary line (``LOOP {...}``).
 
@@ -91,8 +91,8 @@ def test_loop(benchmark, tmp_path):
         #
         # The retrain window is what the live loop would hold: a slice
         # of recent (drifted) traffic. Warm = production grows GROW
-        # trees on it (the loop's actual code path, candidate artifact
-        # registration included); cold = an equal-sized forest fitted
+        # trees on it (the loop's fit-and-evaluate step, timed around
+        # fit_more alone); cold = an equal-sized forest fitted
         # from scratch on the same window. Both are scored on the same
         # deterministic holdout slice.
         # ---------------------------------------------------------- #
@@ -107,7 +107,7 @@ def test_loop(benchmark, tmp_path):
         window_codes = [r.bytecode for r in window]
         window_labels = [r.label for r in window]
 
-        warm_report = retrain_candidate(
+        warm = retrain_candidate(
             store=store,
             bytecodes=window_codes,
             labels=window_labels,
@@ -115,8 +115,8 @@ def test_loop(benchmark, tmp_path):
             holdout=HOLDOUT,
             seed=SEED,
         )
-        warm_seconds = warm_report["seconds"]
-        warm_accuracy = warm_report["metrics"]["holdout_accuracy"]
+        warm_seconds = warm.seconds
+        warm_accuracy = warm.metrics["holdout_accuracy"]
 
         train_idx, hold_idx = _holdout_split(
             len(window_codes), HOLDOUT, SEED
@@ -139,7 +139,7 @@ def test_loop(benchmark, tmp_path):
         #
         # The deterministic recipe the loop tests pin down, timed: a
         # stationary replay arms the monitor, then the drifted campaign
-        # triggers exactly one detect → subprocess retrain → shadow →
+        # triggers exactly one detect → forked retrain → shadow →
         # promote cycle. The latency metric is the drifted replay's
         # wall time — it contains the whole cycle.
         # ---------------------------------------------------------- #
@@ -170,9 +170,6 @@ def test_loop(benchmark, tmp_path):
                 min_events=60, promote_agreement=0.90,
                 abort_agreement=0.40, max_mean_divergence=0.25,
             ),
-            retrain_mode="subprocess",
-            store_url=str(tmp_path / "loop-store"),
-            wait_for_retrain=True,
         )
         replayer = TimelineReplayer(scanner)
         replayer.replay_chain(base.chain)

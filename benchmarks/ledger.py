@@ -84,7 +84,7 @@ TRACKED = (
     # catches it collapsing toward parity, not fit-time jitter.
     Metric("LOOP", "warm_speedup", "higher", tolerance=0.50),
     # Wall seconds for the drifted replay that contains one full
-    # detect -> subprocess retrain -> shadow -> promote cycle. Absolute
+    # detect -> forked retrain -> shadow -> promote cycle. Absolute
     # wall-clock (like FLEET.recovery): it crosses a process fork and a
     # forest fit, so the band is the widest — the gate catches the loop
     # *stalling*, not scheduler noise.

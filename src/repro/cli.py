@@ -672,6 +672,7 @@ def _cmd_loop(args) -> int:
     if args.loop_command == "start":
         from repro.deploy import (
             build_loop,
+            build_loop_campaigns,
             build_scanner,
             build_service,
             open_store,
@@ -686,24 +687,9 @@ def _cmd_loop(args) -> int:
         service = build_service(config, store=store)
         scanner = build_scanner(config, service)
 
-        # Two seeded campaigns: a stationary baseline (uniform monthly
-        # profile, balanced mix) and a drifted continuation — the same
-        # generator with a heavier phishing mix, the scam-family surge
-        # the loop exists to catch. 3 clones per base, not 30: clones
-        # deploy in their base's month and would swing the label share.
-        half = config.source.contracts // 2
-        base = build_corpus(
-            CorpusConfig(n_phishing=half, n_benign=half,
-                         seed=config.source.seed,
-                         phishing_profile="uniform", clone_factor=3.0)
-        )
-        drift_total = args.drift_contracts or config.source.contracts
-        drifted = build_corpus(
-            CorpusConfig(n_phishing=int(drift_total * 0.75),
-                         n_benign=drift_total - int(drift_total * 0.75),
-                         seed=(args.drift_seed if args.drift_seed is not None
-                               else config.source.seed + 1),
-                         phishing_profile="uniform", clone_factor=3.0)
+        base, drifted = build_loop_campaigns(
+            config, drift_contracts=args.drift_contracts,
+            drift_seed=args.drift_seed,
         )
         labels = {}
         for corpus in (base, drifted):

@@ -44,6 +44,7 @@ from repro.deploy.launch import (
     DeploymentBlockedError,
     build_fleet,
     build_loop,
+    build_loop_campaigns,
     build_policy,
     build_replay_corpus,
     build_scanner,
@@ -98,5 +99,6 @@ __all__ = [
     "build_fleet",
     "build_policy",
     "build_loop",
+    "build_loop_campaigns",
     "build_replay_corpus",
 ]

@@ -94,10 +94,6 @@ STORE_SCHEMES = ("file", "memory", "bucket", "http", "https")
 #: ``repro.net.coordinator``): shed (HTTP 429) or block the submitter.
 FLEET_OVERFLOW = ("shed", "block")
 
-#: Retrain execution modes for the continuous-learning loop (mirrors
-#: ``repro.loop.retrain.RETRAIN_MODES`` without importing the ML stack).
-LOOP_RETRAIN_MODES = ("subprocess", "inline")
-
 #: HSC variants whose fitted state can be *grown* with ``fit_more``
 #: (mirrors the ensembles of ``repro.models.hsc.HSC_VARIANTS``; k-NN is
 #: instance-based and has nothing to warm-start).
@@ -461,12 +457,6 @@ class LoopConfig(_Table):
     holdout: float = _knob(
         0.25, "held-out fraction of the retrain window",
         minimum=0.0, maximum=1.0, exclusive=True,
-    )
-    retrain: str = _knob(
-        "subprocess",
-        "`subprocess` forks a child so serving never stalls, `inline` "
-        "suits deterministic single-process tests",
-        choices=LOOP_RETRAIN_MODES,
     )
     model_family: str = _knob(
         "", "declared production family for the static D028 check, "

@@ -30,6 +30,7 @@ __all__ = [
     "build_fleet",
     "build_policy",
     "build_loop",
+    "build_loop_campaigns",
     "build_replay_corpus",
 ]
 
@@ -293,9 +294,6 @@ def build_loop(config: DeployConfig, scanner, store, *, label_of,
         grow=loop.grow,
         holdout=loop.holdout,
         policy=build_policy(config),
-        retrain_mode=loop.retrain,
-        store_url=config.store.url,
-        cache_dir=config.store.cache_dir or None,
         candidate_tag=loop.candidate,
         production_tag=rollout.production,
         on_invalidate=on_invalidate,
@@ -312,4 +310,36 @@ def build_replay_corpus(config: DeployConfig):
             n_benign=config.source.contracts // 2,
             seed=config.source.seed,
         )
+    )
+
+
+def build_loop_campaigns(config: DeployConfig, *, drift_contracts: int = 0,
+                         drift_seed: int | None = None):
+    """The ``(baseline, drifted)`` campaigns ``loop start`` replays.
+
+    The baseline is ``[source]``'s campaign with a balanced mix; the
+    drifted continuation is the same generator with a 75 % phishing mix
+    (the scam-family surge the loop exists to catch) over
+    ``drift_contracts`` contracts (default: ``source.contracts``),
+    seeded ``drift_seed`` (default: ``source.seed + 1``). Both use the
+    uniform monthly profile and 3 clones per base, not 30: clones deploy
+    in their base's month and would swing the label share per window.
+    """
+    from repro.datagen.corpus import CorpusConfig, build_corpus
+
+    def campaign(n_phishing, n_benign, seed):
+        return build_corpus(
+            CorpusConfig(n_phishing=n_phishing, n_benign=n_benign,
+                         seed=seed, phishing_profile="uniform",
+                         clone_factor=3.0)
+        )
+
+    half = config.source.contracts // 2
+    total = drift_contracts or config.source.contracts
+    phishing = int(total * 0.75)
+    return (
+        campaign(half, half, config.source.seed),
+        campaign(phishing, total - phishing,
+                 config.source.seed + 1 if drift_seed is None
+                 else drift_seed),
     )

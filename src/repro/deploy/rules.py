@@ -497,27 +497,12 @@ def _loop_unsupported_family(c: DeployConfig):
     return None
 
 
-def _loop_subprocess_memory_store(c: DeployConfig):
-    if (
-        c.loop is not None
-        and c.loop.retrain == "subprocess"
-        and c.store.scheme == "memory"
-    ):
-        return (
-            f"loop.retrain='subprocess' forks the retrain into a child "
-            f"process, but store.url={c.store.url!r} is an in-process "
-            f"bucket: the child's candidate registration lands in *its* "
-            f"copy of the store and evaporates on exit — the parent "
-            f"waits for a candidate tag that can never appear"
-        )
-    return None
-
-
 #: The catalog. IDs are stable — tooling, dashboards and the docs rule
 #: table key on them; new rules append, old rules never renumber. The
 #: gaps are retired rules whose IDs are never reused: D018 policed the
 #: address-hash routing the fleet coordinator no longer does, D020 and
-#: D025 the feature-ring knobs.
+#: D025 the feature-ring knobs, D029 a forked retrain on a memory://
+#: store (the parent now registers every candidate itself).
 RULES: tuple[Rule, ...] = (
     Rule(
         "D001", ERROR, "silent-alert-loss",
@@ -753,16 +738,6 @@ RULES: tuple[Rule, ...] = (
         "LightGBM, CatBoost), or clear loop.model_family",
         _loop_unsupported_family,
         ("loop.model_family", "model.tag"),
-    ),
-    Rule(
-        "D029", ERROR, "loop-subprocess-memory-store",
-        "A forked retrain child registers its candidate in a copy of a "
-        "memory:// store that dies with the child; the parent's loop "
-        "waits on a tag that can never appear.",
-        "use a file:// or bucket:// store, or set loop.retrain='inline' "
-        "for single-process topologies",
-        _loop_subprocess_memory_store,
-        ("loop.retrain", "store.url"),
     ),
 )
 

@@ -14,13 +14,15 @@ loop:
 * :func:`~repro.loop.retrain.retrain_candidate` — the *incremental*
   retrain step: warm-start the production model from its fitted state
   (``fit_more`` grows trees; the Incremental-QBF pattern of keeping
-  learned state across related instances) on the sliding event window,
-  score a held-out slice, and register the result as ``candidate``.
+  learned state across related instances) on the sliding event window
+  and score a held-out slice; the caller registers the result as
+  ``candidate``.
 * :class:`~repro.loop.orchestrator.LoopOrchestrator` — the long-running
-  driver: watches the stream as a scanner observer, triggers the retrain
-  in a subprocess (serving never stalls), auto-starts a
-  :class:`~repro.rollout.shadow.ShadowRollout` on the candidate, and
-  lets the rollout policy promote or abort.
+  driver: watches the stream as a scanner observer, runs the retrain in
+  a forked child (a crashed or hung fit aborts the retrain, not the
+  serving process; the triggering flush waits for it), registers the
+  candidate, auto-starts a :class:`~repro.rollout.shadow.ShadowRollout`
+  on it, and lets the rollout policy promote or abort.
 * :mod:`~repro.loop.history` — the durable promotion-history log
   (``loop-history.jsonl`` in the store): every decision — drift
   evidence, retrain metrics, shadow comparison, the verdict — appends
@@ -38,9 +40,15 @@ from repro.loop.orchestrator import (
     load_loop_state,
     save_loop_state,
 )
-from repro.loop.retrain import RetrainError, retrain_candidate, run_retrain
+from repro.loop.retrain import (
+    Candidate,
+    RetrainError,
+    fork_retrain,
+    retrain_candidate,
+)
 
 __all__ = [
+    "Candidate",
     "DriftMonitor",
     "DriftReport",
     "HISTORY_KEY",
@@ -49,9 +57,9 @@ __all__ = [
     "RetrainError",
     "append_history",
     "clear_loop_state",
+    "fork_retrain",
     "load_loop_state",
     "read_history",
     "retrain_candidate",
-    "run_retrain",
     "save_loop_state",
 ]

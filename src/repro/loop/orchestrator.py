@@ -9,13 +9,12 @@ It runs a small state machine:
   ``label_of`` oracle) accumulate in a sliding retrain window. Every
   ``check_every`` events the monitor runs one blockwise test.
 * **retraining** — on *confirmed* drift the drift evidence is appended
-  to the history log and :func:`~repro.loop.retrain.run_retrain` grows
-  the production model on the window — by default in a forked
-  subprocess, so the serving process never spends a flush fitting
-  trees. Synchronous mode (``wait_for_retrain=True``, the default)
-  blocks until the candidate lands — deterministic, what the seeded
-  end-to-end test replays; asynchronous mode returns to serving and
-  polls the child on subsequent batches.
+  to the history log and :func:`~repro.loop.retrain.fork_retrain` grows
+  the production model on the window in a forked child. The flush that
+  confirmed the drift waits for it (up to
+  :data:`~repro.loop.retrain.RETRAIN_TIMEOUT`); the child only isolates
+  a crash, OOM kill or hang from the serving process. The orchestrator
+  then registers the candidate — the child never writes the store.
 * **shadowing** — the registered candidate auto-starts a
   :class:`~repro.rollout.shadow.ShadowRollout` against live traffic;
   the rollout policy promotes or aborts, and either verdict lands in
@@ -39,12 +38,7 @@ import time
 
 from repro.loop.drift import DriftMonitor
 from repro.loop.history import append_history
-from repro.loop.retrain import (
-    RETRAIN_MODES,
-    RetrainError,
-    run_retrain,
-    start_retrain,
-)
+from repro.loop.retrain import RetrainError, fork_retrain
 
 __all__ = [
     "LOOP_KEY",
@@ -110,13 +104,6 @@ class LoopOrchestrator:
             the model's own fitted state).
         policy: Rollout policy for the auto-started shadow (default:
             the shadow's :class:`~repro.rollout.policy.MetricParityPolicy`).
-        retrain_mode: ``"subprocess"`` (default) or ``"inline"``.
-        wait_for_retrain: Block the triggering flush until the candidate
-            lands (deterministic); ``False`` polls while serving.
-        retrain_timeout: Subprocess wall-clock budget in seconds.
-        store_url: Store location for the retrain subprocess to reopen
-            (required in subprocess mode).
-        cache_dir: Local artifact cache for the subprocess's store.
         candidate_tag / production_tag: Store tag names.
         on_invalidate: Called with the outgoing prediction namespace
             after a promotion (fleet-wide cache eviction hook).
@@ -134,26 +121,10 @@ class LoopOrchestrator:
         holdout: float = 0.25,
         seed: int = 0,
         policy=None,
-        retrain_mode: str = "subprocess",
-        wait_for_retrain: bool = True,
-        retrain_timeout: float = 600.0,
-        store_url: str | None = None,
-        cache_dir: str | None = None,
         candidate_tag: str = "candidate",
         production_tag: str = "production",
         on_invalidate=None,
     ):
-        if retrain_mode not in RETRAIN_MODES:
-            raise ValueError(
-                f"unknown retrain mode {retrain_mode!r}; "
-                f"supported: {RETRAIN_MODES}"
-            )
-        if retrain_mode == "subprocess" and not store_url:
-            raise ValueError(
-                "subprocess retrain needs store_url (the forked child "
-                "reopens the store; use retrain_mode='inline' for "
-                "in-process stores)"
-            )
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         self.scanner = scanner
@@ -165,11 +136,6 @@ class LoopOrchestrator:
         self.holdout = holdout
         self.seed = seed
         self.policy = policy
-        self.retrain_mode = retrain_mode
-        self.wait_for_retrain = wait_for_retrain
-        self.retrain_timeout = retrain_timeout
-        self.store_url = store_url
-        self.cache_dir = cache_dir
         self.candidate_tag = candidate_tag
         self.production_tag = production_tag
         self.on_invalidate = on_invalidate
@@ -187,7 +153,6 @@ class LoopOrchestrator:
         self._window: list[tuple[bytes, int]] = []
         self._last_check = 0
         self._outgoing_namespace: str | None = None
-        self._pending = None  # (child, pipe, started) of an async retrain
         scanner.add_observer(self)
 
     # ------------------------------------------------------------------ #
@@ -208,8 +173,6 @@ class LoopOrchestrator:
             del self._window[: len(self._window) - window]
         self.events_seen += len(events)
 
-        if self.state == RETRAINING and self._pending is not None:
-            self._poll_retrain()
         if self.state != WATCHING:
             return
         self.monitor.observe(result.probability for result in results)
@@ -241,75 +204,33 @@ class LoopOrchestrator:
             "checks": report.checks,
             "window_events": len(self._window),
         })
-        self._run_retrain()
+        self._retrain()
 
-    def _run_retrain(self) -> None:
-        codes = [code for code, __ in self._window]
-        labels = [label for __, label in self._window]
-        kwargs = dict(
-            bytecodes=codes,
-            labels=labels,
-            grow=self.grow,
-            holdout=self.holdout,
-            seed=self.seed,
-            production_tag=self.production_tag,
-            candidate_tag=self.candidate_tag,
-        )
-        if self.retrain_mode == "inline":
-            kwargs["store"] = self.store
-        else:
-            kwargs["store_url"] = self.store_url
-            kwargs["cache_dir"] = self.cache_dir
-        if self.retrain_mode == "subprocess" and not self.wait_for_retrain:
-            # Fleet path: fork and return to serving; observe() polls.
-            try:
-                child, pipe = start_retrain(**kwargs)
-            except Exception as error:  # noqa: BLE001
-                self._fail_retrain(f"{type(error).__name__}: {error}")
-                return
-            self._pending = (child, pipe, time.monotonic())
-            return
+    def _retrain(self) -> None:
         try:
-            result = run_retrain(
-                mode=self.retrain_mode,
-                timeout=self.retrain_timeout,
-                **kwargs,
+            candidate = fork_retrain(
+                store=self.store,
+                bytecodes=[code for code, __ in self._window],
+                labels=[label for __, label in self._window],
+                grow=self.grow,
+                holdout=self.holdout,
+                seed=self.seed,
+                production_tag=self.production_tag,
             )
+            result = candidate.register(self.store, tag=self.candidate_tag)
         except RetrainError as error:
             self._fail_retrain(str(error))
             return
-        self._finish_retrain(result)
-
-    def _poll_retrain(self) -> None:
-        """Non-blocking check on an asynchronous retrain child."""
-        child, pipe, started = self._pending
-        report = None
-        if pipe.poll(0):
-            try:
-                report = pipe.recv()
-            except EOFError:
-                report = {"ok": False,
-                          "error": "retrain subprocess died without "
-                                   "reporting"}
-        elif not child.is_alive():
-            report = {"ok": False,
-                      "error": "retrain subprocess died without reporting"}
-        elif time.monotonic() - started > self.retrain_timeout:
-            child.terminate()
-            report = {
-                "ok": False,
-                "error": f"retrain subprocess timed out after "
-                         f"{self.retrain_timeout:.0f}s",
-            }
-        if report is None:
-            return
-        pipe.close()
-        child.join(timeout=5.0)
-        self._pending = None
-        if report.get("ok"):
-            self._finish_retrain(report["result"])
-        else:
-            self._fail_retrain(report.get("error", "retrain failed"))
+        self.last_retrain = result
+        append_history(self.store, {
+            "event": "retrain",
+            "timestamp": self.clock,
+            "candidate": result["candidate"],
+            "base": result["base"],
+            "model_name": result.get("model_name"),
+            "metrics": result["metrics"],
+        })
+        self._start_shadow(result["candidate"])
 
     def _fail_retrain(self, message: str) -> None:
         self.last_error = message
@@ -325,19 +246,6 @@ class LoopOrchestrator:
         self.monitor.reset()
         self._last_check = self.events_seen
         self.state = WATCHING
-
-    def _finish_retrain(self, result: dict) -> None:
-        self.last_retrain = result
-        append_history(self.store, {
-            "event": "retrain",
-            "timestamp": self.clock,
-            "candidate": result["candidate"],
-            "base": result["base"],
-            "model_name": result.get("model_name"),
-            "metrics": result["metrics"],
-            "mode": self.retrain_mode,
-        })
-        self._start_shadow(result["candidate"])
 
     # ------------------------------------------------------------------ #
     # Shadow → verdict
@@ -400,13 +308,6 @@ class LoopOrchestrator:
         self.scanner.remove_observer(self)
         if self.rollout is not None:
             self.rollout.detach()
-        if self._pending is not None:
-            child, pipe, __ = self._pending
-            pipe.close()
-            if child.is_alive():
-                child.terminate()
-            child.join(timeout=5.0)
-            self._pending = None
 
     def status(self) -> dict:
         """JSON-ready loop snapshot (state, counters, evidence)."""
@@ -421,8 +322,6 @@ class LoopOrchestrator:
             "production": self._production_version(),
             "production_tag": self.production_tag,
             "candidate_tag": self.candidate_tag,
-            "retrain_mode": self.retrain_mode,
-            "retrain_pending": self._pending is not None,
             "monitor": self.monitor.status(),
             "last_check": self.last_report.as_dict()
             if self.last_report is not None else None,

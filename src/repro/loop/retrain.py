@@ -3,41 +3,94 @@
 One retrain = load the production model from the store, grow it with
 ``fit_more`` on the loop's sliding event window (the incremental-solving
 pattern: keep fitted state across related instances instead of refitting
-from scratch), score a deterministic held-out slice, and register the
-result under the candidate tag. The whole step runs equally well inline
-(tests, ``memory://`` stores) or in a forked subprocess
-(:func:`run_retrain`), which is how the orchestrator keeps serving
-latency flat while trees grow — the scanner's process never fits
-anything.
+from scratch) and score a deterministic held-out slice. That is
+:func:`retrain_candidate`, which writes nothing.
+
+The loop runs it one way, :func:`fork_retrain`: a forked child inherits
+the store object and the window, fits, and pickles the grown
+:class:`Candidate` back over a pipe. The parent waits for it up to
+:data:`RETRAIN_TIMEOUT` seconds — the flush that confirmed the drift
+waits too — and registers it with :meth:`Candidate.register`. Only the
+parent writes the store, so the one path works on every store scheme,
+``memory://`` included. The child is the crash boundary: a fit that
+segfaults, is OOM-killed or hangs costs one aborted retrain, not the
+serving process.
 
 Failure contract: *nothing* in this module mutates production. A retrain
-that raises (unsupported model family, bad window, dead store) leaves
-the production tag, the serving model and the feature cache exactly as
-they were; the orchestrator logs the abort and re-arms.
+that raises, dies or times out leaves the production tag, the serving
+model and the feature cache exactly as they were; the orchestrator logs
+the abort and re-arms.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "RETRAIN_TIMEOUT",
+    "Candidate",
     "RetrainError",
+    "fork_retrain",
     "retrain_candidate",
-    "run_retrain",
-    "start_retrain",
 ]
 
-#: How a retrain runs: forked child (serving never stalls) or inline
-#: (deterministic single-process tests, memory:// stores a child could
-#: never see).
-RETRAIN_MODES = ("subprocess", "inline")
+#: Seconds the parent waits for a retrain child before killing it.
+RETRAIN_TIMEOUT = 600.0
 
 
 class RetrainError(RuntimeError):
     """The retrain step failed; production is untouched."""
+
+
+@dataclass
+class Candidate:
+    """A grown model and its holdout evidence, not yet registered."""
+
+    model: object
+    model_name: str | None
+    base: str
+    metrics: dict
+    seconds: float
+    seed: int
+
+    def register(self, store, *, tag: str = "candidate") -> dict:
+        """Put the model in ``store`` under ``tag``.
+
+        Returns a JSON-ready result: candidate/base digests, holdout
+        metrics and the fit wall seconds (the caller decides what of it
+        enters the durable history — wall seconds never do).
+
+        Raises:
+            RetrainError: The store refused the artifact or the tag.
+        """
+        try:
+            digest = store.put(
+                self.model,
+                model_name=self.model_name,
+                metrics=self.metrics,
+                extra={
+                    "warm_started_from": self.base,
+                    "grown_trees": self.metrics["grown_trees"],
+                    "retrain_seed": self.seed,
+                },
+                tags=(tag,),
+            )
+        except Exception as error:
+            raise RetrainError(
+                f"registering the candidate failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        return {
+            "candidate": digest,
+            "base": self.base,
+            "model_name": self.model_name,
+            "metrics": self.metrics,
+            "seconds": self.seconds,
+        }
 
 
 def _holdout_split(n: int, holdout: float, seed: int):
@@ -65,31 +118,22 @@ def _holdout_metrics(model, bytecodes, labels) -> dict:
 
 def retrain_candidate(
     *,
-    store_url: str | None = None,
-    store=None,
+    store,
     bytecodes,
     labels,
     grow: int,
     holdout: float = 0.25,
     seed: int = 0,
     production_tag: str = "production",
-    candidate_tag: str = "candidate",
-    cache_dir: str | None = None,
-) -> dict:
+) -> Candidate:
     """Warm-start one candidate from the production artifact.
 
-    Returns a JSON-ready result: candidate/base digests, holdout
-    metrics, the grown-tree count and the fit wall seconds (the caller
-    decides what of it enters the durable history — wall seconds never
-    do).
+    Reads ``store``, never writes it: the caller registers the returned
+    :class:`Candidate`.
 
     Raises:
-        RetrainError: On any failure; the store's tags are untouched
-            (the candidate tag moves only after a fully successful fit
-            and holdout evaluation).
+        RetrainError: On any failure.
     """
-    from repro.artifacts import ModelStore
-
     if len(bytecodes) != len(labels):
         raise RetrainError("bytecodes and labels must be parallel")
     if len(bytecodes) < 4:
@@ -99,10 +143,7 @@ def retrain_candidate(
     if grow < 1:
         raise RetrainError("grow must be >= 1")
 
-    if store is None:
-        store = ModelStore.from_url(store_url or None, cache_dir=cache_dir)
     model, manifest = store.load(production_tag)
-    base_digest = manifest["digest"]
     if getattr(model, "fit_more", None) is None:
         raise RetrainError(
             f"production model {manifest.get('model_name')!r} does not "
@@ -133,30 +174,20 @@ def retrain_candidate(
     metrics = _holdout_metrics(model, hold_codes, hold_labels)
     metrics["grown_trees"] = int(grow)
     metrics["train_events"] = int(len(train_codes))
-    candidate_digest = store.put(
-        model,
+    return Candidate(
+        model=model,
         model_name=manifest.get("model_name"),
+        base=manifest["digest"],
         metrics=metrics,
-        extra={
-            "warm_started_from": base_digest,
-            "grown_trees": int(grow),
-            "retrain_seed": int(seed),
-        },
-        tags=(candidate_tag,),
+        seconds=seconds,
+        seed=int(seed),
     )
-    return {
-        "candidate": candidate_digest,
-        "base": base_digest,
-        "model_name": manifest.get("model_name"),
-        "metrics": metrics,
-        "seconds": seconds,
-    }
 
 
 def _retrain_child(connection, kwargs: dict) -> None:
     try:
-        result = retrain_candidate(**kwargs)
-        connection.send({"ok": True, "result": result})
+        connection.send({"ok": True,
+                         "candidate": retrain_candidate(**kwargs)})
     except BaseException as error:  # noqa: BLE001 - must report, not die
         connection.send(
             {"ok": False, "error": f"{type(error).__name__}: {error}"}
@@ -165,80 +196,42 @@ def _retrain_child(connection, kwargs: dict) -> None:
         connection.close()
 
 
-def run_retrain(
-    *,
-    mode: str = "subprocess",
-    timeout: float = 600.0,
-    **kwargs,
-) -> dict:
-    """Run :func:`retrain_candidate` per ``mode``; see RETRAIN_MODES.
+def fork_retrain(**kwargs) -> Candidate:
+    """Run :func:`retrain_candidate` in a forked child; see module docs.
 
-    Subprocess mode prefers ``fork`` (the window's bytecodes ship to the
-    child by page sharing, not pickling) and falls back to the
-    platform's default context. The parent blocks on the result pipe up
-    to ``timeout`` seconds — but the *serving* process only ever blocks
-    here when the orchestrator runs in its synchronous test mode; the
-    fleet path polls.
+    The child inherits ``kwargs`` (the store object, the window's
+    bytecodes) by fork, so nothing is pickled on the way in. The parent
+    waits on the result pipe up to :data:`RETRAIN_TIMEOUT` seconds and
+    reaps the child on every outcome, killing it if it is still running.
 
     Raises:
-        RetrainError: Child error, timeout, or a child that died
-            without reporting (OOM kill, SIGKILL).
+        RetrainError: The child's own error, a timeout, or a child that
+            died without reporting (segfault, OOM kill, SIGKILL).
     """
-    if mode not in RETRAIN_MODES:
-        raise ValueError(
-            f"unknown retrain mode {mode!r}; supported: {RETRAIN_MODES}"
-        )
-    if mode == "inline":
-        return retrain_candidate(**kwargs)
-    child, receiver = start_retrain(**kwargs)
-    try:
-        if not receiver.poll(timeout):
-            raise RetrainError(
-                f"retrain subprocess timed out after {timeout:.0f}s"
-            )
-        try:
-            report = receiver.recv()
-        except EOFError as error:
-            raise RetrainError(
-                "retrain subprocess died without reporting"
-            ) from error
-    finally:
-        receiver.close()
-        child.join(timeout=10.0)
-        if child.is_alive():
-            child.terminate()
-            child.join(timeout=5.0)
-    if not report.get("ok"):
-        raise RetrainError(report.get("error", "retrain failed"))
-    return report["result"]
-
-
-def start_retrain(**kwargs):
-    """Fork a retrain child without waiting; returns ``(process, pipe)``.
-
-    The non-blocking half of subprocess mode: the orchestrator's
-    asynchronous path starts the child here and polls the receive end
-    of the pipe between scored batches, so a fleet's monitor process
-    keeps serving while trees grow. The caller owns both handles —
-    poll/recv the pipe, then join the process.
-    """
-    if kwargs.get("store") is not None:
-        # A forked child's store writes land in *its* copy of an
-        # in-process backend — invisible to the parent. Subprocess mode
-        # must reopen the store by URL (rule D029 rejects the memory://
-        # combination statically).
-        raise ValueError(
-            "subprocess retrain reopens the store by URL; "
-            "pass store_url, not a live store object"
-        )
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
+    context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
     child = context.Process(
         target=_retrain_child, args=(sender, kwargs), daemon=True
     )
     child.start()
     sender.close()
-    return child, receiver
+    report = failure = None
+    try:
+        if receiver.poll(RETRAIN_TIMEOUT):
+            report = receiver.recv()
+        else:
+            failure = f"retrain child timed out after {RETRAIN_TIMEOUT:g}s"
+    except EOFError:
+        failure = "retrain child died without reporting"
+    finally:
+        receiver.close()
+        if report is not None:
+            child.join(timeout=10.0)
+        if child.is_alive():
+            child.kill()
+        child.join()
+    if failure is not None:
+        raise RetrainError(f"{failure} (exit code {child.exitcode})")
+    if not report["ok"]:
+        raise RetrainError(report["error"])
+    return report["candidate"]

@@ -39,18 +39,12 @@ import json
 import os
 import signal
 import threading
-import time
 from dataclasses import dataclass
 
 from repro import faults
 from repro.net.server import JsonHandler, KeepAliveServer, list_of
 
 __all__ = ["BadRequest", "WorkerSpec", "worker_main"]
-
-#: Environment test hook: per-batch scoring delay in seconds. Lets the
-#: overload tests create a sustained backlog on a fast machine without
-#: patching anything inside a child process.
-SCAN_DELAY_ENV = "PHOOK_FLEET_SCAN_DELAY"
 
 
 class BadRequest(ValueError):
@@ -104,7 +98,6 @@ class _WorkerState:
         self.batches = 0
         self.scanned = 0
         self.flagged = 0
-        self.scan_delay = float(os.environ.get(SCAN_DELAY_ENV, "0") or 0)
 
     # ------------------------------------------------------------------ #
 
@@ -149,8 +142,6 @@ class _WorkerState:
             os._exit(1)
 
         addresses, code_of, codes = self.decode_scan_request(request)
-        if self.scan_delay > 0:
-            time.sleep(self.scan_delay)
 
         scored = self.service.scan_bytecodes(
             [codes[index] for index in code_of], addresses=addresses

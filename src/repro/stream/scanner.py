@@ -156,7 +156,8 @@ class StreamScanner:
         flush_deadline_seconds: Age of the oldest queued event that forces
             a flush in :meth:`tick` — bounds worst-case alert latency when
             traffic is too thin to fill batches.
-        threshold: Alert cut-off; defaults to the service threshold.
+        threshold: Alert cut-off in (0, 1]; defaults to the service
+            threshold.
         sinks: Initial :class:`~repro.stream.sinks.AlertSink` list.
         dedup_addresses: Drop redeliveries of an address already consumed
             (at-least-once producers are the norm; scanning is idempotent
@@ -191,6 +192,8 @@ class StreamScanner:
             raise ValueError(
                 f"unknown policy {policy!r}; supported: {SCANNER_POLICIES}"
             )
+        if threshold is not None and not 0.0 < threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self.service = service.ensure_fitted()
         self.max_batch = max_batch
         self.max_queue = max_queue

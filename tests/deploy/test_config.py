@@ -76,6 +76,7 @@ class TestRejections:
             ("source", {"mode": "streaming"}),
             ("source", {"contracts": 1}),
             ("source", {"rate": -1.0}),
+            ("loop", {"retrain": "subprocess"}),  # retired knob
         ],
     )
     def test_domain_violations(self, parsed, section, bad):
@@ -143,7 +144,6 @@ class TestLoopSection:
         assert config.loop.confirm_checks == 2
         assert config.loop.grow == 40
         assert config.loop.candidate == "candidate"
-        assert config.loop.retrain == "subprocess"
 
     def test_as_dict_roundtrips_loop(self, parsed):
         config = parsed(loop={"window": 320, "blocks": 8, "grow": 25})
@@ -167,7 +167,7 @@ class TestLoopSection:
             {"holdout": 0.0},
             {"holdout": 1.0},
             {"candidate": ""},
-            {"retrain": "thread"},             # not a RETRAIN_MODE
+            {"retrain": "thread"},             # retired knob
             {"unknown_knob": 1},
         ],
     )

@@ -7,11 +7,7 @@ import pytest
 
 import repro.cli
 from repro.deploy import ConfigError, load_config, parse_config
-from repro.deploy.config import (
-    LOOP_RETRAIN_MODES,
-    STREAM_POLICIES,
-    WARM_START_FAMILIES,
-)
+from repro.deploy.config import STREAM_POLICIES, WARM_START_FAMILIES
 from tests.deploy.conftest import base_config
 
 
@@ -56,6 +52,8 @@ PINNED = [
     ("unknown-section", {"srvee": {}}, "srvee: unknown section"),
     ("retired-shards-knob", {"stream": {"shards": 2}},
      "stream.shards: unknown key"),
+    ("retired-retrain-knob", {"loop": {"retrain": "subprocess"}},
+     "loop.retrain: unknown key"),
     ("live-source", {"source": {"mode": "live"}},
      "source.mode: 'live' is not one of 'replay'"),
     ("non-table-section", {"loop": "yes please"},
@@ -193,11 +191,6 @@ class TestMirroredConstants:
         from repro.stream.scanner import SCANNER_POLICIES
 
         assert STREAM_POLICIES == SCANNER_POLICIES
-
-    def test_loop_retrain_modes(self):
-        from repro.loop.retrain import RETRAIN_MODES
-
-        assert LOOP_RETRAIN_MODES == RETRAIN_MODES
 
     def test_warm_start_families_are_hsc_variants(self):
         from repro.models.hsc import HSC_VARIANTS

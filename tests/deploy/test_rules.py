@@ -181,14 +181,6 @@ FIXTURES = {
         dict(loop={"model_family": "Random Forest"},
              sinks=[{"kind": "jsonl", "path": "alerts.jsonl"}]),
     ),
-    # forked retrain registers its candidate in a store that dies with it
-    "D029": (
-        dict(loop={"retrain": "subprocess"}, store={"url": "memory://x"},
-             sinks=[{"kind": "jsonl", "path": "alerts.jsonl"}]),
-        dict(loop={"retrain": "subprocess"},
-             store={"url": "./phook-models"},
-             sinks=[{"kind": "jsonl", "path": "alerts.jsonl"}]),
-    ),
 }
 
 

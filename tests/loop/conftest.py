@@ -86,8 +86,8 @@ def fit_production(corpus, *, n_estimators=40, seed=1):
 def loop_harness(base_corpus, label_oracle, tmp_path):
     """Factory for the deterministic loop recipe; see module docstring."""
 
-    def build(*, policy=None, label_of=None, retrain_mode="subprocess",
-              monitor=None, grow=20, store_path=None, **loop_kwargs):
+    def build(*, policy=None, label_of=None, monitor=None, grow=20,
+              store_path=None, **loop_kwargs):
         root = store_path or (tmp_path / "store")
         store = ModelStore(root)
         if "production" not in store.tags():
@@ -118,9 +118,6 @@ def loop_harness(base_corpus, label_oracle, tmp_path):
                 min_events=60, promote_agreement=0.90,
                 abort_agreement=0.40, max_mean_divergence=0.25,
             ),
-            retrain_mode=retrain_mode,
-            store_url=str(root) if retrain_mode == "subprocess" else None,
-            wait_for_retrain=True,
             **loop_kwargs,
         )
         return SimpleNamespace(

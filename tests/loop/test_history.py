@@ -99,7 +99,6 @@ class TestRead:
         entry = {
             "event": "retrain",
             "metrics": {"holdout_accuracy": 0.925, "grown_trees": 20},
-            "mode": "subprocess",
         }
         append_history(store, entry)
         (read,) = read_history(store)

@@ -1,9 +1,11 @@
 """Negative paths: the loop must fail closed, never corrupt production.
 
-Three failure families:
+Four failure families:
   * a stationary stream must never trigger the loop (no false retrains);
   * a retrain that raises must leave the serving model and the
     production tag exactly as they were, with a durable ``abort`` entry;
+  * a retrain child that dies or hangs aborts the same way: the fit runs
+    in a forked child, which the parent reaps on every outcome;
   * a hard kill (SIGKILL) mid-shadow must leave the store's tag table
     parseable and both tags loadable — the JSONL history and the atomic
     tag writes are the crash-safety story.
@@ -16,8 +18,11 @@ import sys
 import textwrap
 import time
 
+import pytest
+
 from repro.artifacts import ModelStore
 from repro.loop import read_history
+from repro.models.hsc import HSCDetector
 from repro.stream import TimelineReplayer
 
 
@@ -95,6 +100,79 @@ class TestRetrainFailure:
         assert harness.service.artifact_digest == production_before
 
 
+def _record_fit_pid(pid_file, then):
+    """A ``fit_more`` that appends its process id to ``pid_file``, then
+    runs ``then`` instead of fitting."""
+
+    def fit_more(self, bytecodes, labels, n_more):
+        with open(pid_file, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        then()
+
+    return fit_more
+
+
+def _reaped(pid: int) -> bool:
+    """Whether ``pid`` is gone: a zombie still answers signal 0."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestRetrainChildIsolation:
+    @pytest.mark.parametrize("failure, message", [
+        (lambda: os._exit(3), "died without reporting (exit code 3)"),
+        (lambda: time.sleep(5), "timed out after 0.5s (exit code -9)"),
+    ], ids=["child-dies", "child-hangs"])
+    def test_lost_child_aborts_and_is_reaped(
+            self, loop_harness, base_corpus, drift_corpus, tmp_path,
+            monkeypatch, failure, message):
+        """A fit that kills its process (segfault, OOM kill) or outlives
+        the retrain timeout costs one aborted retrain: production keeps
+        serving, the loop re-arms, and no child is left running."""
+        pid_file = tmp_path / "fit-pids"
+        monkeypatch.setattr(HSCDetector, "fit_more",
+                            _record_fit_pid(pid_file, failure))
+        monkeypatch.setattr("repro.loop.retrain.RETRAIN_TIMEOUT", 0.5)
+        harness = loop_harness()
+        production_before = harness.store.resolve("production")
+        replayer = TimelineReplayer(harness.scanner, rate=None)
+        try:
+            replayer.replay_records(
+                [r for r in base_corpus.records if r.bytecode]
+            )
+            replayer.replay_records(
+                [r for r in drift_corpus.records if r.bytecode]
+            )
+            harness.scanner.flush()
+        finally:
+            harness.loop.detach()
+            harness.scanner.close()
+
+        status = harness.loop.status()
+        assert status["drifts"] >= 1
+        assert status["aborts"] == status["drifts"]
+        assert status["state"] == "watching"
+        assert message in status["last_error"]
+        history = read_history(harness.store)
+        assert [entry["event"] for entry in history[:2]] == [
+            "drift", "abort",
+        ]
+        assert history[1]["stage"] == "retrain"
+        assert message in history[1]["error"]
+        assert harness.store.resolve("production") == production_before
+        assert "candidate" not in harness.store.tags()
+        assert harness.service.artifact_digest == production_before
+
+        # Every fit ran in a child, and every child is gone.
+        pids = [int(line) for line in pid_file.read_text().split()]
+        assert len(pids) == status["drifts"]
+        assert os.getpid() not in pids
+        assert all(_reaped(pid) for pid in pids)
+
+
 KILL_CHILD = textwrap.dedent("""\
     import sys
 
@@ -136,8 +214,6 @@ KILL_CHILD = textwrap.dedent("""\
                              min_effect=0.2, confirm_checks=2),
         check_every=32, grow=20, holdout=0.25, seed=3,
         policy=ManualHoldPolicy(),   # never reaches a verdict
-        retrain_mode="subprocess", store_url={store_root!r},
-        wait_for_retrain=True,
     )
     replayer = TimelineReplayer(scanner, rate=None)
     replayer.replay_records([r for r in base.records if r.bytecode])

@@ -46,7 +46,7 @@ class TestEquivalence:
             store=seeded_store, bytecodes=codes, labels=labels,
             grow=GROW, holdout=HOLDOUT, seed=SEED,
         )
-        warm_accuracy = warm["metrics"]["holdout_accuracy"]
+        warm_accuracy = warm.metrics["holdout_accuracy"]
 
         train_idx, hold_idx = _holdout_split(len(codes), HOLDOUT, SEED)
         cold = HSCDetector(variant="Random Forest", seed=1)
@@ -65,10 +65,13 @@ class TestEquivalence:
             self, seeded_store, window):
         codes, labels = window
         production_digest = seeded_store.resolve("production")
-        result = retrain_candidate(
+        candidate = retrain_candidate(
             store=seeded_store, bytecodes=codes, labels=labels,
             grow=GROW, holdout=HOLDOUT, seed=SEED,
         )
+        # The fit writes nothing; the caller registers.
+        assert "candidate" not in seeded_store.tags()
+        result = candidate.register(seeded_store)
         assert result["base"] == production_digest
         assert seeded_store.resolve("candidate") == result["candidate"]
         manifest = seeded_store.manifest("candidate")
@@ -92,7 +95,7 @@ class TestDeterminism:
             result = retrain_candidate(
                 store=store, bytecodes=codes, labels=labels,
                 grow=GROW, holdout=HOLDOUT, seed=SEED,
-            )
+            ).register(store)
             model, __ = store.load("candidate")
             digests.append(result["candidate"])
             scores.append(model.predict_proba(codes)[:, 1])
@@ -107,7 +110,7 @@ class TestDeterminism:
         retrain_candidate(
             store=seeded_store, bytecodes=codes, labels=labels,
             grow=GROW, holdout=HOLDOUT, seed=SEED,
-        )
+        ).register(seeded_store)
         loaded, manifest = seeded_store.load("candidate")
         # Round-trip the loaded model once more through the store under
         # the same metadata: the content digest covers the manifest's

@@ -3,9 +3,9 @@
 The module fixture boots a genuine 2-worker fleet (fork + HTTP) from
 the session store; transport-failure tests boot their own small fleets
 so they can kill workers and saturate queues without poisoning the
-shared one. The
-``PHOOK_FLEET_SCAN_DELAY`` env knob (inherited by forked workers) slows
-worker scans so crashes and overload land mid-flight deterministically.
+shared one. A ``worker.scan`` ``delay`` fault plan (inherited by forked
+workers) slows worker scans so crashes and overload land mid-flight
+deterministically.
 """
 
 import json
@@ -18,6 +18,7 @@ import zipfile
 
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec
 from repro.net import (
     FleetClient,
     FleetManager,
@@ -26,7 +27,6 @@ from repro.net import (
     ShuttingDownError,
 )
 from repro.net.client import HttpSession, http_json, http_request
-from repro.net.worker import SCAN_DELAY_ENV
 from repro.stream import MemorySink
 
 
@@ -39,6 +39,13 @@ def _manager(store_root, **kwargs):
     )
     options.update(kwargs)
     return FleetManager(**options)
+
+
+def _delayed_scans(seconds):
+    """Install a plan that sleeps ``seconds`` in every worker batch."""
+    return FaultPlan(
+        [FaultSpec("worker.scan", "delay", delay=seconds)]
+    ).installed()
 
 
 @pytest.fixture(scope="module")
@@ -256,10 +263,9 @@ class TestRouting:
     """Each batch goes whole to the least-loaded worker."""
 
     def test_concurrent_batches_go_to_different_workers(
-            self, store_root, probe_batch, monkeypatch):
-        monkeypatch.setenv(SCAN_DELAY_ENV, "1.0")
+            self, store_root, probe_batch):
         addresses, codes = probe_batch
-        with _manager(store_root) as manager:
+        with _delayed_scans(1.0), _manager(store_root) as manager:
             started = time.perf_counter()
             outcomes = _scan_concurrently(manager, addresses, codes)
             elapsed = time.perf_counter() - started
@@ -305,12 +311,10 @@ class TestWorkerState:
 
 class TestTransportFailures:
     def test_worker_killed_mid_batch_loses_no_alerts(
-            self, store_root, probe_batch, reference_results,
-            monkeypatch):
+            self, store_root, probe_batch, reference_results):
         """The acceptance gate: a crash mid-stream drops zero events."""
-        monkeypatch.setenv(SCAN_DELAY_ENV, "1.0")
         addresses, codes = probe_batch
-        with _manager(store_root) as manager:
+        with _delayed_scans(1.0), _manager(store_root) as manager:
             outcome = {}
 
             def run():
@@ -354,11 +358,11 @@ class TestTransportFailures:
             assert {r["worker"] for r in results} == {0}
 
     def test_shed_under_sustained_overload(
-            self, store_root, probe_batch, monkeypatch):
-        monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
+            self, store_root, probe_batch):
         addresses, codes = probe_batch
-        with _manager(store_root, workers=1, queue_depth=1,
-                      overflow="shed") as manager:
+        with _delayed_scans(0.5), _manager(
+                store_root, workers=1, queue_depth=1,
+                overflow="shed") as manager:
             client = FleetClient(manager.url)
             statuses = []
 
@@ -379,11 +383,11 @@ class TestTransportFailures:
             assert manager.status()["counters"]["shed"] >= 1
 
     def test_block_overflow_serves_everything(
-            self, store_root, probe_batch, monkeypatch):
-        monkeypatch.setenv(SCAN_DELAY_ENV, "0.2")
+            self, store_root, probe_batch):
         addresses, codes = probe_batch
-        with _manager(store_root, workers=1, queue_depth=1,
-                      overflow="block") as manager:
+        with _delayed_scans(0.2), _manager(
+                store_root, workers=1, queue_depth=1,
+                overflow="block") as manager:
             client = FleetClient(manager.url)
             outcomes = []
 
@@ -633,10 +637,9 @@ class TestNamespaceInvalidation:
         return out
 
     def test_prediction_namespace_evicted_fleet_wide(
-            self, store_root, probe_batch, monkeypatch):
+            self, store_root, probe_batch):
         from repro.artifacts import ModelStore
 
-        monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
         digest = ModelStore.from_url(str(store_root)).resolve("production")
         namespace = f"pred:artifact:{digest}"
         # One address per bytecode: a repeat inside a batch is served by
@@ -645,7 +648,7 @@ class TestNamespaceInvalidation:
         for address, code in zip(*probe_batch):
             first_of.setdefault(code, address)
         codes, addresses = list(first_of), list(first_of.values())
-        with _manager(store_root) as manager:
+        with _delayed_scans(0.5), _manager(store_root) as manager:
             _populate_both_workers(manager, addresses, codes)
             before = self._per_worker_entries(manager, namespace)
             assert all(count > 0 for count in before.values()), (
@@ -674,14 +677,13 @@ class TestNamespaceInvalidation:
             assert all(count > 0 for count in repopulated.values())
 
     def test_invalidate_rpc_reaches_every_worker(
-            self, store_root, probe_batch, monkeypatch):
+            self, store_root, probe_batch):
         from repro.artifacts import ModelStore
 
-        monkeypatch.setenv(SCAN_DELAY_ENV, "0.5")
         digest = ModelStore.from_url(str(store_root)).resolve("production")
         namespace = f"pred:artifact:{digest}"
         addresses, codes = probe_batch
-        with _manager(store_root) as manager:
+        with _delayed_scans(0.5), _manager(store_root) as manager:
             _populate_both_workers(manager, addresses, codes)
             client = FleetClient(manager.url)
             report = client.invalidate(namespace)

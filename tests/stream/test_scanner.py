@@ -38,6 +38,9 @@ class TestValidation:
             StreamScanner(service, max_batch=16, max_queue=8)
         with pytest.raises(ValueError):
             StreamScanner(service, policy="explode")
+        for threshold in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                StreamScanner(service, threshold=threshold)
         with pytest.raises(TypeError):  # no shard knob
             StreamScanner(service, shards=2)
 
@@ -283,7 +286,7 @@ class TestShardingAndParity:
             else:
                 loop = LoopOrchestrator(
                     scanner, store, label_of=lambda address: None,
-                    policy=ManualHoldPolicy(), retrain_mode="inline")
+                    policy=ManualHoldPolicy())
                 loop._start_shadow("candidate")  # its shadow phase
                 shadow = loop.rollout
             measured[entries] = _steady_hit_rate(scanner, codes)

@@ -162,7 +162,7 @@ class TestFailurePaths:
         broken = JsonlSink(tmp_path / "nope" / "alerts.jsonl")
         healthy = MemorySink()
         scanner = StreamScanner(
-            service, max_batch=4, threshold=0.0,
+            service, max_batch=4, threshold=1e-9,  # alert on any nonzero score
             sinks=[broken, healthy],
         )
         codes = stream_dataset.bytecodes[:12]
